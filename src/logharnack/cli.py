@@ -7,7 +7,8 @@ significant digits so reruns diff bit-exactly.  Grid points are expanded
 in a fixed order, dispatched to a bounded worker pool, and the rows are
 written in grid order, so the report is identical for any worker count.
 
-Exit status is nonzero iff some inequality verdict is "violated".
+Exit status is nonzero iff some inequality verdict is "violated" or
+"invalid".
 """
 
 from __future__ import annotations
@@ -456,7 +457,7 @@ def run(config_path, *, workers=None, seed=None, out=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "plotdata").mkdir(exist_ok=True)
 
-    violated = 0
+    violated = invalid = 0
     report_lines = [",".join(REPORT_COLUMNS) + "\n"]
     diag_lines = [",".join(DIAG_COLUMNS) + "\n"]
     series_acc = {}
@@ -470,8 +471,8 @@ def run(config_path, *, workers=None, seed=None, out=None) -> int:
             report_lines.append(_csv_line([row[c] for c in REPORT_COLUMNS]))
             summary.setdefault(rep.tag, {}).setdefault(rep.verdict, 0)
             summary[rep.tag][rep.verdict] += 1
-            if rep.verdict == vf.VERDICT_VIOLATED:
-                violated += 1
+            violated += rep.verdict == vf.VERDICT_VIOLATED
+            invalid += rep.verdict == vf.VERDICT_INVALID
         for drow in res.diagnostics:
             drow = dict(drow)
             drow["job_index"] = idx
@@ -493,9 +494,10 @@ def run(config_path, *, workers=None, seed=None, out=None) -> int:
         counts = ", ".join(f"{k}={v}" for k, v in sorted(summary[tag].items()))
         lines.append(f"{tag}: {counts}")
     lines.append(f"violated: {violated}")
+    lines.append(f"invalid: {invalid}")
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
 
-    return 1 if violated else 0
+    return 1 if violated or invalid else 0
 
 
 def main(argv=None) -> int:

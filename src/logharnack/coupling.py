@@ -12,17 +12,30 @@ actually applied, so E R = 1 holds step by step by construction.
 A pair stops at the first of: Y reaching the domain boundary, X leaving
 the enlarged domain, coupling (rho below the detection radius, then Y is
 snapped onto X), or the time horizon.  log R freezes at that moment.
+The clock steps h_eff = T / ceil(T / h), so it ends exactly at T.
+
+One batch step (``_coupled_step``) serves both ``run_coupling`` and the
+single-pair ``step_coupled``.  Its pair-geometry budget per step:
+rho(X, Y) and phi(Y) carry over from the previous step's stopping
+checks; log_X(Y) and log_Y(X) are computed once each and feed the
+transported noise and both unit directions (on the sphere from one
+angle); the sphere builds its frame at X once for the noise map and the
+Girsanov frame components; the stopping checks then take rho(X', Y'),
+phi(Y'), the distance of Y' and of X' to the domain centre.  On the
+2-sphere that is five angle evaluations and one frame per step.
+``run_coupling`` keeps the running pairs of a block in compacted arrays,
+in index order, and writes a pair back only when it stops.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .diffusion import _advance
+from .diffusion import _advance, _n_steps
 from .geometry import ModelSpace
 from .local_bounds import (
     DomainSpec,
@@ -98,6 +111,15 @@ class CouplingConfig:
             raise ValueError("eps_couple must stay within 10 sqrt(2h)")
         if self.phi_floor == 0.0:
             self.phi_floor = 0.25 * np.pi * self.eps_couple
+
+    @property
+    def n_steps(self) -> int:
+        return _n_steps(self.T, self.h)
+
+    @property
+    def h_eff(self) -> float:
+        """Step size that ends the clock exactly at T."""
+        return self.T / self.n_steps
 
     @property
     def exit_radius(self) -> float:
@@ -211,84 +233,101 @@ def _xi1_rate(t, cfg):
     return 2.0 * K * np.exp(-K * np.asarray(t, dtype=float)) / (1.0 - math.exp(-2.0 * K * T))
 
 
-def _coupled_step_arrays(M, cfg, X, Y, logR, l, lt, t, xi, flagged):
-    """Advance every supplied pair by one step (no stopping logic)."""
-    h = cfg.h
-    rho = M.distance(X, Y)
-    phi_y = cfg.phi.phi(Y)
-    flagged = flagged | (phi_y < PHI_CAP)
-    phi_eff = np.maximum(phi_y, PHI_CAP)
+class _Pairs(NamedTuple):
+    """Batch state of running pairs; rho = distance(X, Y) and phi_y =
+    phi(Y) are the values the last stopping checks computed."""
 
-    x1 = _xi1_rate(t, cfg) * cfg.rho0
-    x2 = 2.0 * cfg.c_D_phi * rho / phi_eff**2
+    X: np.ndarray
+    Y: np.ndarray
+    rho: np.ndarray
+    phi_y: np.ndarray
+    log_R: np.ndarray
+    flagged: np.ndarray
+
+    def take(self, keep) -> "_Pairs":
+        return _Pairs(*(a[keep] for a in self))
+
+
+def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
+    """Advance every pair of the batch from time t by one step of size h,
+    then apply the stopping checks in the fixed order: boundary of D for
+    Y, exit of the enlarged domain for X, coupling, horizon.
+
+    Returns (new state, theta, dl, dl_tilde): theta is each pair's
+    stopping event (THETA_NONE while it runs), dl and dl_tilde the
+    local-time increments of X and Y.  Y is snapped onto X where the pair
+    coupled.
+    """
+    n = p.X.shape[0]
+    flagged = p.flagged | (p.phi_y < PHI_CAP)
+    phi_eff = np.maximum(p.phi_y, PHI_CAP)
+
+    x1 = _xi1_rate(np.full(n, t), cfg) * cfg.rho0
+    x2 = 2.0 * cfg.c_D_phi * p.rho / phi_eff**2
     # never move Y past X within one explicit step; R stays the exact
     # density of the drift actually applied
-    a = np.minimum(np.sqrt(x1**2 + x2**2), rho / h)
+    a = np.minimum(np.sqrt(x1**2 + x2**2), p.rho / h)
 
-    G = M.tangent_from_frame(X, xi)  # realisation of Phi dB, chart components
-    vX = math.sqrt(2.0 * h) * G + h * M.drift(X)
-    Xn = M.exp(X, vX)
-    dl = np.zeros(X.shape[0])
+    # G realises Phi dB in chart components; GY is its transport to Y,
+    # toward the unit at Y pointing away from X, away_c the frame
+    # components at X of the unit pointing away from Y
+    G, GY, toward, away_c = M._pair_geometry(p.X, p.Y, p.rho, xi)
+    vX = math.sqrt(2.0 * h) * G + h * M.drift(p.X)
+    Xn = M.exp(p.X, vX)
+    dl = np.zeros(n)
     if M.has_boundary:
         Xn, dl = M.reflect(Xn)
 
-    GY = M.transport(X, Y, G)
-    toward = M.grad_distance(X, Y)  # unit at Y pointing away from X
-    vY = math.sqrt(2.0 * h) * GY + h * (M.drift(Y) - a[:, None] * toward)
-    Yn = M.exp(Y, vY)
-    dlt = np.zeros(Y.shape[0])
+    vY = math.sqrt(2.0 * h) * GY + h * (M.drift(p.Y) - a[:, None] * toward)
+    Yn = M.exp(p.Y, vY)
+    dlt = np.zeros(n)
     if M.has_boundary:
         Yn, dlt = M.reflect(Yn)
 
     # Girsanov increment for eta = (a / sqrt 2) * (unit at X away from Y):
     # <eta, Phi dB> in frame components is eta_i xi_i sqrt(h).
-    eta = (a / math.sqrt(2.0))[:, None] * M.frame_components(X, M.grad_distance(Y, X))
+    eta = (a / math.sqrt(2.0))[:, None] * away_c
     dlogR = -math.sqrt(h) * np.sum(eta * xi, axis=-1) - 0.5 * h * np.sum(eta**2, axis=-1)
 
-    return Xn, Yn, logR + dlogR, l + dl, lt + dlt, flagged
+    rho = M.distance(Xn, Yn)
+    phi_y = cfg.phi.phi(Yn)
+    theta = np.select(
+        [
+            (phi_y <= cfg.phi_floor) | ~cfg.D.contains(M, Yn),
+            M.distance(cfg.D.center, Xn) >= cfg.exit_radius,
+            rho <= cfg.eps_couple,
+            np.full(n, t + h >= cfg.T - 1e-12),
+        ],
+        [THETA_BOUNDARY_Y, THETA_EXIT_X, THETA_COUPLED, THETA_HORIZON],
+        THETA_NONE,
+    ).astype(np.int8)
+    Yn = np.where((theta == THETA_COUPLED)[:, None], Xn, Yn)
+    return _Pairs(Xn, Yn, rho, phi_y, p.log_R + dlogR, flagged), theta, dl, dlt
 
 
 def step_coupled(M: ModelSpace, state: CoupledPathState, cfg: CouplingConfig, noise) -> CoupledPathState:
-    """Advance a single coupled pair by one step with the given noise and
-    apply the stopping checks in the fixed order: boundary of D for Y,
-    exit of the enlarged domain for X, coupling, horizon."""
+    """Advance a single coupled pair by one step of size cfg.h_eff with
+    the given noise: the batch step of run_coupling on a batch of one."""
     if state.theta != THETA_NONE:
         raise ValueError("pair already stopped")
-    xi = np.asarray(noise, dtype=float)[None, :]
     X = np.asarray(state.X, dtype=float)[None, :]
     Y = np.asarray(state.Y, dtype=float)[None, :]
-    flagged = np.array([state.flagged])
-    Xn, Yn, logR, l, lt, flagged = _coupled_step_arrays(
-        M, cfg, X, Y, np.array([state.log_R]), np.array([state.l]),
-        np.array([state.l_tilde]), np.array([state.t]), xi, flagged
-    )
-    t_new = state.t + cfg.h
-    rho_new = float(M.distance(Xn, Yn)[0])
-    theta = THETA_NONE
-    coupled = state.coupled
-    phi_new = float(cfg.phi.phi(Yn)[0])
-    if phi_new <= cfg.phi_floor or not cfg.D.contains(M, Yn)[0]:
-        theta = THETA_BOUNDARY_Y
-    elif float(M.distance(cfg.D.center, Xn)[0]) >= cfg.exit_radius:
-        theta = THETA_EXIT_X
-    elif rho_new <= cfg.eps_couple:
-        theta = THETA_COUPLED
-        coupled = True
-        Yn = Xn.copy()
-        rho_new = 0.0
-    elif t_new >= cfg.T - 1e-12:
-        theta = THETA_HORIZON
+    p = _Pairs(X, Y, M.distance(X, Y), cfg.phi.phi(Y), np.array([state.log_R]),
+               np.array([state.flagged]))
+    h = cfg.h_eff
+    p, theta, dl, dlt = _coupled_step(M, cfg, h, state.t, p, np.asarray(noise, dtype=float)[None, :])
+    theta = int(theta[0])
     return CoupledPathState(
-        X=Xn[0],
-        Y=Yn[0],
-        rho=rho_new,
-        log_R=float(logR[0]),
-        l=float(l[0]),
-        l_tilde=float(lt[0]),
-        t=t_new,
+        X=p.X[0],
+        Y=p.Y[0],
+        rho=0.0 if theta == THETA_COUPLED else float(p.rho[0]),
+        log_R=float(p.log_R[0]),
+        l=float(state.l + dl[0]),
+        l_tilde=float(state.l_tilde + dlt[0]),
+        t=state.t + h,
         theta=theta,
-        coupled=coupled,
-        flagged=bool(flagged[0]),
+        coupled=state.coupled or theta == THETA_COUPLED,
+        flagged=bool(p.flagged[0]),
     )
 
 
@@ -350,10 +389,9 @@ def run_coupling(
     semigroup started at y up to the coupling defect, which is the
     identity the whole construction exists for.
     """
-    n_steps = max(1, math.ceil(cfg.T / cfg.h - 1e-12))
+    n_steps, h = cfg.n_steps, cfg.h_eff
 
     all_logR = np.empty(n_pairs)
-    all_coupled = np.empty(n_pairs, dtype=bool)
     all_theta = np.empty(n_pairs, dtype=np.int8)
     all_flagged = np.empty(n_pairs, dtype=bool)
     all_terminal = np.full(n_pairs, np.nan)
@@ -363,70 +401,52 @@ def run_coupling(
         rng = stream(master_seed, stream_id, b)
         bn = hi - lo
         X = np.broadcast_to(cfg.x, (bn, M.chart_dim)).copy()
-        Y = np.broadcast_to(cfg.y, (bn, M.chart_dim)).copy()
         logR = np.zeros(bn)
-        l = np.zeros(bn)
-        lt = np.zeros(bn)
         flagged = np.zeros(bn, dtype=bool)
         theta = np.full(bn, THETA_NONE, dtype=np.int8)
-        coupled = np.zeros(bn, dtype=bool)
 
         # the stopping cascade also applies to the initial state: pairs
         # born within the detection radius are coupled at t = 0
         if cfg.rho0 <= cfg.eps_couple:
             theta[:] = THETA_COUPLED
-            coupled[:] = True
-            Y[:] = X
+        # running pairs live in compacted arrays, in index order, and are
+        # written back to the block's arrays when they stop
+        run = np.flatnonzero(theta == THETA_NONE)
+        X0 = X[run]
+        Y0 = np.broadcast_to(cfg.y, X0.shape).copy()
+        pairs = _Pairs(X0, Y0, M.distance(X0, Y0), cfg.phi.phi(Y0), logR[run], flagged[run])
 
         for k in range(n_steps):
-            idx = np.flatnonzero(theta == THETA_NONE)
             if terminal_fn is not None:
                 merged = np.flatnonzero(theta == THETA_COUPLED)
-            if idx.size == 0 and (terminal_fn is None or merged.size == 0):
+            if run.size == 0 and (terminal_fn is None or merged.size == 0):
                 break
-            xi = rng.standard_normal((idx.size, M.dim))
-            t_now = k * cfg.h
-            if idx.size:
-                Xs, Ys, lRs, ls, lts, fl = _coupled_step_arrays(
-                    M, cfg, X[idx], Y[idx], logR[idx], l[idx], lt[idx],
-                    np.full(idx.size, t_now), xi, flagged[idx]
-                )
-                rho_new = M.distance(Xs, Ys)
-                max_rho_excess = max(max_rho_excess, float(np.max(rho_new)) - cfg.rho0)
-                phi_new = cfg.phi.phi(Ys)
-                fire_bdry = (phi_new <= cfg.phi_floor) | ~cfg.D.contains(M, Ys)
-                fire_exit = ~fire_bdry & (M.distance(cfg.D.center, Xs) >= cfg.exit_radius)
-                fire_couple = ~fire_bdry & ~fire_exit & (rho_new <= cfg.eps_couple)
-                fire_T = ~fire_bdry & ~fire_exit & ~fire_couple & (t_now + cfg.h >= cfg.T - 1e-12)
-
-                Ys = np.where(fire_couple[:, None], Xs, Ys)
-                X[idx], Y[idx] = Xs, Ys
-                logR[idx], l[idx], lt[idx], flagged[idx] = lRs, ls, lts, fl
-                th = np.where(
-                    fire_bdry, THETA_BOUNDARY_Y,
-                    np.where(fire_exit, THETA_EXIT_X,
-                             np.where(fire_couple, THETA_COUPLED,
-                                      np.where(fire_T, THETA_HORIZON, THETA_NONE))),
-                ).astype(np.int8)
-                theta[idx] = th
-                coupled[idx] |= fire_couple
+            xi = rng.standard_normal((run.size, M.dim))
+            if run.size:
+                pairs, th, _, _ = _coupled_step(M, cfg, h, k * h, pairs, xi)
+                max_rho_excess = max(max_rho_excess, float(np.max(pairs.rho)) - cfg.rho0)
+                stop = th != THETA_NONE
+                if stop.any():
+                    done = run[stop]
+                    X[done], logR[done] = pairs.X[stop], pairs.log_R[stop]
+                    flagged[done], theta[done] = pairs.flagged[stop], th[stop]
+                    run, pairs = run[~stop], pairs.take(~stop)
             if terminal_fn is not None and merged.size:
                 xim = rng.standard_normal((merged.size, M.dim))
-                Xm, _, _ = _advance(M, X[merged], cfg.h, xim, np.ones(merged.size, dtype=bool))
-                X[merged] = Xm
-                Y[merged] = Xm
+                X[merged] = _advance(M, X[merged], h, xim, np.ones(merged.size, dtype=bool))[0]
+        X[run], logR[run], flagged[run] = pairs.X, pairs.log_R, pairs.flagged
 
         all_logR[lo:hi] = logR
-        all_coupled[lo:hi] = coupled
         all_theta[lo:hi] = theta
         all_flagged[lo:hi] = flagged
         if terminal_fn is not None:
             vals = np.full(bn, np.nan)
-            idxc = np.flatnonzero(coupled)
+            idxc = np.flatnonzero(theta == THETA_COUPLED)
             if idxc.size:
                 vals[idxc] = terminal_fn(X[idxc])
             all_terminal[lo:hi] = vals
 
+    all_coupled = all_theta == THETA_COUPLED
     R = np.exp(all_logR)
     diag = CouplingDiagnostics(
         e_r=estimate_from_values(R, seed=master_seed),

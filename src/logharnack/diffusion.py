@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+def _n_steps(T: float, h: float) -> int:
+    """Number of steps of size at most about h that end the clock at T."""
+    return max(1, math.ceil(T / h - 1e-12))
+
+
 @dataclass
 class PathConfig:
     """Time stepping and noise-stream configuration for one run."""
@@ -53,7 +58,7 @@ class PathConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, math.ceil(self.T / self.h - 1e-12))
+        return _n_steps(self.T, self.h)
 
     @property
     def h_eff(self) -> float:

@@ -76,6 +76,11 @@ class TangentVec:
     components: np.ndarray
 
 
+def _require_apart(rho):
+    if np.any(rho < 1e-14):
+        raise CoincidentPoints("grad_distance needs x != y")
+
+
 def _arr(x) -> np.ndarray:
     """Accept Point / TangentVec / array-like and return an ndarray."""
     if isinstance(x, Point):
@@ -140,9 +145,32 @@ class ModelSpace:
         """Unit gradient of rho(x, .) evaluated at y (points away from x)."""
         x, y = _arr(x), _arr(y)
         rho = self.distance(x, y)
-        if np.any(rho < 1e-14):
-            raise CoincidentPoints("grad_distance needs x != y")
+        _require_apart(rho)
         return -self.log(y, x) / np.expand_dims(rho, -1)
+
+    # -- fused pair geometry of the coupled step ------------------------
+
+    def _pair_geometry(self, x, y, rho, xi):
+        """Pair geometry of one coupled step, each quantity computed once.
+
+        Given rho = distance(x, y) and frame noise xi at x, returns
+        (G, GY, u_y, c_x), bit for bit equal to
+        G = tangent_from_frame(x, xi), GY = transport(x, y, G),
+        u_y = grad_distance(x, y) and
+        c_x = frame_components(x, grad_distance(y, x)).
+        log_x(y) and log_y(x) are computed once each.
+        """
+        _require_apart(rho)
+        lxy, lyx = self.log(x, y), self.log(y, x)
+        G = self.tangent_from_frame(x, xi)
+        GY = self._transport_logs(x, y, G, rho, lxy, lyx)
+        return G, GY, -lyx / rho[..., None], self.frame_components(x, -lxy / rho[..., None])
+
+    def _transport_logs(self, x, y, v, rho, lxy, lyx):
+        """transport(x, y, v) given rho = distance(x, y), lxy = log(x, y)
+        and lyx = log(y, x); variants whose transport needs them override
+        this."""
+        return self.transport(x, y, v)
 
     # -- frames and noise ----------------------------------------------
 
@@ -150,15 +178,17 @@ class ModelSpace:
         """Orthonormal tangent frame at x, shape (..., dim, chart_dim)."""
         raise NotImplementedError
 
-    def tangent_from_frame(self, x, xi) -> np.ndarray:
-        """Tangent components of sum_i xi_i e_i for the canonical frame."""
-        fr = self.frame(x)
+    def tangent_from_frame(self, x, xi, frame=None) -> np.ndarray:
+        """Tangent components of sum_i xi_i e_i for the canonical frame;
+        ``frame`` is frame(x) when the caller has already built it."""
+        fr = self.frame(x) if frame is None else frame
         return np.einsum("...ik,...i->...k", fr, _arr(xi))
 
-    def frame_components(self, x, v) -> np.ndarray:
+    def frame_components(self, x, v, frame=None) -> np.ndarray:
         """Coefficients <v, e_i> of tangent components v in the canonical
-        orthonormal frame (inverse of tangent_from_frame)."""
-        fr = self.frame(x)
+        orthonormal frame (inverse of tangent_from_frame); ``frame`` as
+        in tangent_from_frame."""
+        fr = self.frame(x) if frame is None else frame
         return np.einsum("...ik,...k->...i", fr, _arr(v))
 
     # -- curvature -----------------------------------------------------
@@ -512,10 +542,17 @@ class Sphere(ModelSpace):
         out *= self.radius / np.linalg.norm(out, axis=-1, keepdims=True)
         return out
 
-    def log(self, x, y):
-        x, y = _arr(x), _arr(y)
+    def _angle_inside(self, x, y):
         alpha = self._angle(x, y)
         self._require_inside_injectivity(self.radius * alpha)
+        return alpha
+
+    def log(self, x, y):
+        x, y = _arr(x), _arr(y)
+        return self._log(x, y, self._angle_inside(x, y))
+
+    def _log(self, x, y, alpha):
+        """log_x(y) given alpha = _angle(x, y)."""
         c = np.cos(alpha)
         u = y - c[..., None] * x
         nu = np.linalg.norm(u, axis=-1)
@@ -525,9 +562,22 @@ class Sphere(ModelSpace):
 
     def transport(self, x, y, v):
         x, y, v = _arr(x), _arr(y), _arr(v)
-        alpha = self._angle(x, y)
-        self._require_inside_injectivity(self.radius * alpha)
-        lg = self.log(x, y)
+        alpha = self._angle_inside(x, y)
+        return self._transport(x, v, alpha, self._log(x, y, alpha))
+
+    def _pair_geometry(self, x, y, rho, xi):
+        # one angle for both logs and the transport, one frame at x for
+        # the noise map and the frame components
+        _require_apart(rho)
+        alpha = self._angle_inside(x, y)
+        lxy, lyx = self._log(x, y, alpha), self._log(y, x, alpha)
+        fr = self.frame(x)
+        G = self.tangent_from_frame(x, xi, frame=fr)
+        GY = self._transport(x, G, alpha, lxy)
+        return G, GY, -lyx / rho[..., None], self.frame_components(x, -lxy / rho[..., None], frame=fr)
+
+    def _transport(self, x, v, alpha, lg):
+        """transport(x, y, v) given alpha = _angle(x, y) and lg = log(x, y)."""
         s = np.linalg.norm(lg, axis=-1)
         small = s < 1e-14
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -634,11 +684,13 @@ class Hyperbolic(ModelSpace):
 
     def transport(self, x, y, v):
         x, y, v = _arr(x), _arr(y), _arr(v)
-        rho = self.distance(x, y)
+        return self._transport_logs(x, y, v, self.distance(x, y), self.log(x, y), self.log(y, x))
+
+    def _transport_logs(self, x, y, v, rho, lxy, lyx):
         small = rho < 1e-14
         rho_safe = np.maximum(rho, 1e-300)
-        t0 = self._c(self.log(x, y)) / rho_safe
-        t1 = -self._c(self.log(y, x)) / rho_safe
+        t0 = self._c(lxy) / rho_safe
+        t1 = -self._c(lyx) / rho_safe
         vz = self._c(v)
         im_x2 = _arr(x)[..., 1] ** 2
         # components in the orthonormal frame (T0, i T0) at x; the chart

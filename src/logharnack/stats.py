@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MonteCarloEstimate", "estimate_from_values", "pairwise_mean"]
+__all__ = ["MonteCarloEstimate", "estimate_from_values"]
 
 
 @dataclass
@@ -28,15 +28,6 @@ class MonteCarloEstimate:
 
     def __repr__(self):
         return f"{self.mean:.6g} +- {self.stderr:.2g} (n={self.n})"
-
-
-def pairwise_mean(block_sums: np.ndarray, n: int) -> float:
-    """Deterministic pairwise reduction of per-block sums.
-
-    numpy's sum over a fixed-order array is pairwise internally, which
-    makes the result independent of how many workers produced the blocks.
-    """
-    return float(np.sum(np.asarray(block_sums, dtype=float)) / n)
 
 
 def estimate_from_values(values: np.ndarray, seed: int = 0) -> MonteCarloEstimate:

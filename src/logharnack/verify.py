@@ -77,6 +77,7 @@ class ZeroGradient(ValueError):
 VERDICT_HOLDS = "holds"
 VERDICT_BAND = "holds-within-band"
 VERDICT_VIOLATED = "violated"
+VERDICT_INVALID = "invalid"
 
 
 @dataclass
@@ -102,6 +103,10 @@ class InequalityReport:
 
     @property
     def verdict(self) -> str:
+        # NaN compares false both ways and would read as within band
+        # below; an infinite side or standard error backs no claim either
+        if not all(map(math.isfinite, (self.lhs, self.rhs, self.lhs_se, self.rhs_se))):
+            return VERDICT_INVALID
         if self.margin < -self.band:
             return VERDICT_VIOLATED
         if self.margin > self.band:

@@ -153,6 +153,21 @@ def test_violated_verdict_gives_nonzero_exit(tmp_path):
     assert "violated" in report
 
 
+def test_invalid_verdict_gives_nonzero_exit(tmp_path, monkeypatch):
+    from logharnack.cli import JobResult
+    from logharnack.verify import InequalityReport
+
+    def nan_check(M, p, seed):
+        return JobResult(reports=[InequalityReport("entropy-cost", {}, lhs=float("nan"), rhs=1.0)])
+
+    monkeypatch.setitem(CHECKS["entropy-cost"], "run", nan_check)
+    out = tmp_path / "out"
+    cfg = dict(BASE, output_dir=str(out), checks=[{"tag": "entropy-cost", "grid": {"t": [0.5]}}])
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 1
+    assert ",invalid," in (out / "report.csv").read_text()
+    assert "invalid: 1" in (out / "summary.txt").read_text().splitlines()
+
+
 def test_determinism_across_worker_counts(tmp_path):
     grid = {
         "x": [[0.0]],

@@ -123,6 +123,86 @@ def test_step_coupled_requires_running_pair():
         C.step_coupled(M, st, cfg, np.array([0.0]))
 
 
+def _random_pairs(M, rng, n=200):
+    """n random pairs (x, y) inside M's chart domain, apart and well
+    inside the injectivity radius."""
+    if M.variant == "sphere":
+        x = rng.standard_normal((n, M.chart_dim))
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        v = rng.standard_normal((n, M.dim)) * 0.5
+        return x, M.exp(x, M.tangent_from_frame(x, v))
+    if M.variant == "hyperbolic":
+        return (np.column_stack([rng.normal(size=n), rng.uniform(0.3, 3.0, n)]),
+                np.column_stack([rng.normal(size=n), rng.uniform(0.3, 3.0, n)]))
+    x = rng.uniform(0.0, 0.9, (2, n, M.chart_dim))
+    return x[0], x[1]
+
+
+@pytest.mark.parametrize("M", [
+    G.Euclidean(1), G.Euclidean(2), G.EuclideanBall(2, 2.0), G.HalfSpace(2),
+    G.Sphere(1), G.Sphere(2), G.Sphere(2, 1.7), G.Hyperbolic(),
+], ids=lambda M: f"{M.variant}-{M.dim}")
+def test_pair_geometry_is_bit_identical_to_public_calls(M):
+    rng = np.random.default_rng(11)
+    X, Y = _random_pairs(M, rng)
+    xi = rng.standard_normal((X.shape[0], M.dim))
+    G_, GY, toward, away_c = M._pair_geometry(X, Y, M.distance(X, Y), xi)
+    assert np.array_equal(G_, M.tangent_from_frame(X, xi))
+    assert np.array_equal(GY, M.transport(X, Y, G_))
+    assert np.array_equal(toward, M.grad_distance(X, Y))
+    assert np.array_equal(away_c, M.frame_components(X, M.grad_distance(Y, X)))
+
+
+def test_sphere_coupled_step_geometry_budget(monkeypatch):
+    # one angle for the step's pair geometry plus four for the stopping
+    # checks, and a single frame at X shared by the noise map and the
+    # Girsanov frame components
+    M = G.Sphere(2)
+    y = np.array([0.0, 0.0, 1.0])
+    x = M.exp(y, 0.3 * M.frame(y)[0])
+    cfg = C.standard_coupling_config(M, x, y, T=0.5, h=1e-3)
+    n = 50
+    X, Y = np.tile(x, (n, 1)), np.tile(y, (n, 1))
+    pairs = C._Pairs(X, Y, M.distance(X, Y), cfg.phi.phi(Y), np.zeros(n), np.zeros(n, dtype=bool))
+    calls = {"_angle": 0, "frame": 0}
+    for name in calls:
+        orig = getattr(G.Sphere, name)
+
+        def counted(self, *a, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, *a)
+
+        monkeypatch.setattr(G.Sphere, name, counted)
+    xi = np.random.default_rng(0).standard_normal((n, M.dim))
+    C._coupled_step(M, cfg, cfg.h_eff, 0.0, pairs, xi)
+    assert calls == {"_angle": 5, "frame": 1}
+
+
+def test_step_coupled_clock_ends_exactly_at_horizon():
+    # T / h = 10/3 is not an integer: four steps of T / 4, not of h
+    M = G.Euclidean(1)
+    cfg = C.standard_coupling_config(M, [0.0], [0.3], T=1.0, h=0.3)
+    cfg.c_D_phi = cfg.rho0 = 0.0  # no attracting drift: the pair never couples
+    st = C.CoupledPathState(X=np.array([0.0]), Y=np.array([0.3]), rho=0.3)
+    steps = 0
+    while st.theta == C.THETA_NONE:
+        st = C.step_coupled(M, st, cfg, np.array([0.0]))
+        steps += 1
+    assert (steps, st.theta, cfg.h_eff) == (4, C.THETA_HORIZON, 0.25)
+    assert st.t == pytest.approx(1.0, abs=1e-12)
+
+
+def test_run_coupling_clock_ends_exactly_at_horizon():
+    # pairs born coupled evolve as one plain diffusion to the horizon, so
+    # Var X_T = 2 T exactly; stepping h = 0.3 four times would give 2.4
+    M = G.Euclidean(1)
+    cfg = C.standard_coupling_config(M, [0.0], [0.0], T=1.0, h=0.3)
+    diag, vals = C.run_coupling(M, cfg, 20_000, master_seed=4, return_values=True,
+                                terminal_fn=lambda z: z[:, 0])
+    assert diag.coupled_fraction == 1.0
+    assert float(np.var(vals["terminal"])) == pytest.approx(2.0, abs=0.1)
+
+
 def test_eps_couple_invariant():
     with pytest.raises(ValueError):
         C.CouplingConfig(
@@ -214,6 +294,28 @@ def test_run_coupling_sphere_and_hyperbolic_small():
     diag = C.run_coupling(Mh, cfg, 5000, master_seed=3)
     assert abs(diag.e_r.mean - 1.0) <= 3 * diag.e_r.stderr
     assert diag.coupling_weighted.mean >= 0.97
+
+
+def test_run_coupling_pinned_diagnostics():
+    # pinned floats of two seeded runs: any change to the arithmetic of
+    # the coupled step shows here; a deliberate path change re-pins them
+    Ms = G.Sphere(2, 1.0)
+    x = np.array([0.0, -0.19866933079506122, 0.9800665778412416])
+    cfg = C.standard_coupling_config(Ms, x, [0.0, 0.0, 1.0], T=0.5, h=2e-3)
+    d = C.run_coupling(Ms, cfg, 300, master_seed=3)
+    assert (d.e_r.mean, d.e_r.stderr) == (1.014106112896908, 0.033907259148627855)
+    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.16019647845001106, 0.04701785968868921)
+    assert d.max_rho_excess == -0.009904621749131426
+    assert d.theta_counts["coupled"] == 300
+
+    Mh = G.Hyperbolic()
+    cfg = C.standard_coupling_config(Mh, [0.0, math.exp(0.2)], [0.0, 1.0], T=0.5, h=2e-3)
+    d = C.run_coupling(Mh, cfg, 300, master_seed=3)
+    assert (d.e_r.mean, d.e_r.stderr) == (0.9523358973488187, 0.029668678262160506)
+    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.07970540523968533, 0.03626180268352357)
+    assert (d.coupling_weighted.mean, d.coupled_fraction) == (0.952251576970005, 299 / 300)
+    assert d.max_rho_excess == -0.005067080973403748
+    assert (d.theta_counts["coupled"], d.theta_counts["tau_D_y"]) == (299, 1)
 
 
 def test_measure_change_reproduces_semigroup_flat():

@@ -26,6 +26,18 @@ def test_verdict_logic():
     assert rep.verdict != "violated"
 
 
+@pytest.mark.parametrize("lhs, rhs, lhs_se", [
+    (math.nan, 1.0, 0.0),          # NaN margin
+    (0.0, 1.0, math.nan),          # NaN band
+    (math.inf, math.inf, 0.0),     # inf - inf
+    (0.0, 1.0, math.inf),          # infinite band
+])
+def test_non_finite_report_is_invalid(lhs, rhs, lhs_se):
+    rep = V.InequalityReport("t", {}, lhs=lhs, rhs=rhs, lhs_se=lhs_se)
+    assert rep.verdict == V.VERDICT_INVALID == "invalid"
+    assert rep.to_row()["verdict"] == "invalid"
+
+
 def test_report_row_serialisation():
     rep = V.InequalityReport("t", {"a": 1}, lhs=0.0, rhs=1.0)
     row = rep.to_row()
