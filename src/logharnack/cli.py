@@ -227,6 +227,7 @@ def _run_generator(M, p, seed):
         {"variant": M.variant, "x": list(np.atleast_1d(p["x"])), "g": p["g"], "seed": seed},
         lhs=abs(res["slope"] - res["lg"]),
         rhs=0.05 * max(abs(res["lg"]), 1e-12),
+        lhs_se=0.0 if res["oracle"] else res["slope_paths"].stderr,
         notes=f"slope={res['slope']:.6g} lg={res['lg']:.6g}",
     )
     series = [("generator", float(s), float(v)) for s, v in zip(res["s_grid"], res["values"])]

@@ -10,14 +10,20 @@ cap, and paths crossing the explosion threshold flip their ``alive`` flag
 
 Paths are independent; path blocks draw from counter-based streams keyed
 by (master seed, stream id, block), so ensembles are bitwise reproducible
-for any worker count.
+for any worker count.  ``simulate_ensemble`` steps all blocks in lockstep:
+step k advances block 0, then block 1, and so on, each block with its own
+stream on its own rows of the state, so every path is the same bit for
+bit as when the blocks ran one after another.  At each mark time the
+state of all paths (positions, alive flags, local times) goes to a
+reducer that the caller passes, so one run serves every time on a grid
+and no (marks x paths) array is stored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,15 +52,12 @@ class PathConfig:
 
     h: float
     T: float
-    scheme: str = "geodesic-euler"
     master_seed: int = 0
     path_index: int = 0
 
     def __post_init__(self):
         if not (0 < self.h <= self.T):
             raise ValueError("need 0 < h <= T")
-        if self.scheme != "geodesic-euler":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
     @property
     def n_steps(self) -> int:
@@ -63,6 +66,11 @@ class PathConfig:
     @property
     def h_eff(self) -> float:
         return self.T / self.n_steps
+
+    def mark_steps(self, marks: Sequence[float]) -> list:
+        """The step that reads each mark time: the nearest one in
+        1..n_steps; the time reached is that step times h_eff."""
+        return [min(self.n_steps, max(1, round(t / self.h_eff))) for t in marks]
 
 
 @dataclass
@@ -136,6 +144,12 @@ def step(M: ModelSpace, state: PathState, cfg: PathConfig, noise) -> PathState:
     )
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 def simulate_ensemble(
     M: ModelSpace,
     x0,
@@ -146,6 +160,7 @@ def simulate_ensemble(
     *,
     stream_id: int = 0,
     marks: Sequence[float] = (),
+    on_mark: Optional[Callable] = None,
     stop_domain: Optional[tuple] = None,
     domains: Sequence[tuple] = (),
     block_size: int = BLOCK_SIZE,
@@ -154,60 +169,60 @@ def simulate_ensemble(
 
     stop_domain=(center, r) freezes the local-time series at the first
     exit from B(center, r); ``domains`` is a list of (center, radius)
-    whose first exit times are recorded.  ``marks`` are times at which
-    (local_time, alive) snapshots are stored.
+    whose first exit times are recorded.  At the step that reads each
+    time in ``marks`` (``PathConfig.mark_steps``), ``on_mark(i, positions,
+    alive, local_time)`` gets mark i and read-only views of the state of
+    all paths, valid during the call.
 
     Returns a dict with terminal positions / alive flags / local times,
-    per-mark snapshots, exit times, and the effective step size.
+    the reducer's value per mark (``marks``, in mark order), exit times,
+    and the effective step size.
     """
+    if len(marks) and on_mark is None:
+        raise ValueError("marks need an on_mark reducer")
     cfg = PathConfig(h=h, T=T, master_seed=master_seed)
     n_steps, h_eff = cfg.n_steps, cfg.h_eff
-    mark_steps = [min(n_steps, max(1, round(t / h_eff))) for t in marks]
+    mark_steps = cfg.mark_steps(marks)
     x0 = np.asarray(x0, dtype=float)
 
-    out_pos = np.empty((n_paths, M.chart_dim))
-    out_alive = np.empty(n_paths, dtype=bool)
-    out_l = np.empty(n_paths)
-    out_marks_l = np.empty((len(marks), n_paths))
-    out_marks_alive = np.empty((len(marks), n_paths), dtype=bool)
+    spans = list(path_blocks(n_paths, block_size))
+    rngs = [stream(master_seed, stream_id, b) for b, _, _ in spans]
+    # the state of all paths; each block steps on its own rows
+    pos = np.broadcast_to(x0, (n_paths, M.chart_dim)).copy()
+    alive = np.ones(n_paths, dtype=bool)
+    l = np.zeros(n_paths)
+    stopped = np.zeros(n_paths, dtype=bool)
+    exited = np.zeros((len(domains), n_paths), dtype=bool)
     out_exit = np.full((len(domains), n_paths), np.inf)
+    out_marks = [None] * len(marks)
+    views = [_read_only(a) for a in (pos, alive, l)]
 
-    for b, lo, hi in path_blocks(n_paths, block_size):
-        rng = stream(master_seed, stream_id, b)
-        bn = hi - lo
-        pos = np.broadcast_to(x0, (bn, M.chart_dim)).copy()
-        alive = np.ones(bn, dtype=bool)
-        l = np.zeros(bn)
-        stopped = np.zeros(bn, dtype=bool)
-        exited = np.zeros((len(domains), bn), dtype=bool)
-        for kstep in range(n_steps):
-            xi = rng.standard_normal((bn, M.dim))
-            pos, dl, alive = _advance(M, pos, h_eff, xi, alive)
-            if stop_domain is not None:
-                l += np.where(stopped, 0.0, dl)
+    for kstep in range(n_steps):
+        t_now = (kstep + 1) * h_eff
+        for rng, (_, lo, hi) in zip(rngs, spans):
+            xi = rng.standard_normal((hi - lo, M.dim))
+            new, dl, live = _advance(M, pos[lo:hi], h_eff, xi, alive[lo:hi])
+            pos[lo:hi], alive[lo:hi] = new, live
+            # without a boundary dl is zero: l stays untouched zero pages
+            if M.has_boundary and stop_domain is not None:
+                l[lo:hi] += np.where(stopped[lo:hi], 0.0, dl)
                 c, r = stop_domain
-                stopped |= M.distance(c, pos) >= r
-            else:
-                l += dl
-            t_now = (kstep + 1) * h_eff
+                stopped[lo:hi] |= M.distance(c, pos[lo:hi]) >= r
+            elif M.has_boundary:
+                l[lo:hi] += dl
             for j, (c, r) in enumerate(domains):
-                newly = ~exited[j] & (M.distance(c, pos) >= r)
+                newly = ~exited[j, lo:hi] & (M.distance(c, pos[lo:hi]) >= r)
                 out_exit[j, lo:hi][newly] = t_now
-                exited[j] |= newly
-            for mi, ms in enumerate(mark_steps):
-                if ms == kstep + 1:
-                    out_marks_l[mi, lo:hi] = l
-                    out_marks_alive[mi, lo:hi] = alive
-        out_pos[lo:hi] = pos
-        out_alive[lo:hi] = alive
-        out_l[lo:hi] = l
+                exited[j, lo:hi] |= newly
+        for mi, ms in enumerate(mark_steps):
+            if ms == kstep + 1:
+                out_marks[mi] = on_mark(mi, *views)
 
     return {
-        "positions": out_pos,
-        "alive": out_alive,
-        "local_time": out_l,
-        "marks_local_time": out_marks_l,
-        "marks_alive": out_marks_alive,
+        "positions": pos,
+        "alive": alive,
+        "local_time": l,
+        "marks": out_marks,
         "exit_times": out_exit,
         "h_eff": h_eff,
         "n_steps": n_steps,
@@ -303,8 +318,8 @@ def local_time_profile(
         n_paths,
         master_seed,
         marks=t_grid,
+        on_mark=lambda i, pos, alive, l: estimate_from_values(l, seed=master_seed),
         stop_domain=(np.asarray(x, dtype=float), r),
     )
-    ests = [estimate_from_values(res["marks_local_time"][i], seed=master_seed) for i in range(len(t_grid))]
     reference = [2.0 * math.sqrt(t) / math.sqrt(math.pi) for t in t_grid]
-    return ests, reference
+    return res["marks"], reference

@@ -7,9 +7,10 @@ exact transition kernel on the variants that have one.  Keeping the two
 routes independent is the point: the oracle never touches the stepping
 code.
 
+``mc_functional_values`` reads a tuple of modes from one ensemble.
 Gradients use central finite differences driven by common random numbers,
 and the short-time generator identity is checked by a least-squares slope
-of (P_s g - g) against s.
+of (P_s g - g) against s, from one marked ensemble when there is no oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .diffusion import simulate_ensemble
+from .diffusion import PathConfig, simulate_ensemble
 from .geometry import (
     Euclidean,
     HalfSpace,
@@ -29,7 +30,7 @@ from .geometry import (
     OrnsteinUhlenbeck,
     Sphere,
 )
-from .stats import MonteCarloEstimate, estimate_from_values
+from .stats import MonteCarloEstimate, estimate_from_values, sample_mean
 
 __all__ = [
     "NonpositiveF",
@@ -309,33 +310,41 @@ def test_function_from_config(cfg: dict) -> TestFunction:
 _MODES = ("f", "log f", "1", "f2")
 
 
+def _mode_values(f, mode, positions, alive):
+    if mode == "1":
+        return alive.astype(float)
+    vals = f(positions)
+    if mode == "f2":
+        vals = vals**2
+    elif mode == "log f":
+        return np.where(alive, np.log(np.where(alive, vals, 1.0)), 0.0)
+    return np.where(alive, vals, 0.0)
+
+
 def mc_functional_values(
     M: ModelSpace,
     x,
     T: float,
     f: Optional[TestFunction],
-    mode: str,
+    mode,
     n_paths: int,
     h: float,
     master_seed: int,
     stream_id: int = 0,
-) -> np.ndarray:
-    """Per-path observable values (killed paths contribute zero)."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
-    if mode == "log f" and (f is None or not f.strictly_positive):
-        raise NonpositiveF("mode 'log f' needs a strictly positive f")
+):
+    """Per-path observable values (killed paths contribute zero).
+
+    A tuple of modes returns one array per mode, all read from one
+    simulated ensemble."""
+    modes = (mode,) if isinstance(mode, str) else tuple(mode)
+    for m in modes:
+        if m not in _MODES:
+            raise ValueError(f"mode must be one of {_MODES}")
+        if m == "log f" and (f is None or not f.strictly_positive):
+            raise NonpositiveF("mode 'log f' needs a strictly positive f")
     res = simulate_ensemble(M, x, T, h, n_paths, master_seed, stream_id=stream_id)
-    alive = res["alive"]
-    if mode == "1":
-        return alive.astype(float)
-    vals = f(res["positions"])
-    if mode == "f2":
-        vals = vals**2
-    elif mode == "log f":
-        vals = np.where(alive, np.log(np.where(alive, vals, 1.0)), 0.0)
-        return vals
-    return np.where(alive, vals, 0.0)
+    vals = tuple(_mode_values(f, m, res["positions"], res["alive"]) for m in modes)
+    return vals[0] if isinstance(mode, str) else vals
 
 
 def mc_functional(
@@ -598,18 +607,42 @@ def generator_check(
     master_seed: int = 0,
 ) -> dict:
     """Least-squares slope of (P_s g(x) - g(x)) over the s grid, compared
-    with the closed-form generator value L g(x)."""
+    with the closed-form generator value L g(x).
+
+    Without an oracle, one ensemble runs to max(s) and is read at every
+    s (``diffusion.PathConfig.mark_steps``); the fit then uses the times
+    the run reaches, returned as ``s_grid``.  The slope is linear in the
+    per-s means, so each path carries its own slope w . (g(X_s) 1_alive
+    - g(x)), w the first row of pinv([s, s^2]); ``slope_paths`` is their
+    estimate, whose standard error is the slope's (None on the oracle
+    route)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     s_grid = np.asarray(list(s_grid), dtype=float)
-    vals = np.empty_like(s_grid)
-    used_oracle = True
-    for i, s in enumerate(s_grid):
-        try:
-            vals[i] = oracle_semigroup(M, x, s, g)
-        except NoOracle:
-            used_oracle = False
-            vals[i] = mc_functional(M, x, s, g, "f", n_paths, h, master_seed).mean
     g0 = float(g(x[None, :])[0])
+    slope_paths = None
+    try:
+        vals = np.array([oracle_semigroup(M, x, s, g) for s in s_grid])
+        used_oracle = True
+    except NoOracle:
+        used_oracle = False
+        if n_paths < 1000:
+            raise ValueError("n_paths must be >= 1000") from None
+        cfg = PathConfig(h=h, T=float(np.max(s_grid)))
+        reached = np.asarray(cfg.mark_steps(s_grid), dtype=float) * cfg.h_eff
+        w = np.linalg.pinv(np.stack([reached, reached**2], axis=-1))[0]
+        vals = np.empty_like(reached)
+        per_path = np.zeros(n_paths)
+
+        def on_mark(i, positions, alive, _):
+            gv = _mode_values(g, "f", positions, alive)
+            vals[i] = sample_mean(gv)
+            gv -= g0
+            gv *= w[i]
+            np.add(per_path, gv, out=per_path)
+
+        simulate_ensemble(M, x, cfg.T, h, n_paths, master_seed, marks=s_grid, on_mark=on_mark)
+        slope_paths = estimate_from_values(per_path, seed=master_seed)
+        s_grid = reached
     y = vals - g0
     # least-squares fit y = b s + c s^2: the quadratic term absorbs the
     # second-order semigroup expansion, leaving b as the slope at 0
@@ -620,6 +653,7 @@ def generator_check(
     denom = abs(lg) if abs(lg) > 1e-12 else 1.0
     return {
         "slope": slope,
+        "slope_paths": slope_paths,
         "lg": lg,
         "rel_error": abs(slope - lg) / denom,
         "s_grid": s_grid,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MonteCarloEstimate", "estimate_from_values"]
+__all__ = ["MonteCarloEstimate", "sample_mean", "estimate_from_values"]
 
 
 @dataclass
@@ -30,10 +30,17 @@ class MonteCarloEstimate:
         return f"{self.mean:.6g} +- {self.stderr:.2g} (n={self.n})"
 
 
+def sample_mean(values: np.ndarray) -> float:
+    """The mean that ``estimate_from_values`` reports, without its
+    standard-error temporaries."""
+    values = np.asarray(values, dtype=float)
+    return float(np.sum(values) / values.size)
+
+
 def estimate_from_values(values: np.ndarray, seed: int = 0) -> MonteCarloEstimate:
     values = np.asarray(values, dtype=float)
     n = values.size
-    mean = float(np.sum(values) / n)
+    mean = sample_mean(values)
     if n > 1:
         var = float(np.sum((values - mean) ** 2) / (n - 1))
         stderr = math.sqrt(var / n)

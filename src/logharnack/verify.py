@@ -8,9 +8,13 @@ of three combined standard errors so Monte Carlo noise can never produce
 a false violation: "violated" requires the margin to fall below minus the
 band.
 
+Monte Carlo sides simulate each (start, T, h, seed) ensemble once:
+log-Harnack and Harnack run two (x and y), the gradient check 2 dim + 1.
+
 The sharpness experiment estimates the small-time slope of the log-
 Harnack defect along y_s = exp_x(s v) and converts it into an empirical
-lower bound on the admissible constant in front of rho^2 / (2T).
+lower bound on the admissible constant in front of rho^2 / (2T); it runs
+one x-ensemble per s and one y-ensemble per (s, r).
 """
 
 from __future__ import annotations
@@ -155,18 +159,20 @@ def local_log_harnack_rhs(rho: float, K_xy: float, t: float, kappa_y: float) -> 
 # ----------------------------------------------------------------------
 
 
-def _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, seed):
+def _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, seed, correction=True):
     """P_T log f(y) - log(P_T f(x) + 1 - P_T 1(x)) with common random
-    numbers between the two start points; killed paths enter as zeros."""
+    numbers between the two start points; killed paths enter as zeros.
+    Without the correction the argument of the log is P_T f(x) alone."""
     ell = mc_functional_values(M, y, T, f, "log f", n_paths, h, seed, stream_id=0)
-    fx = mc_functional_values(M, x, T, f, "f", n_paths, h, seed, stream_id=0)
-    ax = mc_functional_values(M, x, T, None, "1", n_paths, h, seed, stream_id=0)
-    g = fx - ax  # per path: f(X_T) 1_alive - 1_alive; E g = P_T f - P_T 1
-    g_mean = float(np.mean(g))
-    arg = 1.0 + g_mean
+    fx, ax = mc_functional_values(M, x, T, f, ("f", "1"), n_paths, h, seed, stream_id=0)
+    if correction:
+        g = fx - ax  # per path: f(X_T) 1_alive - 1_alive; E g = P_T f - P_T 1
+        arg = 1.0 + float(np.mean(g))
+    else:
+        g = fx
+        arg = float(np.mean(fx))
     lhs = float(np.mean(ell)) - math.log(arg)
-    lin = ell - g / arg
-    se = estimate_from_values(lin).stderr
+    se = estimate_from_values(ell - g / arg).stderr
     return lhs, se, arg
 
 
@@ -223,14 +229,8 @@ def check_log_harnack(
         except NoOracle:
             use_oracle = False
     if not use_oracle:
-        if include_correction:
-            lhs, lhs_se, arg = _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, master_seed)
-        else:
-            ell = mc_functional_values(M, y, T, f, "log f", n_paths, h, master_seed, stream_id=0)
-            fx = mc_functional_values(M, x, T, f, "f", n_paths, h, master_seed, stream_id=0)
-            arg = float(np.mean(fx))
-            lhs = float(np.mean(ell)) - math.log(arg)
-            lhs_se = estimate_from_values(ell - fx / arg).stderr
+        lhs, lhs_se, arg = _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, master_seed, include_correction)
+        if not include_correction:
             notes = "no-correction"
 
     consts = LocalConstants(K_D_rho=K_rho, c_D_phi=c_phi)
@@ -594,24 +594,25 @@ def sharpness_experiment(
         raise ZeroGradient("need |grad log f|(x) > 0")
 
     s_grid = np.asarray(list(s_grid), dtype=float)
+    q_vals = np.empty((len(r_values), len(s_grid)))
+    q_ses = np.empty_like(q_vals)
+    for i, s in enumerate(s_grid):
+        # one exact Gaussian step: the flat-chart scheme with h = s; the
+        # x-ensemble does not depend on r
+        fx = mc_functional_values(M, x, s, f, "f", n_paths, s, master_seed, stream_id=0)
+        bx = float(np.mean(fx))
+        for k, r in enumerate(r_values):
+            y_s = M.exp(x, s * (r * g))
+            ell = mc_functional_values(M, y_s, s, f, "log f", n_paths, s, master_seed, stream_id=0)
+            q_vals[k, i] = float(np.mean(ell)) - math.log(bx)
+            q_ses[k, i] = estimate_from_values(ell - fx / bx).stderr
     rows = []
     best_c, best_c_se = -np.inf, 0.0
-    for r in r_values:
-        v = r * g
+    for k, r in enumerate(r_values):
         v2 = r**2 * g2
-        q_vals = np.empty_like(s_grid)
-        q_ses = np.empty_like(s_grid)
-        for i, s in enumerate(s_grid):
-            y_s = M.exp(x, s * v)
-            # one exact Gaussian step: the flat-chart scheme with h = s
-            ell = mc_functional_values(M, y_s, s, f, "log f", n_paths, s, master_seed, stream_id=0)
-            fx = mc_functional_values(M, x, s, f, "f", n_paths, s, master_seed, stream_id=0)
-            bx = float(np.mean(fx))
-            q_vals[i] = float(np.mean(ell)) - math.log(bx)
-            q_ses[i] = estimate_from_values(ell - fx / bx).stderr
-        ratio = q_vals / s_grid
+        ratio = q_vals[k] / s_grid
         # weighted linear fit ratio = L + C s
-        wts = 1.0 / (q_ses / s_grid) ** 2
+        wts = 1.0 / (q_ses[k] / s_grid) ** 2
         A = np.stack([np.ones_like(s_grid), s_grid], axis=-1)
         W = A * wts[:, None]
         cov = np.linalg.inv(A.T @ W)

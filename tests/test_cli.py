@@ -1,3 +1,4 @@
+import csv
 import subprocess
 import sys
 from pathlib import Path
@@ -279,3 +280,20 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "coupling-diagnostics" in proc.stdout
+
+
+def test_mc_generator_row_has_a_band(tmp_path):
+    # no oracle on the explosive line: the slope's standard error sets the
+    # band; the oracle route (OU) keeps band 0
+    rows = {}
+    for model, x in (({"variant": "explosive_drift_1d"}, [1.0]),
+                     ({"variant": "ornstein_uhlenbeck", "dim": 1, "lam": 1.0}, [1.0])):
+        out = tmp_path / model["variant"]
+        cfg = dict(BASE, model=model, output_dir=str(out),
+                   checks=[{"tag": "generator", "grid": {"x": [x], "g": [{"tag": "coord", "i": 0}],
+                                                         "n_paths": [20000]}}])
+        assert run(write_config(tmp_path, cfg)) == 0
+        with open(out / "report.csv") as fh:
+            rows[model["variant"]] = next(csv.DictReader(fh))
+    assert float(rows["explosive_drift_1d"]["band"]) > 0.0
+    assert float(rows["ornstein_uhlenbeck"]["band"]) == 0.0

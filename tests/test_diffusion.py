@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -67,8 +68,6 @@ def test_path_config_validation():
         PathConfig(h=0.0, T=1.0)
     with pytest.raises(ValueError):
         PathConfig(h=2.0, T=1.0)
-    with pytest.raises(ValueError):
-        PathConfig(h=0.1, T=1.0, scheme="milstein")
 
 
 # ----------------------------------------------------------------------
@@ -253,3 +252,59 @@ def test_ensemble_bitwise_reproducible():
     assert np.array_equal(a["positions"], b["positions"])
     c = simulate_ensemble(M, [0.0, 0.0, 1.0], 0.3, 1e-2, 3000, master_seed=43)
     assert not np.array_equal(a["positions"], c["positions"])
+
+
+# sha256 of simulate_ensemble outputs recorded before the block loop
+# stepped all blocks in lockstep: three blocks (2500 paths, block size
+# 1000), a stop domain, two exit domains and three marks; the mark digest
+# covers (local time, alive) at each mark, stacked in mark order
+PINNED_ENSEMBLES = {
+    "half_space": (G.HalfSpace(1), [0.05], 0.05, 1e-3,
+                   "80b2758d20e9a094d6690bdfc0daa6cec2ffb290d25801cc337b89067701cdc2",
+                   "20aa6cfb58358327b9b8f2074f2cb57a697a54f4e8423269c64f2da7c6d06040"),
+    "sphere-2": (G.Sphere(2, 1.0), [0.0, 0.0, 1.0], 0.2, 1e-2,
+                 "567557f33170a0e7b4ccc7409eff0195447d89024000ca40b29d03dd69525b9f",
+                 "496a0f9111dc9cc4bb2574a6ab85d4cd90b59ff838663518b47623dbc256f4be"),
+}
+
+
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ENSEMBLES))
+def test_multi_block_ensemble_matches_pinned_digest(name):
+    M, x0, T, h, terminal, marks = PINNED_ENSEMBLES[name]
+    c = np.asarray(x0)
+    res = simulate_ensemble(
+        M, x0, T, h, 2500, 11,
+        marks=[T / 4, T / 2, T],
+        on_mark=lambda i, pos, alive, l: (l.copy(), alive.copy()),
+        stop_domain=(c, 0.15),
+        domains=[(c, 0.1), (c, 0.2)],
+        block_size=1000,
+    )
+    assert _sha256(res["positions"], res["alive"], res["local_time"], res["exit_times"]) == terminal
+    stacked = [np.stack([m[k] for m in res["marks"]]) for k in (0, 1)]
+    assert _sha256(*stacked) == marks
+
+
+def test_mark_reducer_sees_read_only_state():
+    M = G.ExplosiveDrift1D()
+    seen = []
+
+    def on_mark(i, pos, alive, l):
+        assert not (pos.flags.writeable or alive.flags.writeable or l.flags.writeable)
+        seen.append((i, alive.sum()))
+        return i
+
+    res = simulate_ensemble(M, [1.0], 0.05, 1e-2, 300, 3, marks=[0.05, 0.02], on_mark=on_mark,
+                            block_size=100)
+    assert res["marks"] == [0, 1]
+    assert [i for i, _ in seen] == [1, 0]  # called in step order
+    assert seen[0][1] >= seen[1][1] == res["alive"].sum()  # lifetimes only end
+    with pytest.raises(ValueError):
+        simulate_ensemble(M, [1.0], 0.05, 1e-2, 300, 3, marks=[0.05])

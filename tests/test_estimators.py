@@ -5,6 +5,7 @@ import pytest
 
 from logharnack import estimators as E
 from logharnack import geometry as G
+from logharnack.rng import BLOCK_SIZE
 
 
 # ----------------------------------------------------------------------
@@ -321,3 +322,37 @@ def test_generator_check_cases():
     res = E.generator_check(G.Sphere(1, 1.0), [1.0, 0.0], E.coord(0))
     assert res["lg"] == pytest.approx(-1.0)
     assert res["rel_error"] < 0.05
+
+
+DEFAULT_S = tuple(0.002 * k for k in range(1, 11))
+
+
+def test_generator_mc_is_one_marked_run_equal_to_per_s_runs(ensemble_starts):
+    # more paths than one block, so several blocks step in lockstep
+    M, g, n = G.ExplosiveDrift1D(), E.coord(0), BLOCK_SIZE + 5_000
+    res = E.generator_check(M, [1.0], g, n_paths=n, h=2e-3, master_seed=3)
+    assert ensemble_starts == [(1.0, 0.02)] and not res["oracle"]
+    per_s = [E.mc_functional(M, [1.0], s, g, "f", n, 2e-3, 3).mean for s in DEFAULT_S]
+    assert np.array_equal(res["values"], per_s)
+    assert np.array_equal(res["s_grid"], DEFAULT_S)
+
+
+def test_generator_mc_fits_the_reached_times():
+    # h = 3e-3 does not divide the grid: the run to 0.02 takes 7 steps of
+    # 0.02/7 and reads each s at the nearest step
+    res = E.generator_check(G.ExplosiveDrift1D(), [1.0], E.coord(0), n_paths=2000, h=3e-3, master_seed=4)
+    steps = np.array([1, 1, 2, 3, 4, 4, 5, 6, 6, 7], dtype=float)
+    assert np.array_equal(res["s_grid"], steps * (0.02 / 7))
+    A = np.stack([res["s_grid"], res["s_grid"] ** 2], axis=-1)
+    coef, *_ = np.linalg.lstsq(A, res["values"] - 1.0, rcond=None)
+    assert res["slope"] == float(coef[0])
+    with pytest.raises(ValueError):
+        E.generator_check(G.ExplosiveDrift1D(), [1.0], E.coord(0), n_paths=999)
+
+
+def test_generator_slope_band_from_per_path_slopes():
+    res = E.generator_check(G.ExplosiveDrift1D(), [1.0], E.coord(0), n_paths=20_000, master_seed=5)
+    est = res["slope_paths"]
+    assert abs(est.mean - res["slope"]) <= 1e-12
+    assert 0.0 < est.stderr < 1.0 and est.n == 20_000
+    assert E.generator_check(G.Euclidean(1), [0.0], E.coord_sq(0))["slope_paths"] is None
