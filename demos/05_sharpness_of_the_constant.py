@@ -21,7 +21,8 @@ x = [0.0]
 
 report = sharpness_experiment(M, x, f, n_paths=400_000, master_seed=3)
 
-g2 = float(f.grad_log(np.array([x]))[0] ** 2)
+g = f.grad_log(np.array([x]))[0]
+g2 = float(g @ g)
 print(f"|grad log f|^2 at the base point: {g2:.5f}")
 print()
 print(f"{'r':>4s} {'limit (mc)':>12s} {'limit (exact)':>14s} {'c bound 2L/|v|^2':>17s}")

@@ -10,9 +10,7 @@ from .geometry import (
     Hyperbolic,
     ModelSpace,
     OrnsteinUhlenbeck,
-    Point,
     Sphere,
-    TangentVec,
     model_from_config,
 )
 from .local_bounds import DomainSpec, LocalConstants, ReferenceFunction, cosine_reference
@@ -35,8 +33,6 @@ __all__ = [
     "HalfSpace",
     "EuclideanBall",
     "ExplosiveDrift1D",
-    "Point",
-    "TangentVec",
     "model_from_config",
     "DomainSpec",
     "ReferenceFunction",

@@ -10,13 +10,18 @@ cap, and paths crossing the explosion threshold flip their ``alive`` flag
 
 Paths are independent; path blocks draw from counter-based streams keyed
 by (master seed, stream id, block), so ensembles are bitwise reproducible
-for any worker count.  ``simulate_ensemble`` steps all blocks in lockstep:
-step k advances block 0, then block 1, and so on, each block with its own
-stream on its own rows of the state, so every path is the same bit for
-bit as when the blocks ran one after another.  At each mark time the
-state of all paths (positions, alive flags, local times) goes to a
-reducer that the caller passes, so one run serves every time on a grid
-and no (marks x paths) array is stored.
+for any worker count.  ``simulate_ensemble`` is the one stepping loop.
+It steps all blocks in lockstep: step k advances block 0, then block 1,
+and so on, each block with its own stream on its own rows of the state,
+so every path is the same bit for bit as when the blocks ran one after
+another.  The start point may carry a leading axis of starts: they share
+each block's noise draw (common random numbers), and each start's rows
+go through their own step call, so each start's paths are those of a run
+from that start alone.  At each mark time the state of all paths
+(positions, alive flags, local times) goes to a reducer that the caller
+passes, so one run serves every time on a grid and no (marks x paths)
+array is stored.  ``simulate_path`` is the one-path read of the same
+loop; ``step`` advances one given path by one step.
 """
 
 from __future__ import annotations
@@ -127,18 +132,19 @@ def _advance_explosive(M: ExplosiveDrift1D, pos, h, xi, alive):
 
 
 def step(M: ModelSpace, state: PathState, cfg: PathConfig, noise) -> PathState:
-    """Advance a single path by one step with the supplied standard
-    Gaussian noise vector.  Explosion is a state, not an error."""
+    """Advance a single path by one step of size cfg.h_eff with the
+    supplied standard Gaussian noise vector.  Explosion is a state, not an
+    error."""
     if not state.alive:
         raise ValueError("step requires a live path")
     pos = np.asarray(state.position, dtype=float)[None, :]
     xi = np.asarray(noise, dtype=float)[None, :]
     alive = np.array([True])
-    new, dl, alive = _advance(M, pos, cfg.h, xi, alive)
+    new, dl, alive = _advance(M, pos, cfg.h_eff, xi, alive)
     return PathState(
         position=new[0],
         local_time=state.local_time + float(dl[0]),
-        t=state.t + cfg.h,
+        t=state.t + cfg.h_eff,
         alive=bool(alive[0]),
         exit_times=dict(state.exit_times),
     )
@@ -165,7 +171,13 @@ def simulate_ensemble(
     domains: Sequence[tuple] = (),
     block_size: int = BLOCK_SIZE,
 ):
-    """Simulate n_paths independent copies up to time T.
+    """Simulate n_paths independent copies up to time T from each start.
+
+    ``x0`` is one start point or an array of them, shape (..., chart_dim);
+    every output gains those leading axes in front of the path axis.  The
+    starts share each block's noise draw (common random numbers), and
+    each start's rows go through their own step, so every path is the one
+    a run from that start alone would give.
 
     stop_domain=(center, r) freezes the local-time series at the first
     exit from B(center, r); ``domains`` is a list of (center, radius)
@@ -175,55 +187,63 @@ def simulate_ensemble(
     all paths, valid during the call.
 
     Returns a dict with terminal positions / alive flags / local times,
-    the reducer's value per mark (``marks``, in mark order), exit times,
-    and the effective step size.
+    the reducer's value per mark (``marks``, in mark order), exit times
+    (domains first), and the effective step size.
     """
     if len(marks) and on_mark is None:
         raise ValueError("marks need an on_mark reducer")
     cfg = PathConfig(h=h, T=T, master_seed=master_seed)
     n_steps, h_eff = cfg.n_steps, cfg.h_eff
-    mark_steps = cfg.mark_steps(marks)
+    readers = {}
+    for mi, ms in enumerate(cfg.mark_steps(marks)):
+        readers.setdefault(ms, []).append(mi)
     x0 = np.asarray(x0, dtype=float)
+    lead = x0.shape[:-1]
+    starts = x0.reshape(-1, M.chart_dim)
+    n_starts = len(starts)
 
     spans = list(path_blocks(n_paths, block_size))
     rngs = [stream(master_seed, stream_id, b) for b, _, _ in spans]
-    # the state of all paths; each block steps on its own rows
-    pos = np.broadcast_to(x0, (n_paths, M.chart_dim)).copy()
-    alive = np.ones(n_paths, dtype=bool)
-    l = np.zeros(n_paths)
-    stopped = np.zeros(n_paths, dtype=bool)
-    exited = np.zeros((len(domains), n_paths), dtype=bool)
-    out_exit = np.full((len(domains), n_paths), np.inf)
+    # the state of all paths, one contiguous slab per start; each block
+    # steps on its own rows of it
+    pos = np.repeat(starts[:, None, :], n_paths, axis=1)
+    alive = np.ones((n_starts, n_paths), dtype=bool)
+    l = np.zeros((n_starts, n_paths))
+    stopped = np.zeros((n_starts, n_paths), dtype=bool)
+    exited = np.zeros((len(domains), n_starts, n_paths), dtype=bool)
+    out_exit = np.full((len(domains), n_starts, n_paths), np.inf)
     out_marks = [None] * len(marks)
-    views = [_read_only(a) for a in (pos, alive, l)]
+    views = [_read_only(a.reshape(lead + a.shape[1:])) for a in (pos, alive, l)]
 
     for kstep in range(n_steps):
         t_now = (kstep + 1) * h_eff
         for rng, (_, lo, hi) in zip(rngs, spans):
             xi = rng.standard_normal((hi - lo, M.dim))
-            new, dl, live = _advance(M, pos[lo:hi], h_eff, xi, alive[lo:hi])
-            pos[lo:hi], alive[lo:hi] = new, live
-            # without a boundary dl is zero: l stays untouched zero pages
-            if M.has_boundary and stop_domain is not None:
-                l[lo:hi] += np.where(stopped[lo:hi], 0.0, dl)
-                c, r = stop_domain
-                stopped[lo:hi] |= M.distance(c, pos[lo:hi]) >= r
-            elif M.has_boundary:
-                l[lo:hi] += dl
-            for j, (c, r) in enumerate(domains):
-                newly = ~exited[j, lo:hi] & (M.distance(c, pos[lo:hi]) >= r)
-                out_exit[j, lo:hi][newly] = t_now
-                exited[j, lo:hi] |= newly
-        for mi, ms in enumerate(mark_steps):
-            if ms == kstep + 1:
-                out_marks[mi] = on_mark(mi, *views)
+            for s in range(n_starts):
+                p, a, ls, st = pos[s, lo:hi], alive[s, lo:hi], l[s, lo:hi], stopped[s, lo:hi]
+                new, dl, live = _advance(M, p, h_eff, xi, a)
+                p[...], a[...] = new, live
+                # without a boundary dl is zero: l stays untouched zero pages
+                if M.has_boundary and stop_domain is not None:
+                    ls += np.where(st, 0.0, dl)
+                    c, r = stop_domain
+                    st |= M.distance(c, p) >= r
+                elif M.has_boundary:
+                    ls += dl
+                for j, (c, r) in enumerate(domains):
+                    ex = exited[j, s, lo:hi]
+                    newly = ~ex & (M.distance(c, p) >= r)
+                    out_exit[j, s, lo:hi][newly] = t_now
+                    ex |= newly
+        for mi in readers.get(kstep + 1, ()):
+            out_marks[mi] = on_mark(mi, *views)
 
     return {
-        "positions": pos,
-        "alive": alive,
-        "local_time": l,
+        "positions": pos.reshape(lead + pos.shape[1:]),
+        "alive": alive.reshape(lead + alive.shape[1:]),
+        "local_time": l.reshape(lead + l.shape[1:]),
         "marks": out_marks,
-        "exit_times": out_exit,
+        "exit_times": out_exit.reshape(out_exit.shape[:1] + lead + out_exit.shape[2:]),
         "h_eff": h_eff,
         "n_steps": n_steps,
     }
@@ -236,55 +256,49 @@ def simulate_path(
     observables: Optional[dict] = None,
     trace_file=None,
 ):
-    """Run one path and record the requested observables.
+    """Run one path and record the requested observables: the one-path
+    ensemble of stream (master_seed, path_index).
 
     observables: {"f": callable, "domains": [(tag, center, radius), ...]}.
     Returns (terminal PathState, records dict) where the terminal
     f-record is f(X_T) * 1_alive.  ``trace_file`` (a path or file-like)
     dumps the full trajectory as CSV rows "t, coords..., l, alive" for
-    debugging; the path is the same one ensemble stream (master_seed,
-    path_index) would produce.
+    debugging, one row per step written by a per-step mark reducer.
     """
     observables = observables or {}
     domains = observables.get("domains", [])
-    rng = stream(cfg.master_seed, cfg.path_index, 0)
-    n_steps, h_eff = cfg.n_steps, cfg.h_eff
-
-    pos = np.asarray(x, dtype=float)[None, :].copy()
-    alive = np.ones(1, dtype=bool)
-    l = 0.0
-    exit_times = {tag: math.inf for (tag, _, _) in domains}
-
-    trace = opened = None
+    marks, on_mark, opened = (), None, None
     if trace_file is not None:
         trace = trace_file
         if not hasattr(trace, "write"):
             trace = opened = open(trace_file, "w")
         header = ",".join(["t"] + [f"x{i}" for i in range(M.chart_dim)] + ["l", "alive"])
         trace.write(header + "\n")
-        trace.write(",".join(["0"] + [repr(float(v)) for v in pos[0]] + ["0.0", "1"]) + "\n")
+        trace.write(",".join(["0"] + [repr(float(v)) for v in np.ravel(x)] + ["0.0", "1"]) + "\n")
+        marks = [(k + 1) * cfg.h_eff for k in range(cfg.n_steps)]
 
-    for k in range(n_steps):
-        xi = rng.standard_normal((1, M.dim))
-        pos, dl, alive = _advance(M, pos, h_eff, xi, alive)
-        l += float(dl[0])
-        t_now = (k + 1) * h_eff
-        for tag, c, r in domains:
-            if math.isinf(exit_times[tag]) and float(M.distance(c, pos)[0]) >= r:
-                exit_times[tag] = t_now
-        if trace is not None:
-            trace.write(
-                ",".join([repr(t_now)] + [repr(float(v)) for v in pos[0]] + [repr(l), str(int(alive[0]))]) + "\n"
-            )
-    if opened is not None:
-        opened.close()
+        def on_mark(i, pos, alive, l):
+            row = [repr((i + 1) * cfg.h_eff)] + [repr(float(v)) for v in pos[0]]
+            trace.write(",".join(row + [repr(float(l[0])), str(int(alive[0]))]) + "\n")
+
+    try:
+        res = simulate_ensemble(
+            M, x, cfg.T, cfg.h, 1, cfg.master_seed,
+            stream_id=cfg.path_index,
+            marks=marks,
+            on_mark=on_mark,
+            domains=[(c, r) for _, c, r in domains],
+        )
+    finally:
+        if opened is not None:
+            opened.close()
 
     state = PathState(
-        position=pos[0],
-        local_time=l,
+        position=res["positions"][0],
+        local_time=float(res["local_time"][0]),
         t=cfg.T,
-        alive=bool(alive[0]),
-        exit_times=exit_times,
+        alive=bool(res["alive"][0]),
+        exit_times={tag: float(t) for (tag, _, _), t in zip(domains, res["exit_times"][:, 0])},
     )
     records = {"local_time": state.local_time, "alive": state.alive}
     if "f" in observables:

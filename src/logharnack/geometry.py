@@ -13,8 +13,6 @@ and safe to call concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -23,8 +21,6 @@ __all__ = [
     "CoincidentPoints",
     "NoBoundary",
     "NotOnBoundary",
-    "Point",
-    "TangentVec",
     "ModelSpace",
     "Euclidean",
     "OrnsteinUhlenbeck",
@@ -61,32 +57,12 @@ class NotOnBoundary(GeometryError):
     pass
 
 
-@dataclass(frozen=True)
-class Point:
-    """Chart coordinates of a manifold point."""
-
-    coords: np.ndarray
-
-
-@dataclass(frozen=True)
-class TangentVec:
-    """Tangent vector given by chart components at a base point."""
-
-    base: np.ndarray
-    components: np.ndarray
-
-
 def _require_apart(rho):
     if np.any(rho < 1e-14):
         raise CoincidentPoints("grad_distance needs x != y")
 
 
 def _arr(x) -> np.ndarray:
-    """Accept Point / TangentVec / array-like and return an ndarray."""
-    if isinstance(x, Point):
-        return np.asarray(x.coords, dtype=float)
-    if isinstance(x, TangentVec):
-        return np.asarray(x.components, dtype=float)
     return np.asarray(x, dtype=float)
 
 
@@ -360,11 +336,6 @@ class OrnsteinUhlenbeck(_FlatChart):
 
     def pointwise_K(self, x):
         return np.full(_arr(x).shape[:-1], -self.lam)
-
-    # Invariant probability measure: product Gaussian N(0, 1/lam).
-
-    def stationary_std(self):
-        return 1.0 / np.sqrt(self.lam)
 
     def to_config(self):
         return {"variant": self.variant, "dim": self.dim, "lam": self.lam}

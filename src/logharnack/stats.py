@@ -23,9 +23,6 @@ class MonteCarloEstimate:
         if self.n < 1:
             raise ValueError("n must be >= 1")
 
-    def band(self, k: float = 3.0) -> float:
-        return k * self.stderr
-
     def __repr__(self):
         return f"{self.mean:.6g} +- {self.stderr:.2g} (n={self.n})"
 

@@ -8,13 +8,14 @@ of three combined standard errors so Monte Carlo noise can never produce
 a false violation: "violated" requires the margin to fall below minus the
 band.
 
-Monte Carlo sides simulate each (start, T, h, seed) ensemble once:
-log-Harnack and Harnack run two (x and y), the gradient check 2 dim + 1.
+Monte Carlo sides run one ensemble per check, its start points sharing
+the noise: log-Harnack and Harnack one (starts y and x), the gradient
+check two (the 2 dim finite-difference starts, then x).
 
 The sharpness experiment estimates the small-time slope of the log-
 Harnack defect along y_s = exp_x(s v) and converts it into an empirical
 lower bound on the admissible constant in front of rho^2 / (2T); it runs
-one x-ensemble per s and one y-ensemble per (s, r).
+one ensemble per s, from x and every y_s of that s.
 """
 
 from __future__ import annotations
@@ -163,8 +164,7 @@ def _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, seed, correction=True):
     """P_T log f(y) - log(P_T f(x) + 1 - P_T 1(x)) with common random
     numbers between the two start points; killed paths enter as zeros.
     Without the correction the argument of the log is P_T f(x) alone."""
-    ell = mc_functional_values(M, y, T, f, "log f", n_paths, h, seed, stream_id=0)
-    fx, ax = mc_functional_values(M, x, T, f, ("f", "1"), n_paths, h, seed, stream_id=0)
+    ell, (fx, ax) = mc_functional_values(M, np.stack([y, x]), T, f, ("log f", ("f", "1")), n_paths, h, seed)
     if correction:
         g = fx - ax  # per path: f(X_T) 1_alive - 1_alive; E g = P_T f - P_T 1
         arg = 1.0 + float(np.mean(g))
@@ -347,7 +347,7 @@ def check_gradient(
         g = grad_semigroup(M, x, T, f, n_paths, h, master_seed, eps=eps)
         lhs = g.mean**2
         lhs_se = 2.0 * abs(g.mean) * g.stderr
-        fv = mc_functional_values(M, x, T, f, "f", n_paths, h, master_seed, stream_id=0)
+        fv = mc_functional_values(M, x, T, f, "f", n_paths, h, master_seed)
         m1 = float(np.mean(fv))
         var = float(np.mean(fv**2)) - m1**2
         var_se = estimate_from_values(fv**2 - 2.0 * m1 * fv).stderr
@@ -424,12 +424,11 @@ def check_harnack(
         except NoOracle:
             use_oracle = False
     if not use_oracle:
-        fy = mc_functional_values(M, y, T, f, "f", n_paths, h, master_seed, stream_id=0)
-        fx = mc_functional_values(M, x, T, f, "f", n_paths, h, master_seed, stream_id=0)
+        fy, fx = mc_functional_values(M, np.stack([y, x]), T, f, "f", n_paths, h, master_seed)
         lhs = float(np.mean(fy))
         m2 = float(np.mean(fy**2))
         rhs = float(np.mean(fx)) + rho * root_const * math.sqrt(m2)
-        # the runs share noise streams; fold the correlated-margin
+        # the starts share noise; fold the correlated-margin
         # stderr into the lhs slot so the band reflects the pairing
         margin_lin = fx - fy + rho * root_const * fy**2 / (2.0 * math.sqrt(m2))
         lhs_se = estimate_from_values(margin_lin).stderr
@@ -597,13 +596,13 @@ def sharpness_experiment(
     q_vals = np.empty((len(r_values), len(s_grid)))
     q_ses = np.empty_like(q_vals)
     for i, s in enumerate(s_grid):
-        # one exact Gaussian step: the flat-chart scheme with h = s; the
-        # x-ensemble does not depend on r
-        fx = mc_functional_values(M, x, s, f, "f", n_paths, s, master_seed, stream_id=0)
+        # one exact Gaussian step (the flat-chart scheme with h = s) from x
+        # and from every y_s of this s, in one ensemble
+        starts = [x] + [M.exp(x, s * (r * g)) for r in r_values]
+        modes = ["f"] + ["log f"] * len(r_values)
+        fx, *ells = mc_functional_values(M, np.stack(starts), s, f, modes, n_paths, s, master_seed)
         bx = float(np.mean(fx))
-        for k, r in enumerate(r_values):
-            y_s = M.exp(x, s * (r * g))
-            ell = mc_functional_values(M, y_s, s, f, "log f", n_paths, s, master_seed, stream_id=0)
+        for k, ell in enumerate(ells):
             q_vals[k, i] = float(np.mean(ell)) - math.log(bx)
             q_ses[k, i] = estimate_from_values(ell - fx / bx).stderr
     rows = []

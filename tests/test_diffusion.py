@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from logharnack.diffusion import (
     simulate_path,
     step,
 )
+from logharnack.rng import BLOCK_SIZE, stream
 
 from helpers import bm_two_sided_exit_prob
 
@@ -290,6 +292,185 @@ def test_multi_block_ensemble_matches_pinned_digest(name):
     assert _sha256(res["positions"], res["alive"], res["local_time"], res["exit_times"]) == terminal
     stacked = [np.stack([m[k] for m in res["marks"]]) for k in (0, 1)]
     assert _sha256(*stacked) == marks
+
+
+_C3, _S3 = math.cos(0.3), math.sin(0.3)
+# (model, start points, T, h) of the multi-start runs
+MULTI_START = {
+    "euclidean-1": (G.Euclidean(1), [[0.0], [0.3], [-0.2]], 0.05, 1e-2),
+    "euclidean-2": (G.Euclidean(2), [[0.0, 0.0], [0.3, -0.1]], 0.05, 1e-2),
+    "ornstein_uhlenbeck-1": (G.OrnsteinUhlenbeck(1, 1.0), [[0.5], [-0.4]], 0.05, 1e-2),
+    "sphere-1": (G.Sphere(1, 1.0), [[1.0, 0.0], [_C3, _S3]], 0.05, 1e-2),
+    "sphere-2": (G.Sphere(2, 1.0), [[0.0, 0.0, 1.0], [_S3, 0.0, _C3]], 0.05, 1e-2),
+    "hyperbolic-2": (G.Hyperbolic(), [[0.0, 1.0], [0.2, 1.1]], 0.05, 1e-2),
+    "euclidean_ball-2": (G.EuclideanBall(2, 1.0), [[0.95, 0.0], [0.0, 0.0]], 0.05, 1e-2),
+    "half_space-1": (G.HalfSpace(1), [[0.05], [0.02]], 0.05, 1e-2),
+    "half_space-2": (G.HalfSpace(2), [[0.05, 0.0], [0.01, 0.3]], 0.05, 1e-2),
+    "explosive_drift_1d-1": (G.ExplosiveDrift1D(), [[0.0], [1.0], [2.0]], 0.5, 0.1),
+}
+
+# sha256 of (terminal state, mark states) of each start run on its own,
+# recorded before starts could share an ensemble: BLOCK_SIZE + 100 paths
+# (two blocks), seed 29, a stop domain and two exit domains about the
+# first start, marks at T/4, T/2 and T; the mark digest covers
+# (positions, alive, local time) at each mark, stacked in mark order
+PER_START_DIGESTS = {
+    "euclidean-1": [
+        ("f91b5f317bf8c7b0fd49f29d8a264d45ce36cfd569fa3a51d035339a70545025",
+         "8d392224747792992696c620b662b1dc14d9c70caa2b799cd644884e6930c845"),
+        ("6c9317a2e86fb291111822fc30499b5f91f9b5711be0ab5452bd5d028ecf7a08",
+         "666970b6aa63dc3ddabd9f66f7903db0814648b65bf7afc713fbf6bcd5761cf6"),
+        ("f4a5764e7e6c2b2b24f36705b52aafa982fc61dfb0a211085cdca8df7d88cfe4",
+         "c00337f306675e67e2a32ae9a75f32cf71b59ea708f14f5f2c75ced72eb0611f"),
+    ],
+    "euclidean-2": [
+        ("f2df9e59d1b14c589b2bf9def53d833a48af4e3bab863635a588e556828058b2",
+         "68c0d8388c51ac0bfc5233f4618567d64f077a6e0b605b50580dfa8570219786"),
+        ("46a09d422ed6b3df023e167c44ec691bf80bfb020787a12c9174326c028162c2",
+         "c50aa5716411ce124d923231759347529ab71a7df5316f25741a51db246c76e8"),
+    ],
+    "ornstein_uhlenbeck-1": [
+        ("53add540b4380c15b5bcaade6841f162c62abb1d76a0b6709b49676119f1077e",
+         "91b6f9b4461e6e1c7a1d9f1cce4c2eea429e439f9ad2cdbc082256b86840ddd2"),
+        ("f7eb875aff19bbb21fc04407d4c3f7cab907b885243acc68c5029b065e251844",
+         "2eb990b89c275d66b6ce502d77227d64fd956d7f91e5c4f842aaf1785e674a01"),
+    ],
+    "sphere-1": [
+        ("8457da9450e0bdb5e229a024d6a01bf9f9c86bb51339cc5c512dc448ef285244",
+         "d4af054fc04b22b394721b65429283b957116d86d06db32004f0a47af17e0c0f"),
+        ("48e4c148d4cae5b7b769ebb2118ccda749fd95b7a75d896042013f26d4bacfee",
+         "5a862640545919803b37b73b9a110ecd685d534dcfa4dd22cb06071d27f44faa"),
+    ],
+    "sphere-2": [
+        ("748e66cbbf2fc5e618104028cec71ac88509608500134181f4461d278bfd55d9",
+         "19f7a56736388d48cac558777c64cff2af289ea76197f5b2dbdb9783509a988f"),
+        ("dd9170f89143d5bd3a6e2c2452a8f57588a0652ed55e70ce864d7c06c7769005",
+         "3a6450836c6a87a646d5239fd2d0ef6b186d0b70502be6eb9624f8eaa02dc551"),
+    ],
+    "hyperbolic-2": [
+        ("62f5403e153a1c8f39b56efed710d8479855737d0ff9134ea7826f43d38bd393",
+         "116e276072a4fa0d6157cc3e75b50442b03553839d16195dcc1f5d17cede617f"),
+        ("276c76081c75c32cdabc8e06b189c0e7a1067abc3448787bc60d2173e562c07f",
+         "b4d1b2a38fb0a327be154a3bae3a8da1af29249cd68e13dd58498d04352ca772"),
+    ],
+    "euclidean_ball-2": [
+        ("718d7f7d8f10f9eaca077d0edfacd88edca7e4bfec86c058ddbe40aa044023bd",
+         "362cc92b8b6bf1348b517e0ab9ec95521dc8157e4f40bd9b1cbc66bd96afc74d"),
+        ("3e65fa1764249d05279488e82c8c107f6ca4061c909f2ece5917b624ddb427d9",
+         "72c989bf9990a586d1fd40930680ffd376999db9fa86ac5b296c0b9b67c0116a"),
+    ],
+    "half_space-1": [
+        ("6669774cbe82ee9c0a8c342f3e95db444296255d22d8b7dad8080a49cdb2193f",
+         "67afab617c237fdfde5998887cdd3e7edb61515e71f60e9c44642ee439d70997"),
+        ("e7c0a108fb0b351547cdc7be6ccf509a2467887bb9b4cd15842962b0dc28205c",
+         "14e4d08cf513a47424935a5eb676351f8164ebf54055d38f6c75947b19bae72f"),
+    ],
+    "half_space-2": [
+        ("b5a929dfa588ebb8546e985fc575873365c227374434229b42125ebf2e97edb0",
+         "1fbb0282118b1b5f7c9cdb2dae1b38a38a9dae7ebf7c9f87ad1d15586322f331"),
+        ("987bde94b8fdfaab6545db2bd698a652c67735572f9e7773a23498fa60e96070",
+         "10e2c69eb5e1e4ba6e80bb07553eee91c6ec5232a7daa5831045247dd7757024"),
+    ],
+    "explosive_drift_1d-1": [
+        ("813a83a7d6c9048a287de20ce7a5e0ba714879d00972719e0080ac46d691c073",
+         "b348d7a112ccfafbef61083993e1e5ec258dee3f51402632ab281016a4b36abb"),
+        ("35bf71fead867f853e8838e39e57fe0a442455b87642ca32849a6f2ad3d00fc5",
+         "9915e2c80f203f065ec62ea249d09c62f559ff99de22f6f788c0bd8818b734ec"),
+        ("c94c6e410aae3b12b26fff7f3b7662a3f9f0ce2c24d06818c03956c3689dee65",
+         "515864a6678b9e74bb68bb7ee829a863804ea9721fe78df1d65c6f68eaa7c7f9"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_START))
+def test_multi_start_ensemble_matches_per_start_runs(name):
+    M, starts, T, h = MULTI_START[name]
+    c = np.asarray(starts[0])
+    n = BLOCK_SIZE + 100
+    res = simulate_ensemble(
+        M, starts, T, h, n, 29,
+        marks=[T / 4, T / 2, T],
+        on_mark=lambda i, pos, alive, l: (pos.copy(), alive.copy(), l.copy()),
+        stop_domain=(c, 0.15),
+        domains=[(c, 0.1), (c, 0.25)],
+    )
+    k = len(starts)
+    assert res["positions"].shape == (k, n, M.chart_dim) and res["exit_times"].shape == (2, k, n)
+    for s, (terminal, marks) in enumerate(PER_START_DIGESTS[name]):
+        assert _sha256(res["positions"][s], res["alive"][s], res["local_time"][s],
+                       res["exit_times"][:, s]) == terminal
+        assert _sha256(*[np.stack([m[j][s] for m in res["marks"]]) for j in (0, 1, 2)]) == marks
+
+
+# sha256 of simulate_path's trace, terminal state, exit times and records,
+# recorded while it kept its own step loop (seed 8, path index 3)
+PATH_STARTS = {
+    "euclidean-1": (G.Euclidean(1), [0.1]),
+    "sphere-2": (G.Sphere(2, 1.0), [0.0, 0.6, 0.8]),
+    "hyperbolic-2": (G.Hyperbolic(), [0.1, 0.9]),
+    "half_space-1": (G.HalfSpace(1), [0.02]),
+    "explosive_drift_1d-1": (G.ExplosiveDrift1D(), [1.5]),
+}
+PATH_SETTINGS = [(0.1, 1e-2), (1.0, 0.3), (0.05, 7e-3)]  # (T, h)
+PATH_DIGESTS = {
+    "euclidean-1": [
+        "2b993fd01dbe14823c6ff45a54a88630c5ee9a29b73938798bee507b36dac690",
+        "8b96f25c2e80b874f0c7d8c488c4b1352e7d7ffb48643e5c53bd9ef10c870c03",
+        "3aee82e761956906a3811febf02666156162a719dd2fe6175e4425bd5dcb694f",
+    ],
+    "sphere-2": [
+        "8c87773fff5390a7bda8f4b5e7a45ef4ca0d2e76836f746cb46f0b14730ae7bf",
+        "1015a2e4b4540d5c2e0befd1cc6c1a68ebea644d5e650f0bcdc792d2daf03458",
+        "5036bbad76a654feaf0140285d58e0c40757fabd26262db530a86730b814ef4f",
+    ],
+    "hyperbolic-2": [
+        "db7106f6fd40516800e799d271a6ab83e2a769452c2ad761775a019d71b434a7",
+        "8538cfdb15c00e6a000479475b8e8c167f37ce4c640b8419c2736b341047a0db",
+        "aef2474bc4d00796082769600567f38a5684041b5f0e8102f2f44027244d4c4d",
+    ],
+    "half_space-1": [
+        "7c23ecb7bbc46922ee13b07116204affedfe27a0aac682a2c14abdc13c249a59",
+        "7bc0b4f8254f2f4df9214e9cbb6dfa68f5eb95407e0ab58c01c52eca58cfbbb6",
+        "88b2d2d380f8c6a4d4f5634f0a9ae810e722734650c555a9dc77715c90d6cada",
+    ],
+    "explosive_drift_1d-1": [
+        "d8e048e3a690f022c3e1899449d19c31e06b78df8789d6e664d8725c8edc93d6",
+        "d05f0f3d91810e96735d2823fdf545c1bc6c799a9c14f5ce5d2b6e6db092c746",
+        "74bb52a10dafe673a6815c482fb1021a46ac335de59e7173629d0c6ce1389777",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_STARTS))
+def test_simulate_path_matches_pinned_digests(name):
+    M, x = PATH_STARTS[name]
+    c = np.asarray(x)
+    obs = {"f": lambda z: z[..., 0] + 2.0, "domains": [("near", c, 0.05), ("far", c, 0.4)]}
+    for (T, h), digest in zip(PATH_SETTINGS, PATH_DIGESTS[name]):
+        buf = io.StringIO()
+        state, rec = simulate_path(M, x, PathConfig(h=h, T=T, master_seed=8, path_index=3), obs,
+                                   trace_file=buf)
+        text = "|".join([
+            buf.getvalue(),
+            repr([float(v) for v in state.position]),
+            repr((float(state.local_time), float(state.t), bool(state.alive))),
+            repr(sorted((k, float(v)) for k, v in state.exit_times.items())),
+            repr(sorted((k, float(v)) for k, v in rec.items())),
+        ])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (T, h)
+
+
+def test_step_ends_at_the_horizon_on_the_path_of_simulate_path():
+    # T / h = 10/3: the path takes 4 steps of 0.25, and so must step()
+    M = G.Euclidean(1)
+    cfg = PathConfig(h=0.3, T=1.0, master_seed=2, path_index=6)
+    rng = stream(cfg.master_seed, cfg.path_index, 0)
+    st = PathState(position=np.array([0.0]))
+    for _ in range(cfg.n_steps):
+        st = step(M, st, cfg, rng.standard_normal((1, M.dim))[0])
+    ref, _ = simulate_path(M, [0.0], cfg)
+    assert st.t == cfg.T
+    assert np.array_equal(st.position, ref.position)
 
 
 def test_mark_reducer_sees_read_only_state():

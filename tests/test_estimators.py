@@ -124,6 +124,24 @@ def test_mc_rejects_small_samples():
         E.mc_functional(G.Euclidean(1), [0.0], 0.5, E.const(1.0), "f", 10, 1e-2, 0)
 
 
+def test_mc_values_at_several_starts_equal_single_start_runs():
+    M = G.ExplosiveDrift1D()
+    f = E.one_plus_bump([0.2], 0.7)
+    starts = [[0.2], [0.0], [0.4]]
+    ell, (fx, ax), f2 = E.mc_functional_values(M, starts, 0.3, f, ("log f", ("f", "1"), "f2"),
+                                               2000, 1e-2, 5)
+    assert np.array_equal(ell, E.mc_functional_values(M, [0.2], 0.3, f, "log f", 2000, 1e-2, 5))
+    for got, want in zip((fx, ax), E.mc_functional_values(M, [0.0], 0.3, f, ("f", "1"), 2000, 1e-2, 5)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(f2, E.mc_functional_values(M, [0.4], 0.3, f, "f2", 2000, 1e-2, 5))
+    every = E.mc_functional_values(M, starts, 0.3, f, "f", 2000, 1e-2, 5)
+    assert len(every) == 3 and np.array_equal(every[1], fx)
+    with pytest.raises(ValueError):
+        E.mc_functional_values(M, starts, 0.3, f, ("f", "1"), 2000, 1e-2, 5)
+    with pytest.raises(ValueError):
+        E.mc_functional(M, starts, 0.3, f, "f", 2000, 1e-2, 5)
+
+
 def test_jensen_inequality_mc():
     # P_T log f <= log P_T f on conservative variants (CRN pairing)
     M = G.Euclidean(1)
@@ -339,9 +357,9 @@ def test_generator_mc_is_one_marked_run_equal_to_per_s_runs(ensemble_starts):
 
 def test_generator_mc_fits_the_reached_times():
     # h = 3e-3 does not divide the grid: the run to 0.02 takes 7 steps of
-    # 0.02/7 and reads each s at the nearest step
+    # 0.02/7, each s reads its nearest step, and each step is fitted once
     res = E.generator_check(G.ExplosiveDrift1D(), [1.0], E.coord(0), n_paths=2000, h=3e-3, master_seed=4)
-    steps = np.array([1, 1, 2, 3, 4, 4, 5, 6, 6, 7], dtype=float)
+    steps = np.arange(1, 8, dtype=float)
     assert np.array_equal(res["s_grid"], steps * (0.02 / 7))
     A = np.stack([res["s_grid"], res["s_grid"] ** 2], axis=-1)
     coef, *_ = np.linalg.lstsq(A, res["values"] - 1.0, rcond=None)

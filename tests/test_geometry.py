@@ -170,15 +170,6 @@ def test_sphere_round_trip_wide_angles():
     assert np.max(np.abs(M.norm(x, lg) - angles)) < 1e-10
 
 
-def test_point_and_tangent_containers():
-    M = G.Euclidean(2)
-    p = G.Point(np.array([0.0, 0.0]))
-    q = G.Point(np.array([3.0, 4.0]))
-    assert float(M.distance(p, q)) == pytest.approx(5.0)
-    v = G.TangentVec(base=np.array([0.0, 0.0]), components=np.array([1.0, 0.0]))
-    assert np.allclose(M.exp(p, v), [1.0, 0.0])
-
-
 @pytest.mark.parametrize("M", catalogue(), ids=lambda m: repr(m))
 def test_parallel_transport_isometry(M):
     rng = np.random.default_rng(13)

@@ -356,7 +356,9 @@ def test_sharpness_report_rows():
 
 
 # ----------------------------------------------------------------------
-# ensembles per checker: each (start, T, h, seed) ensemble runs once
+# ensembles per checker: each check runs one ensemble whose start points
+# share the noise (the test names predate the start axis); the fixture
+# records each ensemble's start coordinates, flattened, and its horizon
 # ----------------------------------------------------------------------
 
 
@@ -365,23 +367,29 @@ def test_log_harnack_mc_runs_two_ensembles(ensemble_starts, correction):
     M = G.ExplosiveDrift1D()
     V.check_log_harnack(M, [0.0], [0.2], 0.3, E.one_plus_bump([0.2], 0.7), n_paths=2000,
                         master_seed=1, include_correction=correction)
-    assert sorted(ensemble_starts) == [(0.0, 0.3), (0.2, 0.3)]
+    assert ensemble_starts == [(0.2, 0.0, 0.3)]  # starts y, x
 
 
 def test_harnack_mc_runs_two_ensembles(ensemble_starts):
     V.check_harnack(G.Euclidean(2), [0.0, 0.0], [0.3, 0.0], 0.25, E.gauss_bump([0.3, 0.0], 0.5),
                     n_paths=2000, master_seed=1)
-    assert len(ensemble_starts) == len(set(ensemble_starts)) == 2
+    assert ensemble_starts == [(0.3, 0.0, 0.0, 0.0, 0.25)]  # starts y, x
 
 
 def test_gradient_mc_runs_two_per_dimension_plus_one(ensemble_starts):
     M = G.Euclidean(2)
-    V.check_gradient(M, [0.0, 0.0], 0.25, E.gauss_bump([0.3, 0.0], 0.5), n_paths=2000, master_seed=1)
-    assert len(ensemble_starts) == len(set(ensemble_starts)) == 2 * M.dim + 1
+    eps = 1e-3
+    V.check_gradient(M, [0.0, 0.0], 0.25, E.gauss_bump([0.3, 0.0], 0.5), n_paths=2000,
+                     master_seed=1, eps=eps)
+    # the 2 dim finite-difference starts x +- eps e_i, then x for the variance
+    fd = (eps, 0.0, -eps, 0.0, 0.0, eps, 0.0, -eps)
+    assert ensemble_starts == [fd + (0.25,), (0.0, 0.0, 0.25)]
 
 
 def test_sharpness_runs_one_x_ensemble_per_s(ensemble_starts):
     s_grid, r_values = (0.001, 0.004, 0.01), (1.0, 2.0)
     V.sharpness_experiment(G.Euclidean(1), [0.0], E.log_bump([0.5], 1.0), r_values=r_values,
                            s_grid=s_grid, n_paths=2000, master_seed=1)
-    assert len(ensemble_starts) == len(set(ensemble_starts)) == len(s_grid) * (len(r_values) + 1)
+    # one ensemble per s, starting at x and at every y_s
+    assert [c[-1] for c in ensemble_starts] == list(s_grid)
+    assert all(len(c) == len(r_values) + 2 and c[0] == 0.0 for c in ensemble_starts)
