@@ -29,6 +29,7 @@ from . import verify as vf
 from .diffusion import local_time_profile
 from .estimators import generator_check, test_function_from_config
 from .geometry import GeometryError, model_from_config
+from .local_bounds import DomainSpec
 from .rng import derive_seed
 
 __all__ = [
@@ -74,14 +75,12 @@ class JobResult:
     series: list = field(default_factory=list)  # (name, xval, yval)
 
 
-
-def _domain_of(p, M, center_key):
-    from .local_bounds import DomainSpec
-
+def _domain_of(p, center_key):
     if "domain_radius" not in p:
         return None
     center = np.asarray(p[center_key], dtype=float)
     return DomainSpec(center, float(p["domain_radius"]))
+
 
 def _f_of(params, key="f"):
     return test_function_from_config(params[key])
@@ -94,7 +93,7 @@ def _run_log_harnack(M, p, seed):
         np.asarray(p["y"], dtype=float),
         float(p["T"]),
         _f_of(p),
-        domain=_domain_of(p, M, "y"),
+        domain=_domain_of(p, "y"),
         n_paths=int(p.get("n_paths", 20000)),
         h=float(p.get("h", 1e-2)),
         master_seed=seed,
@@ -125,7 +124,7 @@ def _run_gradient(M, p, seed):
         np.asarray(p["x"], dtype=float),
         float(p["T"]),
         _f_of(p),
-        domain=_domain_of(p, M, "x"),
+        domain=_domain_of(p, "x"),
         n_paths=int(p.get("n_paths", 20000)),
         h=float(p.get("h", 1e-2)),
         master_seed=seed,
@@ -141,7 +140,7 @@ def _run_harnack(M, p, seed):
         np.asarray(p["y"], dtype=float),
         float(p["T"]),
         _f_of(p),
-        domain=_domain_of(p, M, "y"),
+        domain=_domain_of(p, "y"),
         n_paths=int(p.get("n_paths", 20000)),
         h=float(p.get("h", 1e-2)),
         master_seed=seed,
@@ -174,7 +173,7 @@ def _run_coupling(M, p, seed):
         np.asarray(p["y"], dtype=float),
         T=float(p["T"]),
         h=float(p.get("h", 1e-3)),
-        domain=_domain_of(p, M, "y"),
+        domain=_domain_of(p, "y"),
     )
     diag = cp.run_coupling(M, cfg, int(p.get("n_paths", 20000)), seed)
     row = {"variant": M.variant, "x": json.dumps(list(map(float, np.atleast_1d(p["x"])))),

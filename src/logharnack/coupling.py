@@ -2,20 +2,23 @@
 
 The pair (X, Y) is driven by one Brownian motion: X takes the plain
 diffusion step, Y takes the same tangent noise parallel-transported along
-the minimal geodesic plus an attracting drift of size sqrt(xi1^2 + xi2^2)
-toward X.  The drift xi1 follows the deterministic deadline schedule
-built from the curvature bound on the enlarged domain; xi2 ~ rho / phi^2
-activates near the domain boundary so the pair couples before Y can reach
-it.  The change-of-measure density R is accumulated exactly for the drift
-actually applied, so E R = 1 holds step by step by construction.
+the minimal geodesic plus an attracting drift of size
+sqrt(xi_1^2 + xi_2^2) toward X.  The drift xi_1 follows the deterministic
+deadline schedule 2 K e^{-K t} / (1 - e^{-2 K T}) rho(x, y) built from
+the curvature bound K on the enlarged domain (rho(x, y) / T as K -> 0);
+xi_2 = 2 c_D(phi) rho / phi(Y)^2 activates near the domain boundary so
+the pair couples before Y can reach it; where phi(Y) < PHI_CAP the step
+uses PHI_CAP and flags the pair boundary-degenerate.  The change-of-
+measure density R is accumulated exactly for the drift actually
+applied, so E R = 1 holds step by step by construction.
 
 A pair stops at the first of: Y reaching the domain boundary, X leaving
 the enlarged domain, coupling (rho below the detection radius, then Y is
 snapped onto X), or the time horizon.  log R freezes at that moment.
 The clock steps h_eff = T / ceil(T / h), so it ends exactly at T.
 
-One batch step (``_coupled_step``) serves both ``run_coupling`` and the
-single-pair ``step_coupled``.  Its pair-geometry budget per step:
+``run_coupling`` is the one way to step pairs; its batch step
+(``_coupled_step``) has this pair-geometry budget per step:
 rho(X, Y) and phi(Y) carry over from the previous step's stopping
 checks; log_X(Y) and log_Y(X) are computed once each and feed the
 transported noise and both unit directions (on the sphere from one
@@ -47,23 +50,18 @@ from .local_bounds import (
     harnack_rate,
     K_ZERO_TOL,
 )
-from .rng import BLOCK_SIZE, path_blocks, stream
+from .rng import path_blocks, stream
 from .stats import MonteCarloEstimate, estimate_from_values
 
 __all__ = [
-    "DomainBoundaryReached",
     "CouplingConfig",
-    "CoupledPathState",
     "CouplingDiagnostics",
     "standard_coupling_config",
-    "xi1",
-    "xi2",
-    "step_coupled",
     "run_coupling",
     "coupling_entropy_bound",
 ]
 
-# xi2 is capped (and the pair flagged boundary-degenerate) below this phi.
+# xi_2 is capped (and the pair flagged boundary-degenerate) below this phi.
 PHI_CAP = 1e-4
 
 THETA_NONE = 0
@@ -79,10 +77,6 @@ THETA_NAMES = {
     THETA_COUPLED: "coupled",
     THETA_HORIZON: "horizon",
 }
-
-
-class DomainBoundaryReached(RuntimeError):
-    pass
 
 
 @dataclass
@@ -175,43 +169,6 @@ def standard_coupling_config(
     return cfg
 
 
-@dataclass
-class CoupledPathState:
-    """State of one coupled pair."""
-
-    X: np.ndarray
-    Y: np.ndarray
-    rho: float
-    log_R: float = 0.0
-    l: float = 0.0
-    l_tilde: float = 0.0
-    t: float = 0.0
-    theta: int = THETA_NONE
-    coupled: bool = False
-    flagged: bool = False
-
-
-def xi1(t, cfg: CouplingConfig):
-    """Deadline drift  2 K e^{-K t} / (1 - e^{-2 K T}) * rho(x, y), with
-    the K -> 0 limit rho(x, y) / T.  The caller zeroes it after
-    coupling."""
-    K, T = cfg.K_D_rho, cfg.T
-    t = np.asarray(t, dtype=float)
-    if abs(K) < K_ZERO_TOL:
-        return np.broadcast_to(cfg.rho0 / T, t.shape).copy() if t.shape else cfg.rho0 / T
-    return 2.0 * K * np.exp(-K * t) / (1.0 - math.exp(-2.0 * K * T)) * cfg.rho0
-
-
-def xi2(state: CoupledPathState, cfg: CouplingConfig) -> float:
-    """Boundary-avoiding drift  2 c_D(phi) rho(X, Y) / phi(Y)^2."""
-    phi_y = float(cfg.phi.phi(np.asarray(state.Y)[None, :])[0])
-    if phi_y <= 0:
-        raise DomainBoundaryReached("phi(Y) <= 0: Y has reached the domain boundary")
-    if state.rho == 0.0:
-        return 0.0
-    return 2.0 * cfg.c_D_phi * state.rho / phi_y**2
-
-
 def coupling_entropy_bound(cfg: CouplingConfig) -> float:
     """The closed-form bound on E R log R for the run's constants."""
     K, T = cfg.K_D_rho, cfg.T
@@ -227,6 +184,7 @@ def coupling_entropy_bound(cfg: CouplingConfig) -> float:
 
 
 def _xi1_rate(t, cfg):
+    """The deadline drift xi_1 at times t per unit of rho(x, y)."""
     K, T = cfg.K_D_rho, cfg.T
     if abs(K) < K_ZERO_TOL:
         return np.full_like(np.asarray(t, dtype=float), 1.0 / T)
@@ -253,9 +211,8 @@ def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
     then apply the stopping checks in the fixed order: boundary of D for
     Y, exit of the enlarged domain for X, coupling, horizon.
 
-    Returns (new state, theta, dl, dl_tilde): theta is each pair's
-    stopping event (THETA_NONE while it runs), dl and dl_tilde the
-    local-time increments of X and Y.  Y is snapped onto X where the pair
+    Returns (new state, theta): theta is each pair's stopping event
+    (THETA_NONE while it runs).  Y is snapped onto X where the pair
     coupled.
     """
     n = p.X.shape[0]
@@ -274,15 +231,10 @@ def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
     G, GY, toward, away_c = M._pair_geometry(p.X, p.Y, p.rho, xi)
     vX = math.sqrt(2.0 * h) * G + h * M.drift(p.X)
     Xn = M.exp(p.X, vX)
-    dl = np.zeros(n)
-    if M.has_boundary:
-        Xn, dl = M.reflect(Xn)
-
     vY = math.sqrt(2.0 * h) * GY + h * (M.drift(p.Y) - a[:, None] * toward)
     Yn = M.exp(p.Y, vY)
-    dlt = np.zeros(n)
     if M.has_boundary:
-        Yn, dlt = M.reflect(Yn)
+        Xn, Yn = M.reflect(Xn)[0], M.reflect(Yn)[0]
 
     # Girsanov increment for eta = (a / sqrt 2) * (unit at X away from Y):
     # <eta, Phi dB> in frame components is eta_i xi_i sqrt(h).
@@ -302,33 +254,7 @@ def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
         THETA_NONE,
     ).astype(np.int8)
     Yn = np.where((theta == THETA_COUPLED)[:, None], Xn, Yn)
-    return _Pairs(Xn, Yn, rho, phi_y, p.log_R + dlogR, flagged), theta, dl, dlt
-
-
-def step_coupled(M: ModelSpace, state: CoupledPathState, cfg: CouplingConfig, noise) -> CoupledPathState:
-    """Advance a single coupled pair by one step of size cfg.h_eff with
-    the given noise: the batch step of run_coupling on a batch of one."""
-    if state.theta != THETA_NONE:
-        raise ValueError("pair already stopped")
-    X = np.asarray(state.X, dtype=float)[None, :]
-    Y = np.asarray(state.Y, dtype=float)[None, :]
-    p = _Pairs(X, Y, M.distance(X, Y), cfg.phi.phi(Y), np.array([state.log_R]),
-               np.array([state.flagged]))
-    h = cfg.h_eff
-    p, theta, dl, dlt = _coupled_step(M, cfg, h, state.t, p, np.asarray(noise, dtype=float)[None, :])
-    theta = int(theta[0])
-    return CoupledPathState(
-        X=p.X[0],
-        Y=p.Y[0],
-        rho=0.0 if theta == THETA_COUPLED else float(p.rho[0]),
-        log_R=float(p.log_R[0]),
-        l=float(state.l + dl[0]),
-        l_tilde=float(state.l_tilde + dlt[0]),
-        t=state.t + h,
-        theta=theta,
-        coupled=state.coupled or theta == THETA_COUPLED,
-        flagged=bool(p.flagged[0]),
-    )
+    return _Pairs(Xn, Yn, rho, phi_y, p.log_R + dlogR, flagged), theta
 
 
 # ----------------------------------------------------------------------
@@ -374,8 +300,6 @@ def run_coupling(
     n_pairs: int,
     master_seed: int = 0,
     *,
-    stream_id: int = 0,
-    block_size: int = BLOCK_SIZE,
     return_values: bool = False,
     terminal_fn=None,
 ):
@@ -397,8 +321,8 @@ def run_coupling(
     all_terminal = np.full(n_pairs, np.nan)
     max_rho_excess = -np.inf
 
-    for b, lo, hi in path_blocks(n_pairs, block_size):
-        rng = stream(master_seed, stream_id, b)
+    for b, lo, hi in path_blocks(n_pairs):
+        rng = stream(master_seed, 0, b)
         bn = hi - lo
         X = np.broadcast_to(cfg.x, (bn, M.chart_dim)).copy()
         logR = np.zeros(bn)
@@ -423,7 +347,7 @@ def run_coupling(
                 break
             xi = rng.standard_normal((run.size, M.dim))
             if run.size:
-                pairs, th, _, _ = _coupled_step(M, cfg, h, k * h, pairs, xi)
+                pairs, th = _coupled_step(M, cfg, h, k * h, pairs, xi)
                 max_rho_excess = max(max_rho_excess, float(np.max(pairs.rho)) - cfg.rho0)
                 stop = th != THETA_NONE
                 if stop.any():

@@ -4,30 +4,30 @@ Laplace-Beltrami + Z.
 One step moves the path to  exp_x( sqrt(2h) * frame * noise + h * Z(x) );
 proposals that leave the chart through the boundary are mirrored back and
 the overshoot feeds the boundary local time.  The explosive catalogue
-variant additionally sub-steps when the drift displacement would exceed a
-cap, and paths crossing the explosion threshold flip their ``alive`` flag
-(the lifetime indicator of the semigroup).
+variant instead splits each step into the exact flow of its cubic drift
+and the noise, and paths that blow up or cross the explosion threshold
+flip their ``alive`` flag (the lifetime indicator of the semigroup).
 
-Paths are independent; path blocks draw from counter-based streams keyed
-by (master seed, stream id, block), so ensembles are bitwise reproducible
-for any worker count.  ``simulate_ensemble`` is the one stepping loop.
-It steps all blocks in lockstep: step k advances block 0, then block 1,
-and so on, each block with its own stream on its own rows of the state,
-so every path is the same bit for bit as when the blocks ran one after
-another.  The start point may carry a leading axis of starts: they share
-each block's noise draw (common random numbers), and each start's rows
-go through their own step call, so each start's paths are those of a run
-from that start alone.  At each mark time the state of all paths
-(positions, alive flags, local times) goes to a reducer that the caller
-passes, so one run serves every time on a grid and no (marks x paths)
-array is stored.  ``simulate_path`` is the one-path read of the same
-loop; ``step`` advances one given path by one step.
+``simulate_ensemble`` is the one way to step paths.  Paths are
+independent; block b of a run draws from the counter-based stream keyed
+by (master seed, 0, b), so ensembles are bitwise reproducible for any
+worker count.  All blocks step in lockstep: step k advances block 0,
+then block 1, and so on, each block with its own stream on its own rows
+of the state, so every path is the same bit for bit as when the blocks
+ran one after another.  The start point may carry a leading axis of
+starts: they share each block's noise draw (common random numbers), and
+each start's rows go through their own step call, so each start's paths
+are those of a run from that start alone.  At each mark time the state
+of all paths (positions, alive flags, local times) goes to a reducer
+that the caller passes, so one run serves every time on a grid and no
+(marks x paths) array is stored.  The clock steps h_eff = T / ceil(T / h),
+so it ends exactly at T.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -38,9 +38,6 @@ from .stats import estimate_from_values
 
 __all__ = [
     "PathConfig",
-    "PathState",
-    "step",
-    "simulate_path",
     "simulate_ensemble",
     "local_time_profile",
 ]
@@ -53,12 +50,10 @@ def _n_steps(T: float, h: float) -> int:
 
 @dataclass
 class PathConfig:
-    """Time stepping and noise-stream configuration for one run."""
+    """The clock of one run: step size at most about h, horizon T."""
 
     h: float
     T: float
-    master_seed: int = 0
-    path_index: int = 0
 
     def __post_init__(self):
         if not (0 < self.h <= self.T):
@@ -76,18 +71,6 @@ class PathConfig:
         """The step that reads each mark time: the nearest one in
         1..n_steps; the time reached is that step times h_eff."""
         return [min(self.n_steps, max(1, round(t / self.h_eff))) for t in marks]
-
-
-@dataclass
-class PathState:
-    """State of a single path: position, boundary local time, clock and
-    the explosion indicator."""
-
-    position: np.ndarray
-    local_time: float = 0.0
-    t: float = 0.0
-    alive: bool = True
-    exit_times: dict = field(default_factory=dict)
 
 
 def _advance(M: ModelSpace, pos, h, xi, alive):
@@ -131,25 +114,6 @@ def _advance_explosive(M: ExplosiveDrift1D, pos, h, xi, alive):
     return out, np.zeros(pos.shape[:-1]), live
 
 
-def step(M: ModelSpace, state: PathState, cfg: PathConfig, noise) -> PathState:
-    """Advance a single path by one step of size cfg.h_eff with the
-    supplied standard Gaussian noise vector.  Explosion is a state, not an
-    error."""
-    if not state.alive:
-        raise ValueError("step requires a live path")
-    pos = np.asarray(state.position, dtype=float)[None, :]
-    xi = np.asarray(noise, dtype=float)[None, :]
-    alive = np.array([True])
-    new, dl, alive = _advance(M, pos, cfg.h_eff, xi, alive)
-    return PathState(
-        position=new[0],
-        local_time=state.local_time + float(dl[0]),
-        t=state.t + cfg.h_eff,
-        alive=bool(alive[0]),
-        exit_times=dict(state.exit_times),
-    )
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.flags.writeable = False
@@ -164,7 +128,6 @@ def simulate_ensemble(
     n_paths: int,
     master_seed: int,
     *,
-    stream_id: int = 0,
     marks: Sequence[float] = (),
     on_mark: Optional[Callable] = None,
     stop_domain: Optional[tuple] = None,
@@ -192,7 +155,7 @@ def simulate_ensemble(
     """
     if len(marks) and on_mark is None:
         raise ValueError("marks need an on_mark reducer")
-    cfg = PathConfig(h=h, T=T, master_seed=master_seed)
+    cfg = PathConfig(h=h, T=T)
     n_steps, h_eff = cfg.n_steps, cfg.h_eff
     readers = {}
     for mi, ms in enumerate(cfg.mark_steps(marks)):
@@ -203,7 +166,7 @@ def simulate_ensemble(
     n_starts = len(starts)
 
     spans = list(path_blocks(n_paths, block_size))
-    rngs = [stream(master_seed, stream_id, b) for b, _, _ in spans]
+    rngs = [stream(master_seed, 0, b) for b, _, _ in spans]
     # the state of all paths, one contiguous slab per start; each block
     # steps on its own rows of it
     pos = np.repeat(starts[:, None, :], n_paths, axis=1)
@@ -247,63 +210,6 @@ def simulate_ensemble(
         "h_eff": h_eff,
         "n_steps": n_steps,
     }
-
-
-def simulate_path(
-    M: ModelSpace,
-    x,
-    cfg: PathConfig,
-    observables: Optional[dict] = None,
-    trace_file=None,
-):
-    """Run one path and record the requested observables: the one-path
-    ensemble of stream (master_seed, path_index).
-
-    observables: {"f": callable, "domains": [(tag, center, radius), ...]}.
-    Returns (terminal PathState, records dict) where the terminal
-    f-record is f(X_T) * 1_alive.  ``trace_file`` (a path or file-like)
-    dumps the full trajectory as CSV rows "t, coords..., l, alive" for
-    debugging, one row per step written by a per-step mark reducer.
-    """
-    observables = observables or {}
-    domains = observables.get("domains", [])
-    marks, on_mark, opened = (), None, None
-    if trace_file is not None:
-        trace = trace_file
-        if not hasattr(trace, "write"):
-            trace = opened = open(trace_file, "w")
-        header = ",".join(["t"] + [f"x{i}" for i in range(M.chart_dim)] + ["l", "alive"])
-        trace.write(header + "\n")
-        trace.write(",".join(["0"] + [repr(float(v)) for v in np.ravel(x)] + ["0.0", "1"]) + "\n")
-        marks = [(k + 1) * cfg.h_eff for k in range(cfg.n_steps)]
-
-        def on_mark(i, pos, alive, l):
-            row = [repr((i + 1) * cfg.h_eff)] + [repr(float(v)) for v in pos[0]]
-            trace.write(",".join(row + [repr(float(l[0])), str(int(alive[0]))]) + "\n")
-
-    try:
-        res = simulate_ensemble(
-            M, x, cfg.T, cfg.h, 1, cfg.master_seed,
-            stream_id=cfg.path_index,
-            marks=marks,
-            on_mark=on_mark,
-            domains=[(c, r) for _, c, r in domains],
-        )
-    finally:
-        if opened is not None:
-            opened.close()
-
-    state = PathState(
-        position=res["positions"][0],
-        local_time=float(res["local_time"][0]),
-        t=cfg.T,
-        alive=bool(res["alive"][0]),
-        exit_times={tag: float(t) for (tag, _, _), t in zip(domains, res["exit_times"][:, 0])},
-    )
-    records = {"local_time": state.local_time, "alive": state.alive}
-    if "f" in observables:
-        records["f"] = float(observables["f"](state.position[None, :])[0]) if state.alive else 0.0
-    return state, records
 
 
 def local_time_profile(

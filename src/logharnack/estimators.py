@@ -594,15 +594,26 @@ def grad_semigroup(
     """|grad P_T f|(x) by central finite differences along an orthonormal
     frame, all runs driven by common random numbers."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    vals = mc_functional_values(M, _fd_starts(M, x, eps), T, f, "f", n_paths, h, master_seed)
+    return _fd_gradient(vals, eps, master_seed)
+
+
+def _fd_starts(M: ModelSpace, x, eps: float) -> np.ndarray:
+    """The finite-difference starts x + eps e_i, x - eps e_i for each
+    frame vector e_i at x, in that order."""
     fr = M.frame(x)
-    # starts x + eps e_i, x - eps e_i for each i, in one ensemble
-    starts = [M.exp(x, sign * eps * fr[i]) for i in range(M.dim) for sign in (1.0, -1.0)]
-    vals = mc_functional_values(M, np.stack(starts), T, f, "f", n_paths, h, master_seed)
-    diffs = np.empty((n_paths, M.dim))
-    for i in range(M.dim):
+    return np.stack([M.exp(x, sign * eps * fr[i]) for i in range(M.dim) for sign in (1.0, -1.0)])
+
+
+def _fd_gradient(vals, eps: float, master_seed: int) -> MonteCarloEstimate:
+    """|grad P_T f| from the per-path values at the ``_fd_starts``; its
+    standard error is that of the component along the mean gradient."""
+    dim, n_paths = len(vals) // 2, len(vals[0])
+    diffs = np.empty((n_paths, dim))
+    for i in range(dim):
         diffs[:, i] = (vals[2 * i] - vals[2 * i + 1]) / (2.0 * eps)
     g = diffs.mean(axis=0)
-    cov = np.cov(diffs, rowvar=False).reshape(M.dim, M.dim) / n_paths
+    cov = np.cov(diffs, rowvar=False).reshape(dim, dim) / n_paths
     norm = float(np.linalg.norm(g))
     if norm > 1e-12:
         direction = g / norm

@@ -77,7 +77,6 @@ class ModelSpace:
     dim: int
     chart_dim: int
     has_boundary = False
-    is_compact = False
     conservative = True
     injectivity_radius = np.inf
     # True when pointwise_K is the same at every point (all catalogue
@@ -423,7 +422,6 @@ class EuclideanBall(_FlatChart):
 
     variant = "euclidean_ball"
     has_boundary = True
-    is_compact = True
 
     def __init__(self, dim: int, radius: float):
         if radius <= 0:
@@ -477,7 +475,6 @@ class Sphere(ModelSpace):
     |coords| = radius."""
 
     variant = "sphere"
-    is_compact = True
 
     def __init__(self, dim: int, radius: float = 1.0):
         if dim not in (1, 2):

@@ -37,7 +37,6 @@ __all__ = [
     "harnack_rate",
     "entropy_gain",
     "domain_supremum",
-    "pointwise_K",
     "K_of_domain",
     "enlarged_K",
     "c_D",
@@ -208,11 +207,6 @@ def domain_supremum(M: ModelSpace, D: DomainSpec, fn: Callable, refine_rounds: i
 # ----------------------------------------------------------------------
 # Pointwise and domain-level curvature bounds
 # ----------------------------------------------------------------------
-
-
-def pointwise_K(M: ModelSpace, x) -> float:
-    """Smallest admissible pointwise curvature bound at x (may be < 0)."""
-    return float(M.pointwise_K(_arr(x)))
 
 
 def K_of_domain(M: ModelSpace, D: DomainSpec) -> float:

@@ -1,7 +1,7 @@
 """Counter-based random number streams for reproducible parallel runs.
 
 Paths are partitioned into fixed-size blocks; block b of a run draws from
-a Philox stream keyed by (master_seed, stream_id, b).  The partition does
+a Philox stream keyed by (master_seed, 0, b).  The partition does
 not depend on the worker count, so every reduction over blocks is bitwise
 reproducible no matter how the blocks are scheduled.
 """

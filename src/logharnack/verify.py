@@ -9,8 +9,10 @@ a false violation: "violated" requires the margin to fall below minus the
 band.
 
 Monte Carlo sides run one ensemble per check, its start points sharing
-the noise: log-Harnack and Harnack one (starts y and x), the gradient
-check two (the 2 dim finite-difference starts, then x).
+the noise: log-Harnack and Harnack from y and x, the gradient check from
+the 2 dim finite-difference starts and x (for the variance).  Where a
+checker may use an oracle, it tries the oracle first and falls back to
+Monte Carlo when the variant has none.
 
 The sharpness experiment estimates the small-time slope of the log-
 Harnack defect along y_s = exp_x(s v) and converts it into an empirical
@@ -31,6 +33,8 @@ import numpy as np
 from .estimators import (
     NoOracle,
     TestFunction,
+    _fd_gradient,
+    _fd_starts,
     heat_kernel,
     kernel_entropy,
     mc_functional_values,
@@ -279,8 +283,8 @@ def check_log_harnack_local(
         try:
             lhs, lhs_se, _ = _lhs_log_harnack_oracle(M, x, y, t, f)
         except NoOracle:
-            lhs, lhs_se, _ = _lhs_log_harnack_mc(M, x, y, t, f, n_paths, h, master_seed)
-    else:
+            use_oracle = False
+    if not use_oracle:
         lhs, lhs_se, _ = _lhs_log_harnack_mc(M, x, y, t, f, n_paths, h, master_seed)
     cfg = {
         "variant": M.variant,
@@ -342,12 +346,12 @@ def check_gradient(
         except NoOracle:
             use_oracle = False
     if not use_oracle:
-        from .estimators import grad_semigroup
-
-        g = grad_semigroup(M, x, T, f, n_paths, h, master_seed, eps=eps)
+        # x is one more start of the finite-difference ensemble
+        *fd, fv = mc_functional_values(M, np.vstack([_fd_starts(M, x, eps), x]), T, f, "f",
+                                       n_paths, h, master_seed)
+        g = _fd_gradient(fd, eps, master_seed)
         lhs = g.mean**2
         lhs_se = 2.0 * abs(g.mean) * g.stderr
-        fv = mc_functional_values(M, x, T, f, "f", n_paths, h, master_seed)
         m1 = float(np.mean(fv))
         var = float(np.mean(fv**2)) - m1**2
         var_se = estimate_from_values(fv**2 - 2.0 * m1 * fv).stderr

@@ -1,4 +1,6 @@
 import csv
+import importlib
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import logharnack
 from logharnack.cli import CHECKS, ConfigError, ExperimentConfig, list_checks, main, run
 
 
@@ -297,3 +300,12 @@ def test_mc_generator_row_has_a_band(tmp_path):
             rows[model["variant"]] = next(csv.DictReader(fh))
     assert float(rows["explosive_drift_1d"]["band"]) > 0.0
     assert float(rows["ornstein_uhlenbeck"]["band"]) == 0.0
+
+
+@pytest.mark.parametrize("name", ["logharnack"] + [f"logharnack.{m.name}" for m in
+                                                   pkgutil.iter_modules(logharnack.__path__)])
+def test_every_export_resolves(name):
+    # tools that wrap each exported name (e.g. span tracers) call getattr
+    # on all of them, so a stale export breaks them at install time
+    mod = importlib.import_module(name)
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []

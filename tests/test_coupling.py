@@ -13,6 +13,28 @@ def euclid_config(rho0=0.3, T=1.0, h=1e-3):
     return M, C.standard_coupling_config(M, [0.0], [rho0], T=T, h=h)
 
 
+def _pair(M, cfg, x, y):
+    """The batch state of one running pair (x, y)."""
+    X, Y = np.array([x], dtype=float), np.array([y], dtype=float)
+    return C._Pairs(X, Y, M.distance(X, Y), cfg.phi.phi(Y), np.zeros(1), np.zeros(1, dtype=bool))
+
+
+def _step_one(M, cfg, x, y, xi):
+    """One coupled step of size h_eff of the pair (x, y) at t = 0."""
+    p, theta = C._coupled_step(M, cfg, cfg.h_eff, 0.0, _pair(M, cfg, x, y), np.array([xi], dtype=float))
+    return p, int(theta[0])
+
+
+class ConstPhi:
+    """A reference function with the same value everywhere."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def phi(self, z):
+        return np.full(np.asarray(z).shape[:-1], self.value)
+
+
 # ----------------------------------------------------------------------
 # drifts
 # ----------------------------------------------------------------------
@@ -22,8 +44,7 @@ def test_xi1_zero_curvature_limit():
     M, cfg = euclid_config(rho0=1.0, T=2.0)
     # flat space: K = 0, so the schedule is rho0 / T at every time
     assert cfg.K_D_rho == 0.0
-    assert float(C.xi1(0.0, cfg)) == pytest.approx(0.5)
-    assert float(C.xi1(1.3, cfg)) == pytest.approx(0.5)
+    assert list(C._xi1_rate(np.array([0.0, 1.3]), cfg) * cfg.rho0) == pytest.approx([0.5, 0.5])
 
 
 def test_xi1_positive_curvature_value():
@@ -32,51 +53,42 @@ def test_xi1_positive_curvature_value():
     # independent evaluation of 2 K e^{-K t} / (1 - e^{-2 K T}) rho at t=0
     expected = 2.0 / (1.0 - math.exp(-2.0))
     assert expected == pytest.approx(2.3130352854993312)
-    assert float(C.xi1(0.0, cfg)) == pytest.approx(expected)
+    assert float(C._xi1_rate(0.0, cfg) * cfg.rho0) == pytest.approx(expected)
 
 
 def test_xi1_negative_curvature_positive_and_backloaded():
     M, cfg = euclid_config(rho0=1.0, T=1.0)
     cfg.K_D_rho = -1.0
-    vals = [float(C.xi1(t, cfg)) for t in (0.0, 0.5, 1.0)]
+    vals = C._xi1_rate(np.array([0.0, 0.5, 1.0]), cfg) * cfg.rho0
     assert all(v > 0 for v in vals)
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_xi2_values_and_errors():
+    # with xi_1 = 0 the step moves Y toward X by xi_2 h, xi_2 = 2 c rho / phi(Y)^2
     M, cfg = euclid_config()
-    st = C.CoupledPathState(X=np.array([0.0]), Y=np.array([0.1]), rho=0.5)
     cfg2 = C.CouplingConfig(
-        x=cfg.x, y=cfg.y, T=cfg.T, D=cfg.D, phi=cfg.phi,
-        K_D_rho=0.0, c_D_phi=1.0, eps_couple=cfg.eps_couple, h=cfg.h, rho0=cfg.rho0,
+        x=cfg.x, y=cfg.y, T=cfg.T, D=cfg.D, phi=ConstPhi(0.5),
+        K_D_rho=0.0, c_D_phi=1.0, eps_couple=cfg.eps_couple, h=cfg.h, rho0=0.0,
     )
-    # 2 c rho / phi^2 with phi(0.1) close to 1: build the quoted case
-    st.rho = 0.5
-
-    class FakePhi:
-        def phi(self, z):
-            return np.full(np.asarray(z).shape[:-1], 0.5)
-
-    cfg2.phi = FakePhi()
-    assert C.xi2(st, cfg2) == pytest.approx(4.0)
-    st.rho = 0.0
-    assert C.xi2(st, cfg2) == 0.0
-
-    class NegPhi:
-        def phi(self, z):
-            return np.full(np.asarray(z).shape[:-1], -0.1)
-
-    cfg2.phi = NegPhi()
-    st.rho = 0.5
-    with pytest.raises(C.DomainBoundaryReached):
-        C.xi2(st, cfg2)
+    p, theta = _step_one(M, cfg2, [0.0], [0.5], [0.0])
+    assert (0.5 - p.Y[0, 0]) / cfg2.h_eff == pytest.approx(4.0)
+    assert theta == C.THETA_NONE and not p.flagged[0]
+    # phi(Y) <= 0: Y is on the domain boundary; the step caps phi at
+    # PHI_CAP (the drift then stops at X) and flags the pair, no error
+    cfg2.phi = ConstPhi(-0.1)
+    p, theta = _step_one(M, cfg2, [0.0], [0.5], [0.0])
+    assert p.Y[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert p.flagged[0] and theta == C.THETA_BOUNDARY_Y
+    assert np.isfinite(p.log_R[0])
 
 
 def test_c_d_zero_makes_xi2_vanish():
+    # flat, c_D = 0: the drift is xi_1 = rho0 / T alone
     M, cfg = euclid_config()
     cfg.c_D_phi = 0.0
-    st = C.CoupledPathState(X=np.array([0.0]), Y=np.array([0.2]), rho=0.2)
-    assert C.xi2(st, cfg) == 0.0
+    p, _ = _step_one(M, cfg, [0.0], [0.2], [0.0])
+    assert p.Y[0, 0] == pytest.approx(0.2 - cfg.rho0 / cfg.T * cfg.h_eff, abs=1e-15)
 
 
 # ----------------------------------------------------------------------
@@ -90,10 +102,9 @@ def test_step_coupled_parallel_noise_preserves_distance():
     M = G.Euclidean(2)
     cfg = C.standard_coupling_config(M, [0.0, 0.0], [0.3, 0.0], T=1e9, h=1e-3)
     cfg.c_D_phi = 0.0
-    st = C.CoupledPathState(X=np.array([0.0, 0.0]), Y=np.array([0.3, 0.0]), rho=0.3)
-    out = C.step_coupled(M, st, cfg, np.array([0.7, -1.1]))
-    assert out.rho == pytest.approx(0.3, abs=1e-9)
-    assert not np.allclose(out.X, st.X)
+    p, _ = _step_one(M, cfg, [0.0, 0.0], [0.3, 0.0], [0.7, -1.1])
+    assert p.rho[0] == pytest.approx(0.3, abs=1e-9)
+    assert not np.allclose(p.X[0], [0.0, 0.0])
 
 
 def test_step_coupled_one_dim_formula():
@@ -101,26 +112,19 @@ def test_step_coupled_one_dim_formula():
     # toward X by a h
     M = G.Euclidean(1)
     cfg = C.standard_coupling_config(M, [0.0], [0.3], T=1.0, h=1e-3)
-    st = C.CoupledPathState(X=np.array([0.0]), Y=np.array([0.3]), rho=0.3)
-    xi = np.array([0.9])
-    out = C.step_coupled(M, st, cfg, xi)
-    move = math.sqrt(2 * cfg.h) * 0.9
-    x1 = float(C.xi1(0.0, cfg))
+    p, _ = _step_one(M, cfg, [0.0], [0.3], [0.9])
+    h = cfg.h_eff
+    move = math.sqrt(2 * h) * 0.9
+    assert cfg.K_D_rho == 0.0
+    x1 = cfg.rho0 / cfg.T  # the flat deadline drift
     x2 = 2 * cfg.c_D_phi * 0.3 / float(cfg.phi.phi(np.array([[0.3]]))[0]) ** 2
-    a = min(math.hypot(x1, x2), 0.3 / cfg.h)
-    assert out.X[0] == pytest.approx(move)
-    assert out.Y[0] == pytest.approx(0.3 + move - a * cfg.h)
+    a = min(math.hypot(x1, x2), 0.3 / h)
+    assert p.X[0, 0] == pytest.approx(move)
+    assert p.Y[0, 0] == pytest.approx(0.3 + move - a * h)
     # Girsanov increment: eta = a/sqrt(2) * sign(X - Y) at X
     eta = a / math.sqrt(2.0) * (-1.0)
-    expected_logR = -math.sqrt(cfg.h) * eta * 0.9 - 0.5 * cfg.h * eta**2
-    assert out.log_R == pytest.approx(expected_logR)
-
-
-def test_step_coupled_requires_running_pair():
-    M, cfg = euclid_config()
-    st = C.CoupledPathState(X=np.array([0.0]), Y=np.array([0.3]), rho=0.3, theta=C.THETA_COUPLED)
-    with pytest.raises(ValueError):
-        C.step_coupled(M, st, cfg, np.array([0.0]))
+    expected_logR = -math.sqrt(h) * eta * 0.9 - 0.5 * h * eta**2
+    assert p.log_R[0] == pytest.approx(expected_logR)
 
 
 def _random_pairs(M, rng, n=200):
@@ -183,13 +187,11 @@ def test_step_coupled_clock_ends_exactly_at_horizon():
     M = G.Euclidean(1)
     cfg = C.standard_coupling_config(M, [0.0], [0.3], T=1.0, h=0.3)
     cfg.c_D_phi = cfg.rho0 = 0.0  # no attracting drift: the pair never couples
-    st = C.CoupledPathState(X=np.array([0.0]), Y=np.array([0.3]), rho=0.3)
-    steps = 0
-    while st.theta == C.THETA_NONE:
-        st = C.step_coupled(M, st, cfg, np.array([0.0]))
-        steps += 1
-    assert (steps, st.theta, cfg.h_eff) == (4, C.THETA_HORIZON, 0.25)
-    assert st.t == pytest.approx(1.0, abs=1e-12)
+    p, theta, steps = _pair(M, cfg, [0.0], [0.3]), C.THETA_NONE, 0
+    while theta == C.THETA_NONE:
+        p, th = C._coupled_step(M, cfg, cfg.h_eff, steps * cfg.h_eff, p, np.zeros((1, 1)))
+        theta, steps = int(th[0]), steps + 1
+    assert (steps, theta, cfg.h_eff) == (4, C.THETA_HORIZON, 0.25)
 
 
 def test_run_coupling_clock_ends_exactly_at_horizon():

@@ -1,19 +1,11 @@
 import hashlib
-import io
 import math
 
 import numpy as np
 import pytest
 
 from logharnack import geometry as G
-from logharnack.diffusion import (
-    PathConfig,
-    PathState,
-    local_time_profile,
-    simulate_ensemble,
-    simulate_path,
-    step,
-)
+from logharnack.diffusion import PathConfig, _advance, local_time_profile, simulate_ensemble
 from logharnack.rng import BLOCK_SIZE, stream
 
 from helpers import bm_two_sided_exit_prob
@@ -24,45 +16,38 @@ from helpers import bm_two_sided_exit_prob
 # ----------------------------------------------------------------------
 
 
+def _one_step(M, x, h, xi):
+    """(position, local-time increment, alive) after one step of a live path."""
+    new, dl, alive = _advance(M, np.array([x], dtype=float), h, np.array([xi], dtype=float),
+                              np.array([True]))
+    return new[0], float(dl[0]), bool(alive[0])
+
+
 def test_step_euclidean_is_exact_gaussian_increment():
     M = G.Euclidean(2)
-    cfg = PathConfig(h=1e-2, T=1.0)
-    st = PathState(position=np.array([0.5, -1.0]))
-    noise = np.array([1.3, -0.7])
-    out = step(M, st, cfg, noise)
-    expected = st.position + math.sqrt(2 * cfg.h) * noise
-    assert np.allclose(out.position, expected, atol=0, rtol=0)
-    assert out.t == pytest.approx(cfg.h)
-    assert out.alive
+    h, x, noise = 1e-2, np.array([0.5, -1.0]), np.array([1.3, -0.7])
+    pos, _, alive = _one_step(M, x, h, noise)
+    assert np.allclose(pos, x + math.sqrt(2 * h) * noise, atol=0, rtol=0)
+    assert alive
 
 
 def test_step_ou_mean_contraction():
     # drift-only step contracts by exactly (1 - lam h)
     M = G.OrnsteinUhlenbeck(1, 1.0)
-    cfg = PathConfig(h=1e-2, T=1.0)
-    st = PathState(position=np.array([2.0]))
-    out = step(M, st, cfg, np.array([0.0]))
-    assert out.position[0] == pytest.approx(2.0 * (1 - 1.0 * cfg.h), abs=1e-15)
+    pos, _, _ = _one_step(M, [2.0], 1e-2, [0.0])
+    assert pos[0] == pytest.approx(2.0 * (1 - 1.0 * 1e-2), abs=1e-15)
 
 
 def test_step_reflection_keeps_half_space():
     M = G.HalfSpace(1)
-    cfg = PathConfig(h=1e-2, T=1.0)
-    st = PathState(position=np.array([0.01]))
-    out = step(M, st, cfg, np.array([-5.0]))  # large inward-crossing noise
-    assert out.position[0] >= 0
-    assert out.local_time > 0
+    h = 1e-2
+    pos, dl, _ = _one_step(M, [0.01], h, [-5.0])  # large inward-crossing noise
+    assert pos[0] >= 0
+    assert dl > 0
     # mirrored position |x + dx| and regulator 2 * overshoot
-    q = 0.01 + math.sqrt(2 * cfg.h) * (-5.0)
-    assert out.position[0] == pytest.approx(-q)
-    assert out.local_time == pytest.approx(2.0 * (-q))
-
-
-def test_step_requires_live_path():
-    M = G.Euclidean(1)
-    st = PathState(position=np.array([0.0]), alive=False)
-    with pytest.raises(ValueError):
-        step(M, st, PathConfig(h=1e-2, T=1.0), np.array([0.0]))
+    q = 0.01 + math.sqrt(2 * h) * (-5.0)
+    assert pos[0] == pytest.approx(-q)
+    assert dl == pytest.approx(2.0 * (-q))
 
 
 def test_path_config_validation():
@@ -170,50 +155,6 @@ def test_exit_probability_superpolynomial_decay():
     res = simulate_ensemble(M, [0.0], 0.02, 1e-4, 50_000, master_seed=19, domains=[([0.0], 1.0)])
     p_mc = float(np.mean(res["exit_times"][0] <= 0.02))
     assert p_mc < 1e-3
-
-
-# ----------------------------------------------------------------------
-# simulate_path wrapper
-# ----------------------------------------------------------------------
-
-
-def test_simulate_path_constant_observable():
-    M = G.Sphere(2, 1.0)
-    cfg = PathConfig(h=1e-2, T=0.5, master_seed=4, path_index=7)
-    state, rec = simulate_path(M, [0.0, 0.0, 1.0], cfg, {"f": lambda z: np.ones(z.shape[:-1])})
-    assert rec["f"] == 1.0
-    assert state.alive
-    assert state.t == pytest.approx(0.5)
-
-
-def test_simulate_path_records_exit_times():
-    M = G.Euclidean(1)
-    cfg = PathConfig(h=1e-2, T=2.0, master_seed=4, path_index=0)
-    state, _ = simulate_path(
-        M, [0.0], cfg, {"domains": [("small", [0.0], 0.3), ("big", [0.0], 1.5)]}
-    )
-    assert state.exit_times["small"] <= state.exit_times["big"]
-
-
-def test_simulate_path_is_one_path_of_the_ensemble():
-    M = G.Euclidean(2)
-    cfg = PathConfig(h=1e-2, T=0.3, master_seed=123, path_index=5)
-    state, _ = simulate_path(M, [0.0, 0.0], cfg)
-    res = simulate_ensemble(M, [0.0, 0.0], 0.3, 1e-2, 1, 123, stream_id=5)
-    assert np.allclose(state.position, res["positions"][0], atol=0)
-
-
-def test_simulate_path_trace_dump(tmp_path):
-    M = G.HalfSpace(1)
-    cfg = PathConfig(h=1e-2, T=0.1, master_seed=3, path_index=1)
-    out = tmp_path / "trace.csv"
-    state, _ = simulate_path(M, [0.1], cfg, trace_file=str(out))
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,x0,l,alive"
-    assert len(lines) == cfg.n_steps + 2  # header + initial row + steps
-    last = lines[-1].split(",")
-    assert float(last[1]) == pytest.approx(state.position[0])
-    assert float(last[2]) == pytest.approx(state.local_time)
 
 
 # ----------------------------------------------------------------------
@@ -402,75 +343,17 @@ def test_multi_start_ensemble_matches_per_start_runs(name):
         assert _sha256(*[np.stack([m[j][s] for m in res["marks"]]) for j in (0, 1, 2)]) == marks
 
 
-# sha256 of simulate_path's trace, terminal state, exit times and records,
-# recorded while it kept its own step loop (seed 8, path index 3)
-PATH_STARTS = {
-    "euclidean-1": (G.Euclidean(1), [0.1]),
-    "sphere-2": (G.Sphere(2, 1.0), [0.0, 0.6, 0.8]),
-    "hyperbolic-2": (G.Hyperbolic(), [0.1, 0.9]),
-    "half_space-1": (G.HalfSpace(1), [0.02]),
-    "explosive_drift_1d-1": (G.ExplosiveDrift1D(), [1.5]),
-}
-PATH_SETTINGS = [(0.1, 1e-2), (1.0, 0.3), (0.05, 7e-3)]  # (T, h)
-PATH_DIGESTS = {
-    "euclidean-1": [
-        "2b993fd01dbe14823c6ff45a54a88630c5ee9a29b73938798bee507b36dac690",
-        "8b96f25c2e80b874f0c7d8c488c4b1352e7d7ffb48643e5c53bd9ef10c870c03",
-        "3aee82e761956906a3811febf02666156162a719dd2fe6175e4425bd5dcb694f",
-    ],
-    "sphere-2": [
-        "8c87773fff5390a7bda8f4b5e7a45ef4ca0d2e76836f746cb46f0b14730ae7bf",
-        "1015a2e4b4540d5c2e0befd1cc6c1a68ebea644d5e650f0bcdc792d2daf03458",
-        "5036bbad76a654feaf0140285d58e0c40757fabd26262db530a86730b814ef4f",
-    ],
-    "hyperbolic-2": [
-        "db7106f6fd40516800e799d271a6ab83e2a769452c2ad761775a019d71b434a7",
-        "8538cfdb15c00e6a000479475b8e8c167f37ce4c640b8419c2736b341047a0db",
-        "aef2474bc4d00796082769600567f38a5684041b5f0e8102f2f44027244d4c4d",
-    ],
-    "half_space-1": [
-        "7c23ecb7bbc46922ee13b07116204affedfe27a0aac682a2c14abdc13c249a59",
-        "7bc0b4f8254f2f4df9214e9cbb6dfa68f5eb95407e0ab58c01c52eca58cfbbb6",
-        "88b2d2d380f8c6a4d4f5634f0a9ae810e722734650c555a9dc77715c90d6cada",
-    ],
-    "explosive_drift_1d-1": [
-        "d8e048e3a690f022c3e1899449d19c31e06b78df8789d6e664d8725c8edc93d6",
-        "d05f0f3d91810e96735d2823fdf545c1bc6c799a9c14f5ce5d2b6e6db092c746",
-        "74bb52a10dafe673a6815c482fb1021a46ac335de59e7173629d0c6ce1389777",
-    ],
-}
-
-
-@pytest.mark.parametrize("name", sorted(PATH_STARTS))
-def test_simulate_path_matches_pinned_digests(name):
-    M, x = PATH_STARTS[name]
-    c = np.asarray(x)
-    obs = {"f": lambda z: z[..., 0] + 2.0, "domains": [("near", c, 0.05), ("far", c, 0.4)]}
-    for (T, h), digest in zip(PATH_SETTINGS, PATH_DIGESTS[name]):
-        buf = io.StringIO()
-        state, rec = simulate_path(M, x, PathConfig(h=h, T=T, master_seed=8, path_index=3), obs,
-                                   trace_file=buf)
-        text = "|".join([
-            buf.getvalue(),
-            repr([float(v) for v in state.position]),
-            repr((float(state.local_time), float(state.t), bool(state.alive))),
-            repr(sorted((k, float(v)) for k, v in state.exit_times.items())),
-            repr(sorted((k, float(v)) for k, v in rec.items())),
-        ])
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, (T, h)
-
-
-def test_step_ends_at_the_horizon_on_the_path_of_simulate_path():
-    # T / h = 10/3: the path takes 4 steps of 0.25, and so must step()
+def test_simulate_ensemble_ends_exactly_at_the_horizon():
+    # T / h = 10/3: four steps of 0.25 on the block's stream, not of 0.3
     M = G.Euclidean(1)
-    cfg = PathConfig(h=0.3, T=1.0, master_seed=2, path_index=6)
-    rng = stream(cfg.master_seed, cfg.path_index, 0)
-    st = PathState(position=np.array([0.0]))
-    for _ in range(cfg.n_steps):
-        st = step(M, st, cfg, rng.standard_normal((1, M.dim))[0])
-    ref, _ = simulate_path(M, [0.0], cfg)
-    assert st.t == cfg.T
-    assert np.array_equal(st.position, ref.position)
+    n = 5
+    res = simulate_ensemble(M, [0.0], 1.0, 0.3, n, master_seed=2)
+    assert (res["n_steps"], res["h_eff"]) == (4, 0.25)
+    rng = stream(2, 0, 0)
+    pos, alive = np.zeros((n, 1)), np.ones(n, dtype=bool)
+    for _ in range(4):
+        pos, _, alive = _advance(M, pos, 0.25, rng.standard_normal((n, M.dim)), alive)
+    assert np.array_equal(pos, res["positions"])
 
 
 def test_mark_reducer_sees_read_only_state():

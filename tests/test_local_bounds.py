@@ -38,11 +38,14 @@ def test_entropy_gain_limit():
 
 
 def test_pointwise_K_values():
-    assert LB.pointwise_K(G.Euclidean(2), [0.0, 0.0]) == 0.0
-    assert LB.pointwise_K(G.Hyperbolic(), [0.0, 1.0]) == 1.0
-    assert LB.pointwise_K(G.OrnsteinUhlenbeck(1, 1.0), [2.0]) == -1.0
-    assert LB.pointwise_K(G.Sphere(2, 1.0), [0.0, 0.0, 1.0]) == -1.0
-    assert LB.pointwise_K(G.ExplosiveDrift1D(), [2.0]) == pytest.approx(12.0)
+    def K(M, x):
+        return float(M.pointwise_K(np.array(x)))
+
+    assert K(G.Euclidean(2), [0.0, 0.0]) == 0.0
+    assert K(G.Hyperbolic(), [0.0, 1.0]) == 1.0
+    assert K(G.OrnsteinUhlenbeck(1, 1.0), [2.0]) == -1.0
+    assert K(G.Sphere(2, 1.0), [0.0, 0.0, 1.0]) == -1.0
+    assert K(G.ExplosiveDrift1D(), [2.0]) == pytest.approx(12.0)
 
 
 def test_K_of_domain_constant_curvature():

@@ -381,9 +381,25 @@ def test_gradient_mc_runs_two_per_dimension_plus_one(ensemble_starts):
     eps = 1e-3
     V.check_gradient(M, [0.0, 0.0], 0.25, E.gauss_bump([0.3, 0.0], 0.5), n_paths=2000,
                      master_seed=1, eps=eps)
-    # the 2 dim finite-difference starts x +- eps e_i, then x for the variance
+    # one ensemble: the 2 dim finite-difference starts x +- eps e_i, and x
+    # for the variance (the name predates x joining the ensemble)
     fd = (eps, 0.0, -eps, 0.0, 0.0, eps, 0.0, -eps)
-    assert ensemble_starts == [fd + (0.25,), (0.0, 0.0, 0.25)]
+    assert ensemble_starts == [fd + (0.0, 0.0, 0.25)]
+
+
+@pytest.mark.parametrize("M, x, T, f, pinned", [
+    (G.Sphere(2, 1.0), [0.6, 0.48, 0.64], 0.3, E.coord_exp([1.0, 0.0, 0.0]),
+     (0.32258688637248534, 1.4471823118410203, 14.1725859015548, 0.24856885386287766)),
+    (G.HalfSpace(1), [0.1], 0.2, E.gauss_bump([0.2], 0.5),
+     (0.01069463947062454, 0.0029074489613510617, 2.927125751296029, 0.07069508409631171)),
+    (G.ExplosiveDrift1D(), [0.5], 0.2, E.one_plus_bump([0.3], 0.7),
+     (0.025239451993018806, 0.002263940819237894, 4.424563033259267, 0.19815768931177308)),
+], ids=["sphere-2", "half_space-1", "explosive"])
+def test_gradient_mc_sides_match_separate_ensembles(M, x, T, f, pinned):
+    # (lhs, lhs_se, rhs, rhs_se) recorded while x ran as its own ensemble
+    # after the finite-difference one: adding x as a start changes no bit
+    rep = V.check_gradient(M, x, T, f, n_paths=3000, h=1e-2, master_seed=5)
+    assert (rep.lhs, rep.lhs_se, rep.rhs, rep.rhs_se) == pinned
 
 
 def test_sharpness_runs_one_x_ensemble_per_s(ensemble_starts):
