@@ -41,7 +41,7 @@ M = G.ExplosiveDrift1D()
 f = E.const(math.e)
 for corr in (True, False):
     rep = V.check_log_harnack(M, [0.0], [0.0], 1.0, f, n_paths=20_000, h=1e-3,
-                              master_seed=SEED, include_correction=corr)
+                              master_seed=SEED, correction=corr)
     print(f"  correction {'kept   ' if corr else 'dropped'}:", end="")
     show(rep)
 

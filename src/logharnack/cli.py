@@ -7,6 +7,20 @@ significant digits so reruns diff bit-exactly.  Grid points are expanded
 in a fixed order, dispatched to a bounded worker pool, and the rows are
 written in grid order, so the report is identical for any worker count.
 
+Every grid key is the keyword of the same name on its checker, and
+``_ARGS`` maps each key to the coercion of its grid values.  Runners:
+
+    log-harnack, log-harnack-local,   one runner: check(M, **args) plus the
+    gradient, harnack                 job seed; margin plotted against T / t
+    kernel-lower, entropy,            the same runner without a seed
+    entropy-cost
+    coupling-diagnostics              run_coupling; one diagnostics row
+    local-time, generator, sharpness  their own report assembly
+
+A key the grid leaves out takes the default of the checker signature
+(coupling-diagnostics and local-time set their step and path defaults in
+their runners).
+
 Exit status is nonzero iff some inequality verdict is "violated" or
 "invalid".
 """
@@ -29,7 +43,6 @@ from . import verify as vf
 from .diffusion import local_time_profile
 from .estimators import generator_check, test_function_from_config
 from .geometry import GeometryError, model_from_config
-from .local_bounds import DomainSpec
 from .rng import derive_seed
 
 __all__ = [
@@ -64,7 +77,7 @@ def _fmt(v) -> str:
 
 
 # ----------------------------------------------------------------------
-# Checker adapters: params dict -> reports / diagnostics / plot series
+# Checker runners: params dict -> reports / diagnostics / plot series
 # ----------------------------------------------------------------------
 
 
@@ -75,125 +88,60 @@ class JobResult:
     series: list = field(default_factory=list)  # (name, xval, yval)
 
 
-def _domain_of(p, center_key):
-    if "domain_radius" not in p:
-        return None
-    center = np.asarray(p[center_key], dtype=float)
-    return DomainSpec(center, float(p["domain_radius"]))
+def _floats(v):
+    return np.asarray(v, dtype=float)
 
 
-def _f_of(params, key="f"):
-    return test_function_from_config(params[key])
+# grid key -> coercion of one grid value to the checker keyword of that name
+_ARGS = {
+    "x": _floats,
+    "y": _floats,
+    "f": test_function_from_config,
+    "g": test_function_from_config,
+    "T": float,
+    "t": float,
+    "h": float,
+    "domain_radius": float,
+    "eps_tilt": float,
+    "n_paths": int,
+    "use_oracle": bool,
+    "correction": bool,
+}
 
 
-def _run_log_harnack(M, p, seed):
-    rep = vf.check_log_harnack(
-        M,
-        np.asarray(p["x"], dtype=float),
-        np.asarray(p["y"], dtype=float),
-        float(p["T"]),
-        _f_of(p),
-        domain=_domain_of(p, "y"),
-        n_paths=int(p.get("n_paths", 20000)),
-        h=float(p.get("h", 1e-2)),
-        master_seed=seed,
-        use_oracle=bool(p.get("use_oracle", False)),
-        include_correction=bool(p.get("correction", True)),
-    )
-    return JobResult(reports=[rep], series=[("log-harnack", float(p["T"]), rep.margin)])
+def _args(p) -> dict:
+    return {k: _ARGS[k](v) for k, v in p.items()}
 
 
-def _run_log_harnack_local(M, p, seed):
-    rep = vf.check_log_harnack_local(
-        M,
-        np.asarray(p["x"], dtype=float),
-        np.asarray(p["y"], dtype=float),
-        float(p["t"]),
-        _f_of(p),
-        n_paths=int(p.get("n_paths", 20000)),
-        h=float(p.get("h", 1e-2)),
-        master_seed=seed,
-        use_oracle=bool(p.get("use_oracle", False)),
-    )
-    return JobResult(reports=[rep], series=[("log-harnack-local", float(p["t"]), rep.margin)])
+def _report_runner(check, seeded=False):
+    """Runner of a checker that returns one report: every grid key is the
+    checker keyword of the same name; Monte Carlo checkers also get the
+    job seed.  The margin is plotted against T (or t) under the tag."""
 
+    def run_job(M, p, seed):
+        args = _args(p)
+        if seeded:
+            args["master_seed"] = seed
+        rep = check(M, **args)
+        return JobResult(reports=[rep], series=[(rep.tag, args.get("T", args.get("t")), rep.margin)])
 
-def _run_gradient(M, p, seed):
-    rep = vf.check_gradient(
-        M,
-        np.asarray(p["x"], dtype=float),
-        float(p["T"]),
-        _f_of(p),
-        domain=_domain_of(p, "x"),
-        n_paths=int(p.get("n_paths", 20000)),
-        h=float(p.get("h", 1e-2)),
-        master_seed=seed,
-        use_oracle=bool(p.get("use_oracle", False)),
-    )
-    return JobResult(reports=[rep], series=[("gradient", float(p["T"]), rep.margin)])
-
-
-def _run_harnack(M, p, seed):
-    rep = vf.check_harnack(
-        M,
-        np.asarray(p["x"], dtype=float),
-        np.asarray(p["y"], dtype=float),
-        float(p["T"]),
-        _f_of(p),
-        domain=_domain_of(p, "y"),
-        n_paths=int(p.get("n_paths", 20000)),
-        h=float(p.get("h", 1e-2)),
-        master_seed=seed,
-        use_oracle=bool(p.get("use_oracle", False)),
-    )
-    return JobResult(reports=[rep], series=[("harnack", float(p["T"]), rep.margin)])
-
-
-def _run_kernel_lower(M, p, seed):
-    rep = vf.check_kernel_lower_bound(
-        M, np.asarray(p["x"], dtype=float), np.asarray(p["y"], dtype=float), float(p["t"])
-    )
-    return JobResult(reports=[rep], series=[("kernel-lower", float(p["t"]), rep.margin)])
-
-
-def _run_entropy(M, p, seed):
-    rep = vf.check_entropy_bound(M, np.asarray(p["y"], dtype=float), float(p["t"]))
-    return JobResult(reports=[rep], series=[("entropy", float(p["t"]), rep.margin)])
-
-
-def _run_entropy_cost(M, p, seed):
-    rep = vf.check_entropy_cost(M, float(p["t"]), eps_tilt=float(p.get("eps_tilt", 0.2)))
-    return JobResult(reports=[rep], series=[("entropy-cost", float(p["t"]), rep.margin)])
+    return run_job
 
 
 def _run_coupling(M, p, seed):
-    cfg = cp.standard_coupling_config(
-        M,
-        np.asarray(p["x"], dtype=float),
-        np.asarray(p["y"], dtype=float),
-        T=float(p["T"]),
-        h=float(p.get("h", 1e-3)),
-        domain=_domain_of(p, "y"),
-    )
-    diag = cp.run_coupling(M, cfg, int(p.get("n_paths", 20000)), seed)
+    a = _args(p)
+    h, n_pairs = a.pop("h", 1e-3), a.pop("n_paths", 20000)
+    diag = cp.run_coupling(M, cp.standard_coupling_config(M, h=h, **a), n_pairs, seed)
     row = {"variant": M.variant, "x": json.dumps(list(map(float, np.atleast_1d(p["x"])))),
-           "y": json.dumps(list(map(float, np.atleast_1d(p["y"])))), "T": float(p["T"]),
-           "h": float(p.get("h", 1e-3))}
+           "y": json.dumps(list(map(float, np.atleast_1d(p["y"])))), "T": a["T"], "h": h}
     row.update(diag.to_row())
-    return JobResult(diagnostics=[row], series=[("coupling-entropy", float(p["T"]), diag.entropy_bound - diag.e_rlogr.mean)])
+    return JobResult(diagnostics=[row], series=[("coupling-entropy", a["T"], diag.entropy_bound - diag.e_rlogr.mean)])
 
 
 def _run_local_time(M, p, seed):
     t_grid = [float(t) for t in p["t_grid"]]
-    ests, ref = local_time_profile(
-        M,
-        np.asarray(p["x"], dtype=float),
-        t_grid,
-        int(p.get("n_paths", 100000)),
-        float(p.get("h", 1e-4)),
-        seed,
-        r=float(p.get("r", 1.0)),
-    )
+    n_paths, h = int(p.get("n_paths", 100000)), float(p.get("h", 1e-4))
+    ests, ref = local_time_profile(M, _floats(p["x"]), t_grid, n_paths, h, seed, r=float(p.get("r", 1.0)))
     c2_max = float(p.get("c2_max", 5.0))
     fitted = 0.0
     series = []
@@ -204,7 +152,7 @@ def _run_local_time(M, p, seed):
     rep = vf.InequalityReport(
         "local-time",
         {"variant": M.variant, "x": list(np.atleast_1d(p["x"])), "t_grid": t_grid,
-         "n_paths": int(p.get("n_paths", 100000)), "h": float(p.get("h", 1e-4)), "seed": seed},
+         "n_paths": n_paths, "h": h, "seed": seed},
         lhs=fitted,
         rhs=c2_max,
         notes="lhs = fitted C2 for |E l - 2 sqrt(t/pi)| <= C2 t + 3 se",
@@ -213,14 +161,7 @@ def _run_local_time(M, p, seed):
 
 
 def _run_generator(M, p, seed):
-    res = generator_check(
-        M,
-        np.asarray(p["x"], dtype=float),
-        _f_of(p, "g"),
-        n_paths=int(p.get("n_paths", 200000)),
-        h=float(p.get("h", 2e-3)),
-        master_seed=seed,
-    )
+    res = generator_check(M, master_seed=seed, **_args(p))
     rep = vf.InequalityReport(
         "generator",
         {"variant": M.variant, "x": list(np.atleast_1d(p["x"])), "g": p["g"], "seed": seed},
@@ -234,29 +175,26 @@ def _run_generator(M, p, seed):
 
 
 def _run_sharpness(M, p, seed):
-    rep = vf.sharpness_experiment(
-        M,
-        np.asarray(p["x"], dtype=float),
-        _f_of(p),
-        n_paths=int(p.get("n_paths", 1000000)),
-        master_seed=seed,
-    )
+    rep = vf.sharpness_experiment(M, master_seed=seed, **_args(p))
     series = [("sharpness-cbound", float(r["r"]), float(r["c_bound"])) for r in rep.rows]
     return JobResult(reports=rep.to_reports(), series=series)
 
 
 CHECKS = {
-    "log-harnack": {"run": _run_log_harnack, "required": ["x", "y", "T", "f"],
+    "log-harnack": {"run": _report_runner(vf.check_log_harnack, seeded=True),
+                    "required": ["x", "y", "T", "f"],
                     "optional": ["n_paths", "h", "use_oracle", "correction", "domain_radius"]},
-    "log-harnack-local": {"run": _run_log_harnack_local, "required": ["x", "y", "t", "f"],
-                          "optional": ["n_paths", "h", "use_oracle"]},
-    "gradient": {"run": _run_gradient, "required": ["x", "T", "f"],
+    "log-harnack-local": {"run": _report_runner(vf.check_log_harnack_local, seeded=True),
+                          "required": ["x", "y", "t", "f"], "optional": ["n_paths", "h", "use_oracle"]},
+    "gradient": {"run": _report_runner(vf.check_gradient, seeded=True), "required": ["x", "T", "f"],
                  "optional": ["n_paths", "h", "use_oracle", "domain_radius"]},
-    "harnack": {"run": _run_harnack, "required": ["x", "y", "T", "f"],
+    "harnack": {"run": _report_runner(vf.check_harnack, seeded=True), "required": ["x", "y", "T", "f"],
                 "optional": ["n_paths", "h", "use_oracle", "domain_radius"]},
-    "kernel-lower": {"run": _run_kernel_lower, "required": ["x", "y", "t"], "optional": []},
-    "entropy": {"run": _run_entropy, "required": ["y", "t"], "optional": []},
-    "entropy-cost": {"run": _run_entropy_cost, "required": ["t"], "optional": ["eps_tilt"]},
+    "kernel-lower": {"run": _report_runner(vf.check_kernel_lower_bound),
+                     "required": ["x", "y", "t"], "optional": []},
+    "entropy": {"run": _report_runner(vf.check_entropy_bound), "required": ["y", "t"], "optional": []},
+    "entropy-cost": {"run": _report_runner(vf.check_entropy_cost), "required": ["t"],
+                     "optional": ["eps_tilt"]},
     "coupling-diagnostics": {"run": _run_coupling, "required": ["x", "y", "T"],
                              "optional": ["n_paths", "h", "domain_radius"]},
     "local-time": {"run": _run_local_time, "required": ["x", "t_grid"],
@@ -344,8 +282,10 @@ class ExperimentConfig:
 
     @staticmethod
     def _check_value(where, key, v):
+        if key in ("use_oracle", "correction") and not isinstance(v, bool):
+            raise ConfigError(where, f"{key} must be true or false, got {v!r}")
         if key in ("T", "t", "h", "domain_radius"):
-            if not isinstance(v, (int, float)) or v <= 0:
+            if not isinstance(v, (int, float)) or not v > 0:  # rejects NaN too
                 raise ConfigError(where, f"{key} must be a positive number, got {v!r}")
         if key == "n_paths":
             if not isinstance(v, int) or v < 1000:

@@ -15,7 +15,10 @@ applied, so E R = 1 holds step by step by construction.
 A pair stops at the first of: Y reaching the domain boundary, X leaving
 the enlarged domain, coupling (rho below the detection radius, then Y is
 snapped onto X), or the time horizon.  log R freezes at that moment.
-The clock steps h_eff = T / ceil(T / h), so it ends exactly at T.
+A run's config is a ``diffusion.PathConfig``, so its clock is the one
+of the plain diffusion: steps of h_eff = T / ceil(T / h), ending exactly
+at T.  ``standard_coupling_config`` builds it for the domain
+D = B(y, domain_radius) with the cosine reference on D.
 
 ``run_coupling`` is the one way to step pairs; its batch step
 (``_coupled_step``) has this pair-geometry budget per step:
@@ -34,11 +37,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .diffusion import _advance, _n_steps
+from .diffusion import PathConfig, _advance
 from .geometry import ModelSpace
 from .local_bounds import (
     DomainSpec,
@@ -46,8 +49,7 @@ from .local_bounds import (
     c_D,
     cosine_reference,
     enlarged_K,
-    entropy_gain,
-    harnack_rate,
+    log_harnack_rate,
     K_ZERO_TOL,
 )
 from .rng import path_blocks, stream
@@ -80,40 +82,28 @@ THETA_NAMES = {
 
 
 @dataclass
-class CouplingConfig:
-    """Frozen data of one coupled run."""
+class CouplingConfig(PathConfig):
+    """Frozen data of one coupled run on the clock (h, T)."""
 
     x: np.ndarray
     y: np.ndarray
-    T: float
     D: DomainSpec
     phi: ReferenceFunction
     K_D_rho: float
     c_D_phi: float
     eps_couple: float
-    h: float
     rho0: float = 0.0
     phi_at_y: float = 1.0
     phi_floor: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
-        if self.T <= 0 or self.h <= 0 or self.h > self.T:
-            raise ValueError("need 0 < h <= T")
         if self.eps_couple > 10.0 * math.sqrt(2.0 * self.h):
             raise ValueError("eps_couple must stay within 10 sqrt(2h)")
         if self.phi_floor == 0.0:
             self.phi_floor = 0.25 * np.pi * self.eps_couple
-
-    @property
-    def n_steps(self) -> int:
-        return _n_steps(self.T, self.h)
-
-    @property
-    def h_eff(self) -> float:
-        """Step size that ends the clock exactly at T."""
-        return self.T / self.n_steps
 
     @property
     def exit_radius(self) -> float:
@@ -128,54 +118,41 @@ def standard_coupling_config(
     T: float,
     h: float,
     *,
-    domain: Optional[DomainSpec] = None,
-    phi: Optional[ReferenceFunction] = None,
-    eps_couple: Optional[float] = None,
+    domain_radius: float = 1.0,
 ) -> CouplingConfig:
-    """Config with the defaults used throughout: D = B(y, 1), the cosine
-    reference, constants from the enlarged-domain curvature supremum.
+    """Config on D = B(y, domain_radius) with the cosine reference on D and
+    constants from the enlarged-domain curvature supremum.
 
-    The detection radius is 3 sqrt(2h) capped at a quarter of the initial
-    separation so that nearby starting pairs are not born coupled.
+    The detection radius is 3 sqrt(2h), capped at a quarter of the initial
+    separation so that nearby pairs are not born coupled; x = y is the
+    legitimate degenerate case.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rho0 = float(M.distance(x, y))
-    if domain is None:
-        domain = DomainSpec(y, 1.0)
-    if not domain.contains(M, y):
-        raise ValueError("y must lie inside the domain")
-    if phi is None:
-        phi = cosine_reference(M, y, radius=domain.radius)
-    if eps_couple is None:
-        # capped at a quarter of the separation so nearby pairs are not
-        # born coupled; x = y is the legitimate degenerate case
-        eps_couple = 3.0 * math.sqrt(2.0 * h)
-        if rho0 > 0:
-            eps_couple = min(eps_couple, rho0 / 4.0)
-    cfg = CouplingConfig(
+    domain = DomainSpec(y, domain_radius)
+    phi = cosine_reference(M, y, radius=domain_radius)
+    eps_couple = 3.0 * math.sqrt(2.0 * h)
+    if rho0 > 0:
+        eps_couple = min(eps_couple, rho0 / 4.0)
+    return CouplingConfig(
+        h=h,
+        T=T,
         x=x,
         y=y,
-        T=T,
         D=domain,
         phi=phi,
         K_D_rho=enlarged_K(M, x, y, domain),
         c_D_phi=c_D(M, phi),
         eps_couple=eps_couple,
-        h=h,
         rho0=rho0,
         phi_at_y=float(phi.phi(y[None, :])[0]),
     )
-    return cfg
 
 
 def coupling_entropy_bound(cfg: CouplingConfig) -> float:
     """The closed-form bound on E R log R for the run's constants."""
-    K, T = cfg.K_D_rho, cfg.T
-    return 0.5 * cfg.rho0**2 * (
-        harnack_rate(K, T)
-        + cfg.c_D_phi**2 * entropy_gain(K, T) / cfg.phi_at_y**4
-    )
+    return 0.5 * cfg.rho0**2 * log_harnack_rate(cfg.K_D_rho, cfg.T, cfg.c_D_phi, cfg.phi_at_y)
 
 
 # ----------------------------------------------------------------------

@@ -43,11 +43,6 @@ __all__ = [
 ]
 
 
-def _n_steps(T: float, h: float) -> int:
-    """Number of steps of size at most about h that end the clock at T."""
-    return max(1, math.ceil(T / h - 1e-12))
-
-
 @dataclass
 class PathConfig:
     """The clock of one run: step size at most about h, horizon T."""
@@ -61,10 +56,12 @@ class PathConfig:
 
     @property
     def n_steps(self) -> int:
-        return _n_steps(self.T, self.h)
+        """Number of steps of size at most about h that end the clock at T."""
+        return max(1, math.ceil(self.T / self.h - 1e-12))
 
     @property
     def h_eff(self) -> float:
+        """Step size that ends the clock exactly at T."""
         return self.T / self.n_steps
 
     def mark_steps(self, marks: Sequence[float]) -> list:

@@ -119,8 +119,6 @@ class TestFunction:
         if self.tag == "log_bump":
             s = np.sum((z - np.asarray(p["center"])) ** 2, axis=-1) / p["width"] ** 2
             return np.exp(p["amp"] * _bump_profile(s))
-        if self.tag == "square_of":
-            return p["base"](z) ** 2
         raise ValueError(f"unknown test function tag {self.tag!r}")
 
     @property
@@ -134,38 +132,17 @@ class TestFunction:
             "gauss_bump": p.get("amp", 0) > 0,
             "one_plus_bump": p.get("b", 0) > -1,
             "log_bump": True,
-            "square_of": False,
         }[self.tag]
 
     @property
     def nonnegative(self) -> bool:
-        if self.tag in ("coord_sq", "square_of"):
+        if self.tag == "coord_sq":
             return True
         if self.tag == "gauss_bump":
             return self.params.get("amp", 0) >= 0
         if self.tag == "const":
             return self.params.get("c", 0) >= 0
         return self.strictly_positive
-
-    def bounds(self):
-        """Conservative (inf, sup) of the function over its chart."""
-        p = self.params
-        if self.tag == "const":
-            return p["c"], p["c"]
-        if self.tag == "gauss_bump":
-            return (min(0.0, p["amp"]), max(0.0, p["amp"]))
-        if self.tag == "one_plus_bump":
-            return (min(1.0, 1.0 + p["b"]), max(1.0, 1.0 + p["b"]))
-        if self.tag == "log_bump":
-            return (min(1.0, math.exp(p["amp"])), max(1.0, math.exp(p["amp"])))
-        if self.tag == "coord_exp":
-            return (0.0, math.inf)
-        if self.tag == "square_of":
-            return (0.0, math.inf)
-        return (-math.inf, math.inf)
-
-    def squared(self) -> "TestFunction":
-        return TestFunction("square_of", {"base": self})
 
     # -- derivatives (flat charts) ----------------------------------------
 

@@ -168,10 +168,6 @@ class ModelSpace:
 
     # -- curvature -----------------------------------------------------
 
-    def ricci(self, x, u) -> np.ndarray:
-        """Ric(u, u) for unit u (no drift term)."""
-        raise NotImplementedError
-
     def ricci_z(self, x, u) -> np.ndarray:
         """Ric(u,u) - <u, grad_u Z> for a unit tangent vector u."""
         raise NotImplementedError
@@ -266,7 +262,10 @@ class _FlatChart(ModelSpace):
     def tangent_from_frame(self, x, xi):
         return np.array(_arr(xi), copy=True)
 
-    def ricci(self, x, u):
+    def ricci_z(self, x, u):
+        return np.zeros(_arr(x).shape[:-1])
+
+    def pointwise_K(self, x):
         return np.zeros(_arr(x).shape[:-1])
 
     def max_neg_ricci(self, x):
@@ -298,12 +297,6 @@ class Euclidean(_FlatChart):
 
     def sup_drift_norm_ball(self, center, radius):
         return 0.0 if self._drift is None else float(np.linalg.norm(self._drift))
-
-    def ricci_z(self, x, u):
-        return np.zeros(_arr(x).shape[:-1])
-
-    def pointwise_K(self, x):
-        return np.zeros(_arr(x).shape[:-1])
 
     def to_config(self):
         cfg = {"variant": self.variant, "dim": self.dim}
@@ -388,12 +381,6 @@ class HalfSpace(_FlatChart):
     def __init__(self, dim: int):
         self.dim = self.chart_dim = int(dim)
 
-    def ricci_z(self, x, u):
-        return np.zeros(_arr(x).shape[:-1])
-
-    def pointwise_K(self, x):
-        return np.zeros(_arr(x).shape[:-1])
-
     def contains(self, x):
         return _arr(x)[..., 0] >= 0
 
@@ -428,12 +415,6 @@ class EuclideanBall(_FlatChart):
             raise GeometryError("radius must be > 0")
         self.dim = self.chart_dim = int(dim)
         self.radius = float(radius)
-
-    def ricci_z(self, x, u):
-        return np.zeros(_arr(x).shape[:-1])
-
-    def pointwise_K(self, x):
-        return np.zeros(_arr(x).shape[:-1])
 
     def contains(self, x):
         return np.linalg.norm(_arr(x), axis=-1) <= self.radius + 1e-12
@@ -572,12 +553,8 @@ class Sphere(ModelSpace):
         e2 = np.cross(n, e1)
         return np.stack([e1, e2], axis=-2)
 
-    def ricci(self, x, u):
-        val = (self.dim - 1) / self.radius**2
-        return np.full(_arr(x).shape[:-1], val)
-
     def ricci_z(self, x, u):
-        return self.ricci(x, u)
+        return np.full(_arr(x).shape[:-1], (self.dim - 1) / self.radius**2)
 
     def pointwise_K(self, x):
         return np.full(_arr(x).shape[:-1], -(self.dim - 1) / self.radius**2)
@@ -687,11 +664,8 @@ class Hyperbolic(ModelSpace):
     def inner(self, x, u, v):
         return np.sum(_arr(u) * _arr(v), axis=-1) / _arr(x)[..., 1] ** 2
 
-    def ricci(self, x, u):
-        return np.full(_arr(x).shape[:-1], -1.0)
-
     def ricci_z(self, x, u):
-        return self.ricci(x, u)
+        return np.full(_arr(x).shape[:-1], -1.0)
 
     def pointwise_K(self, x):
         return np.ones(_arr(x).shape[:-1])

@@ -36,6 +36,7 @@ __all__ = [
     "SupremumResult",
     "harnack_rate",
     "entropy_gain",
+    "log_harnack_rate",
     "domain_supremum",
     "K_of_domain",
     "enlarged_K",
@@ -85,6 +86,12 @@ def entropy_gain(K: float, T: float) -> float:
     return (math.exp(2.0 * K * T) - 1.0) / (2.0 * K)
 
 
+def log_harnack_rate(K: float, T: float, c: float, phi: float = 1.0) -> float:
+    """K/(1-e^{-2KT}) + c^2 (e^{2KT}-1) / (2 K phi^4): the factor of
+    rho^2/2 in the log-Harnack bound, with the continuous K -> 0 limits."""
+    return harnack_rate(K, T) + c**2 * entropy_gain(K, T) / phi**4
+
+
 # ----------------------------------------------------------------------
 # Domains and sampling
 # ----------------------------------------------------------------------
@@ -100,7 +107,7 @@ class DomainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN too: checkers rely on c in B(c, r)
             raise ValueError("radius must be > 0")
         if self.sample_resolution < 1000:
             raise ValueError("sample_resolution must be >= 1000")
@@ -170,8 +177,9 @@ class SupremumResult:
     recheck_delta: float
 
 
-def domain_supremum(M: ModelSpace, D: DomainSpec, fn: Callable, refine_rounds: int = 3) -> SupremumResult:
-    """Supremum of ``fn`` over D by Sobol sampling plus local refinement.
+def domain_supremum(M: ModelSpace, D: DomainSpec, fn: Callable) -> SupremumResult:
+    """Supremum of ``fn`` over D by Sobol sampling plus three rounds of
+    local refinement.
 
     ``fn`` maps point arrays (n, chart_dim) to values (n,).  A re-check at
     4x the base resolution is reported as ``recheck_delta``.
@@ -187,7 +195,7 @@ def domain_supremum(M: ModelSpace, D: DomainSpec, fn: Callable, refine_rounds: i
 
     best, best_pt = scan(n)
     radius = D.radius
-    for k in range(1, refine_rounds + 1):
+    for k in range(1, 4):
         radius *= 0.15
         pts = ball_samples(M, best_pt, radius, max(256, n // 8), skip=k)
         pts = pts[D.contains(M, pts) | (M.distance(D.center, pts) <= D.radius * (1 + 1e-12))]
@@ -235,9 +243,9 @@ class ReferenceFunction:
     """A candidate member of the reference class on a domain D.
 
     ``phi``, ``grad_norm_sq`` and ``l_phi`` evaluate the function, the
-    squared Riemannian gradient norm and the generator applied to it on
-    point arrays.  ``normal_derivative`` (optional) evaluates N phi on
-    the manifold boundary.
+    square of the Riemannian gradient norm and the generator applied to
+    it on point arrays.  ``normal_derivative`` (optional) evaluates N phi
+    on the manifold boundary.
     """
 
     domain: DomainSpec
@@ -334,7 +342,7 @@ def c_D(M: ModelSpace, ref: ReferenceFunction) -> float:
     return c_D_detail(M, ref).value
 
 
-def cosine_reference(M: ModelSpace, y, radius: float = 1.0, sample_resolution: int = 4096) -> ReferenceFunction:
+def cosine_reference(M: ModelSpace, y, radius: float = 1.0) -> ReferenceFunction:
     """phi(z) = cos(pi rho(y, z) / (2 radius)) on the ball B(y, radius).
 
     The gradient norm and generator are exact: |grad phi| =
@@ -344,7 +352,7 @@ def cosine_reference(M: ModelSpace, y, radius: float = 1.0, sample_resolution: i
     if M.injectivity_radius <= radius / 0.9:
         raise GeometryError("cosine reference needs injectivity radius beyond the ball")
     y = np.asarray(y, dtype=float)
-    D = DomainSpec(y, radius, sample_resolution)
+    D = DomainSpec(y, radius)
     a = 0.5 * np.pi / radius  # phi = cos(a rho)
 
     def rho_of(z):
@@ -433,13 +441,13 @@ class LocalConstants:
         return {k: v for k, v in self.__dict__.items() if not math.isnan(v)}
 
 
-def kappa(M: ModelSpace, y, x=None, sample_resolution: int = 4096) -> LocalConstants:
+def kappa(M: ModelSpace, y, x=None) -> LocalConstants:
     """kappa(y) = K_y + pi^2 (d+3)/4 + pi (b_y + sqrt(K_y^0 (d-1)) / 2)
     together with its ingredients; K_xy is filled when x is given."""
     if M.injectivity_radius <= 1.0 / 0.9:
         raise GeometryError("kappa needs injectivity radius > 1")
     y = np.asarray(y, dtype=float)
-    unit_ball = DomainSpec(y, 1.0, sample_resolution)
+    unit_ball = DomainSpec(y, 1.0)
     K_y = max(0.0, K_of_domain(M, unit_ball))
     # -Ric is constant on every catalogue variant, so the sup over the
     # unit ball is the pointwise value.
@@ -450,5 +458,5 @@ def kappa(M: ModelSpace, y, x=None, sample_resolution: int = 4096) -> LocalConst
     out = LocalConstants(kappa_y=float(kap), K_y=K_y, K_y0=K_y0, b_y=b_y)
     if x is not None:
         rho = float(M.distance(np.asarray(x, dtype=float), y))
-        out.K_xy = K_of_domain(M, DomainSpec(y, 1.0 + rho, sample_resolution))
+        out.K_xy = K_of_domain(M, DomainSpec(y, 1.0 + rho))
     return out

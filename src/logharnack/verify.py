@@ -8,6 +8,13 @@ of three combined standard errors so Monte Carlo noise can never produce
 a false violation: "violated" requires the margin to fall below minus the
 band.
 
+The domain checkers (log-Harnack, gradient, Harnack) take a
+``domain_radius`` r: D = B(c, r) around the check's own start point c (y,
+or x for the gradient check), with the cosine reference on D, so the start
+lies in D by construction.  Every right-hand side takes its rate factor
+from ``local_bounds.log_harnack_rate``.  A checker's keywords are the grid
+keys of its CLI tag.
+
 Monte Carlo sides run one ensemble per check, its start points sharing
 the noise: log-Harnack and Harnack from y and x, the gradient check from
 the 2 dim finite-difference starts and x (for the variance).  Where a
@@ -26,7 +33,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,14 +53,12 @@ from .geometry import ModelSpace, OrnsteinUhlenbeck
 from .local_bounds import (
     DomainSpec,
     LocalConstants,
-    ReferenceFunction,
     c_D,
     cosine_reference,
     enlarged_K,
-    entropy_gain,
-    harnack_rate,
     kappa,
     K_of_domain,
+    log_harnack_rate,
 )
 from .stats import estimate_from_values
 
@@ -148,15 +153,13 @@ class InequalityReport:
 def log_harnack_rhs(rho: float, K: float, T: float, c_phi: float, phi_ref: float) -> float:
     """rho^2/2 ( K/(1-e^{-2KT}) + c^2 (e^{2KT}-1) / (2 K phi^4) ) with the
     continuous K -> 0 limits."""
-    return 0.5 * rho**2 * (
-        harnack_rate(K, T) + c_phi**2 * entropy_gain(K, T) / phi_ref**4
-    )
+    return 0.5 * rho**2 * log_harnack_rate(K, T, c_phi, phi_ref)
 
 
 def local_log_harnack_rhs(rho: float, K_xy: float, t: float, kappa_y: float) -> float:
     """Local-geometry form: the reference is the cosine with phi(y) = 1 and
     kappa(y) dominating c_D(phi)."""
-    return 0.5 * rho**2 * (harnack_rate(K_xy, t) + kappa_y**2 * entropy_gain(K_xy, t))
+    return 0.5 * rho**2 * log_harnack_rate(K_xy, t, kappa_y)
 
 
 # ----------------------------------------------------------------------
@@ -197,28 +200,24 @@ def check_log_harnack(
     T: float,
     f: TestFunction,
     *,
-    domain: Optional[DomainSpec] = None,
-    phi: Optional[ReferenceFunction] = None,
+    domain_radius: float = 1.0,
     n_paths: int = 20_000,
     h: float = 1e-2,
     master_seed: int = 0,
     use_oracle: bool = False,
-    include_correction: bool = True,
+    correction: bool = True,
 ) -> InequalityReport:
-    """Theorem-form log-Harnack check on a domain D with reference phi.
+    """Theorem-form log-Harnack check on D = B(y, domain_radius) with the
+    cosine reference phi on D.
 
-    include_correction=False drops the 1 - P_T 1(x) term (only meaningful
-    on the explosive variant, where the dropped form must fail)."""
+    correction=False drops the 1 - P_T 1(x) term (only meaningful on the
+    explosive variant, where the dropped form must fail)."""
     if not f.strictly_positive:
         raise ValueError("log-Harnack needs strictly positive f")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if domain is None:
-        domain = DomainSpec(y, 1.0)
-    if phi is None:
-        phi = cosine_reference(M, y, radius=domain.radius)
-    if not domain.contains(M, y):
-        raise ValueError("y must lie in D")
+    domain = DomainSpec(y, domain_radius)
+    phi = cosine_reference(M, y, radius=domain_radius)
     rho = float(M.distance(x, y))
     K_rho = enlarged_K(M, x, y, domain)
     c_phi = c_D(M, phi)
@@ -233,8 +232,8 @@ def check_log_harnack(
         except NoOracle:
             use_oracle = False
     if not use_oracle:
-        lhs, lhs_se, arg = _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, master_seed, include_correction)
-        if not include_correction:
+        lhs, lhs_se, arg = _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, master_seed, correction)
+        if not correction:
             notes = "no-correction"
 
     consts = LocalConstants(K_D_rho=K_rho, c_D_phi=c_phi)
@@ -244,12 +243,12 @@ def check_log_harnack(
         "y": list(y),
         "T": T,
         "f": f.to_config(),
-        "domain_radius": domain.radius,
+        "domain_radius": domain_radius,
         "phi": phi.label,
         "n_paths": n_paths,
         "h": h,
         "seed": master_seed,
-        "correction": include_correction,
+        "correction": correction,
     }
     return InequalityReport(
         "log-harnack", cfg, lhs=lhs, rhs=rhs, lhs_se=lhs_se, constants=consts, notes=notes
@@ -310,26 +309,21 @@ def check_gradient(
     T: float,
     f: TestFunction,
     *,
-    domain: Optional[DomainSpec] = None,
-    phi: Optional[ReferenceFunction] = None,
+    domain_radius: float = 1.0,
     n_paths: int = 20_000,
     h: float = 1e-2,
     master_seed: int = 0,
     use_oracle: bool = False,
     eps: float = 1e-3,
 ) -> InequalityReport:
-    """|grad P_T f|^2(x) against the variance times the domain constant."""
+    """|grad P_T f|^2(x) against the variance times the constant of
+    D = B(x, domain_radius) with the cosine reference phi on D."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if domain is None:
-        domain = DomainSpec(x, 1.0)
-    if phi is None:
-        phi = cosine_reference(M, x, radius=domain.radius)
-    if not domain.contains(M, x):
-        raise ValueError("x must lie in D")
+    domain = DomainSpec(x, domain_radius)
+    phi = cosine_reference(M, x, radius=domain_radius)
     K_D = K_of_domain(M, domain)
     c_phi = c_D(M, phi)
-    phi_x = float(phi.phi(x[None, :])[0])
-    const = harnack_rate(K_D, T) + c_phi**2 * entropy_gain(K_D, T) / phi_x**4
+    const = log_harnack_rate(K_D, T, c_phi, float(phi.phi(x[None, :])[0]))
 
     if use_oracle:
         try:
@@ -341,7 +335,7 @@ def check_gradient(
                 comps.append((vp - vm) / (2 * eps))
             lhs = float(np.sum(np.asarray(comps) ** 2))
             lhs_se = 0.0
-            var = oracle_semigroup(M, x, T, f.squared()) - oracle_semigroup(M, x, T, f) ** 2
+            var = oracle_semigroup(M, x, T, lambda z: f(z) ** 2) - oracle_semigroup(M, x, T, f) ** 2
             var_se = 0.0
         except NoOracle:
             use_oracle = False
@@ -364,7 +358,7 @@ def check_gradient(
         "x": list(x),
         "T": T,
         "f": f.to_config(),
-        "domain_radius": domain.radius,
+        "domain_radius": domain_radius,
         "phi": phi.label,
         "n_paths": n_paths,
         "h": h,
@@ -385,26 +379,23 @@ def check_harnack(
     T: float,
     f: TestFunction,
     *,
-    domain: Optional[DomainSpec] = None,
-    phi: Optional[ReferenceFunction] = None,
+    domain_radius: float = 1.0,
     n_paths: int = 20_000,
     h: float = 1e-2,
     master_seed: int = 0,
     use_oracle: bool = False,
 ) -> InequalityReport:
     """P_T f(y) <= P_T f(x) + rho sqrt(const / inf_geodesic phi^4)
-    sqrt(P_T f^2(y)) on conservative variants with the minimal geodesic
-    inside D."""
+    sqrt(P_T f^2(y)) on conservative variants, with the cosine reference
+    phi on D = B(y, domain_radius) and the minimal geodesic inside D."""
     if not M.conservative:
         raise ValueError("Harnack form requires a conservative variant")
     if not f.nonnegative:
         raise ValueError("Harnack form requires nonnegative f")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if domain is None:
-        domain = DomainSpec(y, 1.0)
-    if phi is None:
-        phi = cosine_reference(M, y, radius=domain.radius)
+    domain = DomainSpec(y, domain_radius)
+    phi = cosine_reference(M, y, radius=domain_radius)
     rho = float(M.distance(x, y))
     # sample the geodesic at 1000 points for the phi^4 infimum
     s = np.linspace(0.0, 1.0, 1000)[:, None]
@@ -412,17 +403,16 @@ def check_harnack(
     geo = M.exp(np.broadcast_to(x, (1000, M.chart_dim)), s * lg)
     if not bool(np.all(domain.contains(M, geo))) or not domain.contains(M, x):
         raise GeodesicLeavesDomain("minimal geodesic must stay inside D")
-    inf_phi4 = float(np.min(phi.phi(geo)) ** 4)
     K_D = K_of_domain(M, domain)
     c_phi = c_D(M, phi)
-    const = harnack_rate(K_D, T) + c_phi**2 * entropy_gain(K_D, T) / inf_phi4
+    const = log_harnack_rate(K_D, T, c_phi, float(np.min(phi.phi(geo))))
     root_const = math.sqrt(const)
 
     if use_oracle:
         try:
             py = oracle_semigroup(M, y, T, f)
             px = oracle_semigroup(M, x, T, f)
-            py2 = oracle_semigroup(M, y, T, f.squared())
+            py2 = oracle_semigroup(M, y, T, lambda z: f(z) ** 2)
             lhs, rhs = py, px + rho * root_const * math.sqrt(py2)
             lhs_se = rhs_se = 0.0
         except NoOracle:
@@ -445,7 +435,7 @@ def check_harnack(
         "y": list(y),
         "T": T,
         "f": f.to_config(),
-        "domain_radius": domain.radius,
+        "domain_radius": domain_radius,
         "phi": phi.label,
         "n_paths": n_paths,
         "h": h,
@@ -483,8 +473,7 @@ def check_entropy_bound(M: ModelSpace, y, t: float) -> InequalityReport:
     K_bar = K_of_domain(M, DomainSpec(y, 2.0))
     consts.K_D = K_bar
     s = math.sqrt(min(t, 1.0))
-    bracket = harnack_rate(K_bar, t) + consts.kappa_y**2 * entropy_gain(K_bar, t)
-    rhs = s * bracket + math.log(1.0 / mu_ball(M, y, s))
+    rhs = s * log_harnack_rate(K_bar, t, consts.kappa_y) + math.log(1.0 / mu_ball(M, y, s))
     cfg = {"variant": M.variant, "y": list(y), "t": t}
     return InequalityReport("entropy", cfg, lhs=lhs, rhs=rhs, constants=consts)
 

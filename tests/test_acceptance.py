@@ -238,9 +238,9 @@ def test_criterion_05_log_harnack_grid():
     ex = G.ExplosiveDrift1D()
     f = E.const(math.e)
     good = V.check_log_harnack(ex, [0.0], [0.0], 1.0, f, n_paths=20_000, h=1e-3,
-                               master_seed=SEED + 500, include_correction=True)
+                               master_seed=SEED + 500, correction=True)
     bad = V.check_log_harnack(ex, [0.0], [0.0], 1.0, f, n_paths=20_000, h=1e-3,
-                              master_seed=SEED + 500, include_correction=False)
+                              master_seed=SEED + 500, correction=False)
     u = E.mc_functional(ex, [0.0], 1.0, None, "1", 20_000, 1e-3, SEED + 500).mean
     exact_ok = (
         0.0 < u < 1.0

@@ -9,7 +9,12 @@ import pytest
 import yaml
 
 import logharnack
-from logharnack.cli import CHECKS, ConfigError, ExperimentConfig, list_checks, main, run
+from logharnack import coupling as C
+from logharnack import estimators as E
+from logharnack import verify as V
+from logharnack.cli import CHECKS, ConfigError, ExperimentConfig, _fmt, list_checks, main, run
+from logharnack.geometry import model_from_config
+from logharnack.rng import derive_seed
 
 
 def write_config(tmp_path, body) -> Path:
@@ -80,6 +85,17 @@ def test_negative_T_names_the_field(tmp_path):
     assert "checks[0].grid.T" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["T", "domain_radius"])
+def test_nan_number_names_the_field(tmp_path, key):
+    # NaN compares false both ways, so "<= 0" would let it through
+    grid = {"x": [[0.0]], "y": [[0.3]], "T": [0.5], "f": [{"tag": "coord_exp", "a": [1.0]}]}
+    grid[key] = [float("nan")]
+    cfg = dict(BASE, checks=[{"tag": "log-harnack", "grid": grid}])
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_file(write_config(tmp_path, cfg))
+    assert f"checks[0].grid.{key}" in str(err.value)
+
+
 def test_unknown_tag_and_missing_required(tmp_path):
     cfg = dict(BASE, checks=[{"tag": "nonsense", "grid": {}}])
     with pytest.raises(ConfigError) as err:
@@ -117,6 +133,27 @@ def test_list_checks_catalogue_and_stability():
     assert listing == list_checks()
     # every tag maps to exactly one runner
     assert len({id(spec["run"]) for spec in CHECKS.values()}) == len(CHECKS)
+
+
+# recorded before the checker runners were folded into one table; the
+# catalogue is an interface, so it must not move
+LIST_CHECKS = (
+    "coupling-diagnostics\trequired=x,y,T\toptional=n_paths,h,domain_radius\n"
+    "entropy\trequired=y,t\toptional=\n"
+    "entropy-cost\trequired=t\toptional=eps_tilt\n"
+    "generator\trequired=x,g\toptional=n_paths,h\n"
+    "gradient\trequired=x,T,f\toptional=n_paths,h,use_oracle,domain_radius\n"
+    "harnack\trequired=x,y,T,f\toptional=n_paths,h,use_oracle,domain_radius\n"
+    "kernel-lower\trequired=x,y,t\toptional=\n"
+    "local-time\trequired=x,t_grid\toptional=n_paths,h,r,c2_max\n"
+    "log-harnack\trequired=x,y,T,f\toptional=n_paths,h,use_oracle,correction,domain_radius\n"
+    "log-harnack-local\trequired=x,y,t,f\toptional=n_paths,h,use_oracle\n"
+    "sharpness\trequired=x,f\toptional=n_paths"
+)
+
+
+def test_list_checks_text_is_pinned():
+    assert list_checks() == LIST_CHECKS
 
 
 def test_cli_main_list_checks(capsys):
@@ -309,3 +346,80 @@ def test_every_export_resolves(name):
     # on all of them, so a stale export breaks them at install time
     mod = importlib.import_module(name)
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+
+
+@pytest.mark.parametrize("key,value", [("correction", "false"), ("use_oracle", "no")])
+def test_string_booleans_are_rejected(tmp_path, capsys, key, value):
+    # a string is truthy: read as a bool it would run the opposite check
+    grid = {"x": [[0.0]], "y": [[0.3]], "T": [0.5], "f": [{"tag": "coord_exp", "a": [1.0]}],
+            "n_paths": [2000], key: [value]}
+    cfg = dict(BASE, output_dir=str(tmp_path / "out"), checks=[{"tag": "log-harnack", "grid": grid}])
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_file(path)
+    assert f"checks[0].grid.{key}" in str(err.value)
+    assert main(["run", str(path)]) == 2
+    assert f"checks[0].grid.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# ----------------------------------------------------------------------
+# CLI round trip: a one-job config that sets every optional key to a
+# value other than the checker default writes the row of the direct call
+# ----------------------------------------------------------------------
+
+HYP = {"variant": "hyperbolic", "dim": 2}
+OU1 = {"variant": "ornstein_uhlenbeck", "dim": 1, "lam": 1.0}
+BUMP = {"tag": "one_plus_bump", "center": [0.1, 1.1], "width": 0.8, "b": 0.5}
+# no oracle on the hyperbolic plane: use_oracle=True falls back to Monte
+# Carlo, so n_paths, h and the seed all reach the numbers
+MC = {"n_paths": 1000, "h": 0.05, "use_oracle": True}
+XY = {"x": [0.0, 1.0], "y": [0.15, 1.1]}
+
+ROUND_TRIP = [
+    ("log-harnack", HYP, V.check_log_harnack,
+     dict(XY, T=0.3, f=BUMP, correction=False, domain_radius=0.5, **MC)),
+    ("log-harnack-local", HYP, V.check_log_harnack_local, dict(XY, t=0.3, f=BUMP, **MC)),
+    ("gradient", HYP, V.check_gradient, dict(x=XY["x"], T=0.3, f=BUMP, domain_radius=0.5, **MC)),
+    ("harnack", HYP, V.check_harnack, dict(XY, T=0.3, f=BUMP, domain_radius=0.5, **MC)),
+    ("kernel-lower", OU1, V.check_kernel_lower_bound, dict(x=[0.0], y=[0.4], t=0.3)),
+    ("entropy", OU1, V.check_entropy_bound, dict(y=[0.4], t=0.3)),
+    ("entropy-cost", OU1, V.check_entropy_cost, dict(t=0.3, eps_tilt=0.3)),
+]
+
+
+def _one_job(tmp_path, model, tag, grid, seed=5):
+    out = tmp_path / "out"
+    cfg = dict(BASE, model=model, master_seed=seed, output_dir=str(out),
+               checks=[{"tag": tag, "grid": {k: [v] for k, v in grid.items()}}])
+    run(write_config(tmp_path, cfg))
+    return out, derive_seed(seed, 0)
+
+
+def _csv_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("tag,model,check,grid", ROUND_TRIP, ids=[c[0] for c in ROUND_TRIP])
+def test_cli_row_equals_direct_call(tmp_path, tag, model, check, grid):
+    assert set(grid) == set(CHECKS[tag]["required"]) | set(CHECKS[tag]["optional"])
+    out, job_seed = _one_job(tmp_path, model, tag, grid)
+    kwargs = {k: E.test_function_from_config(v) if k == "f" else v for k, v in grid.items()}
+    if "n_paths" in grid:
+        kwargs["master_seed"] = job_seed
+    rep = check(model_from_config(model), **kwargs)
+    [row] = _csv_rows(out / "report.csv")
+    assert {k: row[k] for k in rep.to_row()} == {k: _fmt(v) for k, v in rep.to_row().items()}
+
+
+def test_cli_coupling_row_equals_direct_call(tmp_path):
+    grid = dict(XY, T=0.3, n_paths=1000, h=0.01, domain_radius=0.5)
+    out, job_seed = _one_job(tmp_path, HYP, "coupling-diagnostics", grid)
+    M = model_from_config(HYP)
+    cfg = C.standard_coupling_config(M, XY["x"], XY["y"], T=0.3, h=0.01, domain_radius=0.5)
+    diag = C.run_coupling(M, cfg, 1000, job_seed)
+    [row] = _csv_rows(out / "diagnostics.csv")
+    assert diag.entropy_bound > 0.0
+    assert {k: row[k] for k in diag.to_row()} == {k: _fmt(v) for k, v in diag.to_row().items()}
+    assert (row["T"], row["h"]) == ("0.29999999999999999", "0.01")

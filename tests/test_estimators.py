@@ -64,21 +64,6 @@ def test_laplacians_match_finite_differences():
         assert np.allclose(lap, fd, atol=1e-5)
 
 
-def test_recorded_bounds_contain_sampled_values():
-    rng = np.random.default_rng(5)
-    z = rng.standard_normal((200, 2)) * 2.0
-    for f in [
-        E.const(2.0),
-        E.gauss_bump([0.1, 0.0], 0.7, amp=1.5),
-        E.one_plus_bump([0.0, 0.0], 0.9, b=-0.4),
-        E.log_bump([0.2, 0.0], 1.0, amp=2.0),
-        E.coord_exp([0.5, -0.5]),
-    ]:
-        lo, hi = f.bounds()
-        vals = f(z)
-        assert np.all(vals >= lo - 1e-12) and np.all(vals <= hi + 1e-12)
-
-
 def test_function_config_round_trip():
     f = E.one_plus_bump([0.1, 0.2], 0.7, b=0.4)
     f2 = E.test_function_from_config(f.to_config())

@@ -85,6 +85,8 @@ def test_domain_spec_validation():
     with pytest.raises(ValueError):
         LB.DomainSpec(np.array([0.0]), -1.0)
     with pytest.raises(ValueError):
+        LB.DomainSpec(np.array([0.0]), float("nan"))
+    with pytest.raises(ValueError):
         LB.DomainSpec(np.array([0.0]), 1.0, sample_resolution=10)
     with pytest.raises(G.GeometryError):
         LB.DomainSpec(np.array([0.0, 0.0, 1.0]), 4.0).validate(G.Sphere(2, 1.0))

@@ -127,8 +127,8 @@ def test_log_harnack_explosive_correction_is_essential():
     M = G.ExplosiveDrift1D()
     f = E.const(math.e)
     kw = dict(n_paths=20_000, h=1e-3, master_seed=5)
-    good = V.check_log_harnack(M, [0.0], [0.0], 1.0, f, include_correction=True, **kw)
-    bad = V.check_log_harnack(M, [0.0], [0.0], 1.0, f, include_correction=False, **kw)
+    good = V.check_log_harnack(M, [0.0], [0.0], 1.0, f, correction=True, **kw)
+    bad = V.check_log_harnack(M, [0.0], [0.0], 1.0, f, correction=False, **kw)
     assert good.verdict != "violated"
     assert bad.verdict == "violated"
     # exact scalar reproduction from the measured mass u
@@ -366,7 +366,7 @@ def test_sharpness_report_rows():
 def test_log_harnack_mc_runs_two_ensembles(ensemble_starts, correction):
     M = G.ExplosiveDrift1D()
     V.check_log_harnack(M, [0.0], [0.2], 0.3, E.one_plus_bump([0.2], 0.7), n_paths=2000,
-                        master_seed=1, include_correction=correction)
+                        master_seed=1, correction=correction)
     assert ensemble_starts == [(0.2, 0.0, 0.3)]  # starts y, x
 
 
