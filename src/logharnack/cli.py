@@ -218,6 +218,11 @@ def list_checks() -> str:
 # ----------------------------------------------------------------------
 
 
+def _is_positive(v) -> bool:
+    # YAML true/false load as bool, a subclass of int; "> 0" rejects NaN
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+
+
 @dataclass
 class ExperimentConfig:
     model: dict
@@ -284,15 +289,14 @@ class ExperimentConfig:
     def _check_value(where, key, v):
         if key in ("use_oracle", "correction") and not isinstance(v, bool):
             raise ConfigError(where, f"{key} must be true or false, got {v!r}")
-        if key in ("T", "t", "h", "domain_radius"):
-            if not isinstance(v, (int, float)) or not v > 0:  # rejects NaN too
-                raise ConfigError(where, f"{key} must be a positive number, got {v!r}")
+        if key in ("T", "t", "h", "domain_radius") and not _is_positive(v):
+            raise ConfigError(where, f"{key} must be a positive number, got {v!r}")
         if key == "n_paths":
-            if not isinstance(v, int) or v < 1000:
-                raise ConfigError(where, "n_paths must be an integer >= 1000")
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1000:
+                raise ConfigError(where, f"n_paths must be an integer >= 1000, got {v!r}")
         if key == "t_grid":
-            if not isinstance(v, list) or any((not isinstance(t, (int, float))) or t <= 0 for t in v):
-                raise ConfigError(where, "t_grid must be a list of positive times")
+            if not isinstance(v, list) or not v or not all(_is_positive(t) for t in v):
+                raise ConfigError(where, f"t_grid must be a non-empty list of positive times, got {v!r}")
         if key in ("f", "g"):
             if not isinstance(v, dict) or "tag" not in v:
                 raise ConfigError(where, "test functions are mappings with a 'tag'")

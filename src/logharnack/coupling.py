@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diffusion import PathConfig, _advance
-from .geometry import ModelSpace
+from .geometry import ModelSpace, _dot
 from .local_bounds import (
     DomainSpec,
     ReferenceFunction,
@@ -216,7 +216,7 @@ def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
     # Girsanov increment for eta = (a / sqrt 2) * (unit at X away from Y):
     # <eta, Phi dB> in frame components is eta_i xi_i sqrt(h).
     eta = (a / math.sqrt(2.0))[:, None] * away_c
-    dlogR = -math.sqrt(h) * np.sum(eta * xi, axis=-1) - 0.5 * h * np.sum(eta**2, axis=-1)
+    dlogR = -math.sqrt(h) * _dot(eta, xi) - 0.5 * h * _dot(eta, eta)
 
     rho = M.distance(Xn, Yn)
     phi_y = cfg.phi.phi(Yn)

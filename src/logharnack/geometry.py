@@ -66,6 +66,28 @@ def _arr(x) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+def _sum_products(u, v):
+    """u_0 v_0 + u_1 v_1 + ... over the last (chart) axis, added left to
+    right: the order in which numpy reduces an axis of width <= 3, at a
+    fraction of the cost of a strided reduce."""
+    out = u[..., 0] * v[..., 0]
+    for k in range(1, u.shape[-1]):
+        out = out + u[..., k] * v[..., k]
+    return out
+
+
+def _dot(u, v):
+    """Bit for bit np.sum(u * v, axis=-1) on axes of width <= 3."""
+    # numpy's reduce starts from +0.0, so a sum of -0.0 terms is +0.0
+    return _sum_products(u, v) + 0.0
+
+
+def _norm(v):
+    """Bit for bit np.linalg.norm(v, axis=-1) on axes of width <= 3."""
+    # squares are never -0.0, so no +0.0 start is needed
+    return np.sqrt(_sum_products(v, v))
+
+
 class ModelSpace:
     """Base class for the fixed catalogue of model manifolds.
 
@@ -111,10 +133,10 @@ class ModelSpace:
 
     def norm(self, x, v) -> np.ndarray:
         """Riemannian norm of tangent components v at x."""
-        return np.linalg.norm(_arr(v), axis=-1)
+        return _norm(_arr(v))
 
     def inner(self, x, u, v) -> np.ndarray:
-        return np.sum(_arr(u) * _arr(v), axis=-1)
+        return _dot(_arr(u), _arr(v))
 
     def grad_distance(self, x, y) -> np.ndarray:
         """Unit gradient of rho(x, .) evaluated at y (points away from x)."""
@@ -241,12 +263,11 @@ class _FlatChart(ModelSpace):
     (geodesics are straight lines in the chart)."""
 
     def distance(self, x, y):
-        return np.linalg.norm(_arr(y) - _arr(x), axis=-1)
+        return _norm(_arr(y) - _arr(x))
 
     def exp(self, x, v):
-        x, v = _arr(x), _arr(v)
-        self._require_inside_injectivity(np.linalg.norm(v, axis=-1))
-        return x + v
+        # injectivity_radius is infinite on a flat chart: no check
+        return _arr(x) + _arr(v)
 
     def log(self, x, y):
         return _arr(y) - _arr(x)
@@ -417,7 +438,7 @@ class EuclideanBall(_FlatChart):
         self.radius = float(radius)
 
     def contains(self, x):
-        return np.linalg.norm(_arr(x), axis=-1) <= self.radius + 1e-12
+        return _norm(_arr(x)) <= self.radius + 1e-12
 
     def boundary_data(self, x, u):
         x, u = _arr(x), _arr(u)
@@ -434,7 +455,7 @@ class EuclideanBall(_FlatChart):
 
     def reflect(self, q):
         q = np.array(q, copy=True)
-        r = np.linalg.norm(q, axis=-1)
+        r = _norm(q)
         over = np.maximum(r - self.radius, 0.0)
         out = over > 0
         if np.any(out):
@@ -468,12 +489,12 @@ class Sphere(ModelSpace):
         self.injectivity_radius = np.pi * self.radius
 
     def contains(self, x):
-        r = np.linalg.norm(_arr(x), axis=-1)
+        r = _norm(_arr(x))
         return np.abs(r - self.radius) <= 1e-9 * self.radius
 
     def _angle(self, x, y):
         # 2 arcsin of half the chord length: stable near coincidence.
-        chord = np.linalg.norm(_arr(y) - _arr(x), axis=-1) / self.radius
+        chord = _norm(_arr(y) - _arr(x)) / self.radius
         return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
 
     def distance(self, x, y):
@@ -481,14 +502,14 @@ class Sphere(ModelSpace):
 
     def exp(self, x, v):
         x, v = _arr(x), _arr(v)
-        s = np.linalg.norm(v, axis=-1)
+        s = _norm(v)
         self._require_inside_injectivity(s)
         theta = s / self.radius
         with np.errstate(invalid="ignore", divide="ignore"):
             direction = np.where(s[..., None] > 0, v / np.maximum(s, 1e-300)[..., None], 0.0)
         out = np.cos(theta)[..., None] * x + (self.radius * np.sin(theta))[..., None] * direction
         # renormalise to kill accumulated rounding
-        out *= self.radius / np.linalg.norm(out, axis=-1, keepdims=True)
+        out *= (self.radius / _norm(out))[..., None]
         return out
 
     def _angle_inside(self, x, y):
@@ -504,7 +525,7 @@ class Sphere(ModelSpace):
         """log_x(y) given alpha = _angle(x, y)."""
         c = np.cos(alpha)
         u = y - c[..., None] * x
-        nu = np.linalg.norm(u, axis=-1)
+        nu = _norm(u)
         with np.errstate(invalid="ignore", divide="ignore"):
             direction = np.where(nu[..., None] > 1e-300, u / np.maximum(nu, 1e-300)[..., None], 0.0)
         return (self.radius * alpha)[..., None] * direction
@@ -527,12 +548,12 @@ class Sphere(ModelSpace):
 
     def _transport(self, x, v, alpha, lg):
         """transport(x, y, v) given alpha = _angle(x, y) and lg = log(x, y)."""
-        s = np.linalg.norm(lg, axis=-1)
+        s = _norm(lg)
         small = s < 1e-14
         with np.errstate(invalid="ignore", divide="ignore"):
             e = np.where(small[..., None], 0.0, lg / np.maximum(s, 1e-300)[..., None])
         u1 = x / self.radius
-        a = np.sum(v * e, axis=-1)
+        a = _dot(v, e)
         w = v - a[..., None] * e
         e_t = -np.sin(alpha)[..., None] * u1 + np.cos(alpha)[..., None] * e
         out = a[..., None] * e_t + w
@@ -549,7 +570,7 @@ class Sphere(ModelSpace):
         idx = np.argmin(np.abs(n), axis=-1)
         np.put_along_axis(ref, idx[..., None], 1.0, axis=-1)
         e1 = np.cross(ref, n)
-        e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+        e1 /= _norm(e1)[..., None]
         e2 = np.cross(n, e1)
         return np.stack([e1, e2], axis=-2)
 
@@ -659,10 +680,10 @@ class Hyperbolic(ModelSpace):
         return _arr(v) / _arr(x)[..., 1:2]
 
     def norm(self, x, v):
-        return np.linalg.norm(_arr(v), axis=-1) / _arr(x)[..., 1]
+        return _norm(_arr(v)) / _arr(x)[..., 1]
 
     def inner(self, x, u, v):
-        return np.sum(_arr(u) * _arr(v), axis=-1) / _arr(x)[..., 1] ** 2
+        return _dot(_arr(u), _arr(v)) / _arr(x)[..., 1] ** 2
 
     def ricci_z(self, x, u):
         return np.full(_arr(x).shape[:-1], -1.0)

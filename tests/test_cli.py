@@ -423,3 +423,37 @@ def test_cli_coupling_row_equals_direct_call(tmp_path):
     assert diag.entropy_bound > 0.0
     assert {k: row[k] for k in diag.to_row()} == {k: _fmt(v) for k, v in diag.to_row().items()}
     assert (row["T"], row["h"]) == ("0.29999999999999999", "0.01")
+
+
+# ----------------------------------------------------------------------
+# Numeric grid values: booleans, NaN and empty time grids are refused at
+# load time with the field named
+# ----------------------------------------------------------------------
+
+LOG_HARNACK_GRID = {"x": [[0.0]], "y": [[0.3]], "T": [0.5], "f": [{"tag": "coord_exp", "a": [1.0]}],
+                    "n_paths": [2000]}
+HALF1_MODEL = {"variant": "half_space", "dim": 1}
+
+
+@pytest.mark.parametrize("model,tag,grid,key", [
+    # a YAML boolean is an int to isinstance, so it would run at 1.0
+    (OU1, "kernel-lower", {"x": [[0.0]], "y": [[0.3]], "t": [True]}, "t"),
+    (BASE["model"], "log-harnack", dict(LOG_HARNACK_GRID, T=[True]), "T"),
+    (BASE["model"], "log-harnack", dict(LOG_HARNACK_GRID, h=[True]), "h"),
+    (BASE["model"], "log-harnack", dict(LOG_HARNACK_GRID, domain_radius=[True]), "domain_radius"),
+    (BASE["model"], "log-harnack", dict(LOG_HARNACK_GRID, n_paths=[True]), "n_paths"),
+    (HALF1_MODEL, "local-time", {"x": [[0.0]], "t_grid": [[True]]}, "t_grid"),
+    # an empty or NaN time grid used to fail only at job time
+    (HALF1_MODEL, "local-time", {"x": [[0.0]], "t_grid": [[]]}, "t_grid"),
+    (HALF1_MODEL, "local-time", {"x": [[0.0]], "t_grid": [[0.1, float("nan")]]}, "t_grid"),
+], ids=["t-true", "T-true", "h-true", "domain_radius-true", "n_paths-true", "t_grid-true",
+        "t_grid-empty", "t_grid-nan"])
+def test_bad_numbers_name_the_field(tmp_path, capsys, model, tag, grid, key):
+    cfg = dict(BASE, model=model, output_dir=str(tmp_path / "out"), checks=[{"tag": tag, "grid": grid}])
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_file(path)
+    assert f"checks[0].grid.{key}" in str(err.value)
+    assert main(["run", str(path)]) == 2
+    assert f"checks[0].grid.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

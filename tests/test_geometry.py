@@ -363,3 +363,65 @@ def test_model_config_round_trip(M):
 def test_model_from_config_unknown_variant():
     with pytest.raises(G.GeometryError):
         G.model_from_config({"variant": "torus"})
+
+
+# ----------------------------------------------------------------------
+# chart-axis reductions: explicit component sums, bit for bit numpy's
+# ----------------------------------------------------------------------
+
+
+def _reduction_operands(width, layout, rng):
+    """Two (4, 500, width) operands with a leading start axis, ±0, ±inf,
+    NaN and magnitudes up to 1e±200, in the given memory layout."""
+    shape = (4, 500, width)
+    u, v = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-200, 200, shape) for _ in range(2))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e-200])
+    for a in (u, v):
+        a.reshape(-1)[rng.choice(a.size, 300, replace=False)] = rng.choice(special, 300)
+    # rows whose products are all -0.0 (numpy's sum is +0.0) or all +0.0
+    u[0, 0], v[0, 0], u[0, 1], v[0, 1] = -0.0, 1.0, -0.0, -0.0
+    if layout == "F":
+        return np.asfortranarray(u), np.asfortranarray(v)
+    if layout == "strided":
+        return np.repeat(u, 2, axis=-1)[..., ::2], np.repeat(v, 2, axis=-1)[..., ::2]
+    return u, v
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_chart_axis_sums_equal_numpy_reduce_bitwise(width, layout):
+    # the sha256 pins of paths rest on this: if numpy ever adds a short
+    # axis in another order, this names the cause
+    u, v = _reduction_operands(width, layout, np.random.default_rng(width))
+    assert u.flags.c_contiguous == (layout == "C")
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for a, b in ((u, v), (u[0], v[0]), (u[0, 0], v[0, 0])):
+            assert np.array_equal(G._dot(a, b), np.sum(a * b, axis=-1), equal_nan=True)
+            assert np.array_equal(G._norm(a), np.linalg.norm(a, axis=-1), equal_nan=True)
+            assert np.array_equal(np.signbit(G._dot(a, b)), np.signbit(np.sum(a * b, axis=-1)))
+
+
+def test_path_and_pair_steps_take_no_linalg_norm(monkeypatch):
+    # the per-step kernels use the explicit sums; np.linalg.norm costs a
+    # strided reduce per call
+    from logharnack import coupling as C
+    from logharnack.diffusion import _advance
+
+    S = G.Sphere(2)
+    y = np.array([0.0, 0.0, 1.0])
+    x = S.exp(y, 0.3 * S.frame(y)[0])
+    cfg = C.standard_coupling_config(S, x, y, T=0.5, h=1e-3)
+    n = 20
+    X, Y = np.tile(x, (n, 1)), np.tile(y, (n, 1))
+    pairs = C._Pairs(X, Y, S.distance(X, Y), cfg.phi.phi(Y), np.zeros(n), np.zeros(n, dtype=bool))
+    rng = np.random.default_rng(0)
+    models = [G.Euclidean(2), G.EuclideanBall(2, 1.0), S]
+    starts = [np.zeros((n, 2)), np.full((n, 2), 0.5), np.tile(y, (n, 1))]
+
+    def boom(*a, **k):
+        raise AssertionError("np.linalg.norm on a per-step path")
+
+    monkeypatch.setattr(G.np.linalg, "norm", boom)
+    C._coupled_step(S, cfg, cfg.h_eff, 0.0, pairs, rng.standard_normal((n, 2)))
+    for M, x0 in zip(models, starts):
+        _advance(M, x0, 0.01, rng.standard_normal((n, M.dim)), np.ones(n, dtype=bool))
