@@ -103,6 +103,9 @@ _ARGS = {
     "h": float,
     "domain_radius": float,
     "eps_tilt": float,
+    "r": float,
+    "c2_max": float,
+    "t_grid": lambda v: [float(t) for t in v],
     "n_paths": int,
     "use_oracle": bool,
     "correction": bool,
@@ -139,22 +142,17 @@ def _run_coupling(M, p, seed):
 
 
 def _run_local_time(M, p, seed):
-    t_grid = [float(t) for t in p["t_grid"]]
-    n_paths, h = int(p.get("n_paths", 100000)), float(p.get("h", 1e-4))
-    ests, ref = local_time_profile(M, _floats(p["x"]), t_grid, n_paths, h, seed, r=float(p.get("r", 1.0)))
-    c2_max = float(p.get("c2_max", 5.0))
-    fitted = 0.0
-    series = []
-    for t, e, rv in zip(t_grid, ests, ref):
-        excess = max(0.0, abs(e.mean - rv) - 3.0 * e.stderr)
-        fitted = max(fitted, excess / t)
-        series.append(("local-time", t, e.mean - rv))
+    a = _args(p)
+    t_grid, n_paths, h = a["t_grid"], a.get("n_paths", 100000), a.get("h", 1e-4)
+    ests, ref = local_time_profile(M, a["x"], t_grid, n_paths, h, seed, r=a.get("r", 1.0))
+    fitted = max(max(0.0, abs(e.mean - rv) - 3.0 * e.stderr) / t for t, e, rv in zip(t_grid, ests, ref))
+    series = [("local-time", t, e.mean - rv) for t, e, rv in zip(t_grid, ests, ref)]
     rep = vf.InequalityReport(
         "local-time",
         {"variant": M.variant, "x": list(np.atleast_1d(p["x"])), "t_grid": t_grid,
          "n_paths": n_paths, "h": h, "seed": seed},
         lhs=fitted,
-        rhs=c2_max,
+        rhs=a.get("c2_max", 5.0),
         notes="lhs = fitted C2 for |E l - 2 sqrt(t/pi)| <= C2 t + 3 se",
     )
     return JobResult(reports=[rep], series=series)
@@ -218,9 +216,17 @@ def list_checks() -> str:
 # ----------------------------------------------------------------------
 
 
+def _is_number(v) -> bool:
+    # YAML true/false load as bool, a subclass of int
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _is_positive(v) -> bool:
-    # YAML true/false load as bool, a subclass of int; "> 0" rejects NaN
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
+    return _is_number(v) and v > 0  # "> 0" rejects NaN
+
+
+def _is_finite(v) -> bool:
+    return _is_number(v) and abs(v) <= sys.float_info.max  # NaN fails the compare
 
 
 @dataclass
@@ -260,7 +266,7 @@ class ExperimentConfig:
 
     def validate(self):
         try:
-            model_from_config(self.model)
+            chart_dim = model_from_config(self.model).chart_dim
         except GeometryError as e:
             raise ConfigError("model", str(e)) from None
         for i, chk in enumerate(self.checks):
@@ -283,14 +289,20 @@ class ExperimentConfig:
                 if not isinstance(vals, list) or len(vals) == 0:
                     raise ConfigError(f"{where}.grid.{key}", "grid values must be a non-empty list")
                 for v in vals:
-                    self._check_value(f"{where}.grid.{key}", key, v)
+                    self._check_value(f"{where}.grid.{key}", key, v, chart_dim)
 
     @staticmethod
-    def _check_value(where, key, v):
+    def _check_value(where, key, v, chart_dim):
         if key in ("use_oracle", "correction") and not isinstance(v, bool):
             raise ConfigError(where, f"{key} must be true or false, got {v!r}")
-        if key in ("T", "t", "h", "domain_radius") and not _is_positive(v):
+        if key in ("T", "t", "h", "domain_radius", "r", "c2_max") and not _is_positive(v):
             raise ConfigError(where, f"{key} must be a positive number, got {v!r}")
+        if key == "eps_tilt" and not _is_finite(v):
+            raise ConfigError(where, f"eps_tilt must be a finite number, got {v!r}")
+        if key in ("x", "y"):
+            entries = v if isinstance(v, list) else [v]
+            if len(entries) != chart_dim or not all(map(_is_finite, entries)):
+                raise ConfigError(where, f"{key} must be a point of {chart_dim} finite numbers, got {v!r}")
         if key == "n_paths":
             if not isinstance(v, int) or isinstance(v, bool) or v < 1000:
                 raise ConfigError(where, f"n_paths must be an integer >= 1000, got {v!r}")

@@ -26,9 +26,10 @@ rho(X, Y) and phi(Y) carry over from the previous step's stopping
 checks; log_X(Y) and log_Y(X) are computed once each and feed the
 transported noise and both unit directions (on the sphere from one
 angle); the sphere builds its frame at X once for the noise map and the
-Girsanov frame components; the stopping checks then take rho(X', Y'),
-phi(Y'), the distance of Y' and of X' to the domain centre.  On the
-2-sphere that is five angle evaluations and one frame per step.
+Girsanov frame components; the stopping checks then take rho(X', Y')
+and the distances of Y' and of X' to the domain centre y, phi(Y') and
+Y' in D both being read from the distance of Y'.  On the 2-sphere that
+is four angle evaluations and one frame per step.
 ``run_coupling`` keeps the running pairs of a block in compacted arrays,
 in index order, and writes a pair back only when it stops.
 """
@@ -44,8 +45,7 @@ import numpy as np
 from .diffusion import PathConfig, _advance
 from .geometry import ModelSpace, _dot
 from .local_bounds import (
-    DomainSpec,
-    ReferenceFunction,
+    _cosine,
     c_D,
     cosine_reference,
     enlarged_K,
@@ -83,32 +83,30 @@ THETA_NAMES = {
 
 @dataclass
 class CouplingConfig(PathConfig):
-    """Frozen data of one coupled run on the clock (h, T)."""
+    """Frozen data of one coupled run on the clock (h, T): the domain is
+    D = B(y, domain_radius) and phi its cosine reference, so phi(y) = 1."""
 
     x: np.ndarray
     y: np.ndarray
-    D: DomainSpec
-    phi: ReferenceFunction
+    domain_radius: float
     K_D_rho: float
     c_D_phi: float
     eps_couple: float
     rho0: float = 0.0
-    phi_at_y: float = 1.0
-    phi_floor: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
+        if not self.domain_radius > 0:
+            raise ValueError("domain_radius must be > 0")
         if self.eps_couple > 10.0 * math.sqrt(2.0 * self.h):
             raise ValueError("eps_couple must stay within 10 sqrt(2h)")
-        if self.phi_floor == 0.0:
-            self.phi_floor = 0.25 * np.pi * self.eps_couple
 
     @property
-    def exit_radius(self) -> float:
-        """Radius of the enlarged domain that stops X."""
-        return self.D.radius + self.rho0
+    def phi_floor(self) -> float:
+        """Y stops where phi(Y) <= pi eps_couple / 4, near the boundary of D."""
+        return 0.25 * np.pi * self.eps_couple
 
 
 def standard_coupling_config(
@@ -130,7 +128,6 @@ def standard_coupling_config(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     rho0 = float(M.distance(x, y))
-    domain = DomainSpec(y, domain_radius)
     phi = cosine_reference(M, y, radius=domain_radius)
     eps_couple = 3.0 * math.sqrt(2.0 * h)
     if rho0 > 0:
@@ -140,19 +137,17 @@ def standard_coupling_config(
         T=T,
         x=x,
         y=y,
-        D=domain,
-        phi=phi,
-        K_D_rho=enlarged_K(M, x, y, domain),
+        domain_radius=domain_radius,
+        K_D_rho=enlarged_K(M, x, y, phi.domain),
         c_D_phi=c_D(M, phi),
         eps_couple=eps_couple,
         rho0=rho0,
-        phi_at_y=float(phi.phi(y[None, :])[0]),
     )
 
 
 def coupling_entropy_bound(cfg: CouplingConfig) -> float:
     """The closed-form bound on E R log R for the run's constants."""
-    return 0.5 * cfg.rho0**2 * log_harnack_rate(cfg.K_D_rho, cfg.T, cfg.c_D_phi, cfg.phi_at_y)
+    return 0.5 * cfg.rho0**2 * log_harnack_rate(cfg.K_D_rho, cfg.T, cfg.c_D_phi)
 
 
 # ----------------------------------------------------------------------
@@ -219,11 +214,12 @@ def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
     dlogR = -math.sqrt(h) * _dot(eta, xi) - 0.5 * h * _dot(eta, eta)
 
     rho = M.distance(Xn, Yn)
-    phi_y = cfg.phi.phi(Yn)
+    dy = M.distance(cfg.y, Yn)  # phi(Y') and Y' in D, from one distance
+    phi_y = _cosine(dy, cfg.domain_radius)
     theta = np.select(
         [
-            (phi_y <= cfg.phi_floor) | ~cfg.D.contains(M, Yn),
-            M.distance(cfg.D.center, Xn) >= cfg.exit_radius,
+            (phi_y <= cfg.phi_floor) | ~(dy < cfg.domain_radius),
+            M.distance(cfg.y, Xn) >= cfg.domain_radius + cfg.rho0,  # X left B(y, r + rho0)
             rho <= cfg.eps_couple,
             np.full(n, t + h >= cfg.T - 1e-12),
         ],
@@ -315,7 +311,8 @@ def run_coupling(
         run = np.flatnonzero(theta == THETA_NONE)
         X0 = X[run]
         Y0 = np.broadcast_to(cfg.y, X0.shape).copy()
-        pairs = _Pairs(X0, Y0, M.distance(X0, Y0), cfg.phi.phi(Y0), logR[run], flagged[run])
+        phi_y = _cosine(M.distance(cfg.y, Y0), cfg.domain_radius)
+        pairs = _Pairs(X0, Y0, M.distance(X0, Y0), phi_y, logR[run], flagged[run])
 
         for k in range(n_steps):
             if terminal_fn is not None:

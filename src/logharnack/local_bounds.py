@@ -218,13 +218,9 @@ def domain_supremum(M: ModelSpace, D: DomainSpec, fn: Callable) -> SupremumResul
 
 
 def K_of_domain(M: ModelSpace, D: DomainSpec) -> float:
-    """sup of pointwise_K over D; exact closed form where the variant has
-    one, otherwise the sampled supremum."""
+    """sup of pointwise_K over D, in the closed form every variant has."""
     D.validate(M)
-    try:
-        return float(M.sup_pointwise_K_ball(D.center, D.radius))
-    except NotImplementedError:
-        return domain_supremum(M, D, M.pointwise_K).value
+    return float(M.sup_pointwise_K_ball(D.center, D.radius))
 
 
 def enlarged_K(M: ModelSpace, x, y, D: DomainSpec) -> float:
@@ -342,6 +338,12 @@ def c_D(M: ModelSpace, ref: ReferenceFunction) -> float:
     return c_D_detail(M, ref).value
 
 
+def _cosine(rho, radius: float):
+    """The cosine profile cos(pi rho / (2 radius)) at distances rho."""
+    a = 0.5 * np.pi / radius
+    return np.cos(a * rho)
+
+
 def cosine_reference(M: ModelSpace, y, radius: float = 1.0) -> ReferenceFunction:
     """phi(z) = cos(pi rho(y, z) / (2 radius)) on the ball B(y, radius).
 
@@ -355,14 +357,11 @@ def cosine_reference(M: ModelSpace, y, radius: float = 1.0) -> ReferenceFunction
     D = DomainSpec(y, radius)
     a = 0.5 * np.pi / radius  # phi = cos(a rho)
 
-    def rho_of(z):
-        return M.distance(y, z)
-
     def phi(z):
-        return np.cos(a * rho_of(z))
+        return _cosine(M.distance(y, z), radius)
 
     def grad_norm_sq(z):
-        return a**2 * np.sin(a * rho_of(z)) ** 2
+        return a**2 * np.sin(a * M.distance(y, z)) ** 2
 
     def sin_radial_laplacian(rho, z):
         # sin(a rho) * (Laplacian of rho), stable through rho = 0 where
@@ -377,8 +376,8 @@ def cosine_reference(M: ModelSpace, y, radius: float = 1.0) -> ReferenceFunction
 
     def l_phi(z):
         z = np.asarray(z, dtype=float)
-        rho = rho_of(z)
-        val = -(a**2) * np.cos(a * rho)
+        rho = M.distance(y, z)
+        val = -(a**2) * _cosine(rho, radius)
         val = val - a * sin_radial_laplacian(rho, z)
         drift = M.drift(z)
         if np.any(drift):
@@ -396,7 +395,7 @@ def cosine_reference(M: ModelSpace, y, radius: float = 1.0) -> ReferenceFunction
 
         def normal_derivative(z):
             z = np.asarray(z, dtype=float)
-            rho = rho_of(z)
+            rho = M.distance(y, z)
             out = np.zeros_like(rho)
             ok = rho > 1e-12
             if np.any(ok):

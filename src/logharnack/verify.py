@@ -10,10 +10,10 @@ band.
 
 The domain checkers (log-Harnack, gradient, Harnack) take a
 ``domain_radius`` r: D = B(c, r) around the check's own start point c (y,
-or x for the gradient check), with the cosine reference on D, so the start
-lies in D by construction.  Every right-hand side takes its rate factor
-from ``local_bounds.log_harnack_rate``.  A checker's keywords are the grid
-keys of its CLI tag.
+or x for the gradient check), with the cosine reference phi on D, so the
+start lies in D by construction and phi(c) = cos 0 = 1.  Every right-hand
+side takes its rate factor from ``local_bounds.log_harnack_rate``.  A
+checker's keywords are the grid keys of its CLI tag.
 
 Monte Carlo sides run one ensemble per check, its start points sharing
 the noise: log-Harnack and Harnack from y and x, the gradient check from
@@ -216,13 +216,11 @@ def check_log_harnack(
         raise ValueError("log-Harnack needs strictly positive f")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    domain = DomainSpec(y, domain_radius)
     phi = cosine_reference(M, y, radius=domain_radius)
     rho = float(M.distance(x, y))
-    K_rho = enlarged_K(M, x, y, domain)
+    K_rho = enlarged_K(M, x, y, phi.domain)
     c_phi = c_D(M, phi)
-    phi_y = float(phi.phi(y[None, :])[0])
-    rhs = log_harnack_rhs(rho, K_rho, T, c_phi, phi_y)
+    rhs = log_harnack_rhs(rho, K_rho, T, c_phi, 1.0)  # phi(y) = 1
 
     notes = ""
     if use_oracle:
@@ -319,21 +317,16 @@ def check_gradient(
     """|grad P_T f|^2(x) against the variance times the constant of
     D = B(x, domain_radius) with the cosine reference phi on D."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    domain = DomainSpec(x, domain_radius)
     phi = cosine_reference(M, x, radius=domain_radius)
-    K_D = K_of_domain(M, domain)
+    K_D = K_of_domain(M, phi.domain)
     c_phi = c_D(M, phi)
-    const = log_harnack_rate(K_D, T, c_phi, float(phi.phi(x[None, :])[0]))
+    const = log_harnack_rate(K_D, T, c_phi)  # phi(x) = 1
+    starts = _fd_starts(M, x, eps)
 
     if use_oracle:
         try:
-            fr = M.frame(x)
-            comps = []
-            for i in range(M.dim):
-                vp = oracle_semigroup(M, M.exp(x, eps * fr[i]), T, f)
-                vm = oracle_semigroup(M, M.exp(x, -eps * fr[i]), T, f)
-                comps.append((vp - vm) / (2 * eps))
-            lhs = float(np.sum(np.asarray(comps) ** 2))
+            vals = np.array([oracle_semigroup(M, z, T, f) for z in starts])
+            lhs = float(np.sum(((vals[0::2] - vals[1::2]) / (2 * eps)) ** 2))
             lhs_se = 0.0
             var = oracle_semigroup(M, x, T, lambda z: f(z) ** 2) - oracle_semigroup(M, x, T, f) ** 2
             var_se = 0.0
@@ -341,8 +334,7 @@ def check_gradient(
             use_oracle = False
     if not use_oracle:
         # x is one more start of the finite-difference ensemble
-        *fd, fv = mc_functional_values(M, np.vstack([_fd_starts(M, x, eps), x]), T, f, "f",
-                                       n_paths, h, master_seed)
+        *fd, fv = mc_functional_values(M, np.vstack([starts, x]), T, f, "f", n_paths, h, master_seed)
         g = _fd_gradient(fd, eps, master_seed)
         lhs = g.mean**2
         lhs_se = 2.0 * abs(g.mean) * g.stderr
@@ -394,16 +386,15 @@ def check_harnack(
         raise ValueError("Harnack form requires nonnegative f")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    domain = DomainSpec(y, domain_radius)
     phi = cosine_reference(M, y, radius=domain_radius)
     rho = float(M.distance(x, y))
     # sample the geodesic at 1000 points for the phi^4 infimum
     s = np.linspace(0.0, 1.0, 1000)[:, None]
     lg = M.log(x, y)
     geo = M.exp(np.broadcast_to(x, (1000, M.chart_dim)), s * lg)
-    if not bool(np.all(domain.contains(M, geo))) or not domain.contains(M, x):
+    if not bool(np.all(phi.domain.contains(M, geo))) or not phi.domain.contains(M, x):
         raise GeodesicLeavesDomain("minimal geodesic must stay inside D")
-    K_D = K_of_domain(M, domain)
+    K_D = K_of_domain(M, phi.domain)
     c_phi = c_D(M, phi)
     const = log_harnack_rate(K_D, T, c_phi, float(np.min(phi.phi(geo))))
     root_const = math.sqrt(const)

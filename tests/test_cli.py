@@ -446,8 +446,21 @@ HALF1_MODEL = {"variant": "half_space", "dim": 1}
     # an empty or NaN time grid used to fail only at job time
     (HALF1_MODEL, "local-time", {"x": [[0.0]], "t_grid": [[]]}, "t_grid"),
     (HALF1_MODEL, "local-time", {"x": [[0.0]], "t_grid": [[0.1, float("nan")]]}, "t_grid"),
+    # eps_tilt, r and c2_max ran at 1.0, read a bad input as a violated
+    # inequality, or failed only at job time
+    (OU1, "entropy-cost", {"t": [0.5], "eps_tilt": [True]}, "eps_tilt"),
+    (OU1, "entropy-cost", {"t": [0.5], "eps_tilt": [float("nan")]}, "eps_tilt"),
+    (HALF1_MODEL, "local-time", {"x": [[0.0]], "t_grid": [[0.1]], "r": [True]}, "r"),
+    (HALF1_MODEL, "local-time", {"x": [[0.0]], "t_grid": [[0.1]], "r": [-1.0]}, "r"),
+    (HALF1_MODEL, "local-time", {"x": [[0.0]], "t_grid": [[0.1]], "c2_max": ["x"]}, "c2_max"),
+    # start points of the wrong size or not finite failed at job time,
+    # naming a shape or a radius instead of the field
+    (BASE["model"], "log-harnack", dict(LOG_HARNACK_GRID, x=[[0.0, 1.0]]), "x"),
+    (BASE["model"], "log-harnack", dict(LOG_HARNACK_GRID, x=[[float("nan")]]), "x"),
+    (BASE["model"], "log-harnack", dict(LOG_HARNACK_GRID, y=[[True]]), "y"),
 ], ids=["t-true", "T-true", "h-true", "domain_radius-true", "n_paths-true", "t_grid-true",
-        "t_grid-empty", "t_grid-nan"])
+        "t_grid-empty", "t_grid-nan", "eps_tilt-true", "eps_tilt-nan", "r-true", "r-negative",
+        "c2_max-string", "x-size", "x-nan", "y-true"])
 def test_bad_numbers_name_the_field(tmp_path, capsys, model, tag, grid, key):
     cfg = dict(BASE, model=model, output_dir=str(tmp_path / "out"), checks=[{"tag": tag, "grid": grid}])
     path = write_config(tmp_path, cfg)

@@ -16,23 +16,14 @@ def euclid_config(rho0=0.3, T=1.0, h=1e-3):
 def _pair(M, cfg, x, y):
     """The batch state of one running pair (x, y)."""
     X, Y = np.array([x], dtype=float), np.array([y], dtype=float)
-    return C._Pairs(X, Y, M.distance(X, Y), cfg.phi.phi(Y), np.zeros(1), np.zeros(1, dtype=bool))
+    phi_y = LB.cosine_reference(M, cfg.y, cfg.domain_radius).phi(Y)
+    return C._Pairs(X, Y, M.distance(X, Y), phi_y, np.zeros(1), np.zeros(1, dtype=bool))
 
 
 def _step_one(M, cfg, x, y, xi):
     """One coupled step of size h_eff of the pair (x, y) at t = 0."""
     p, theta = C._coupled_step(M, cfg, cfg.h_eff, 0.0, _pair(M, cfg, x, y), np.array([xi], dtype=float))
     return p, int(theta[0])
-
-
-class ConstPhi:
-    """A reference function with the same value everywhere."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def phi(self, z):
-        return np.full(np.asarray(z).shape[:-1], self.value)
 
 
 # ----------------------------------------------------------------------
@@ -68,17 +59,23 @@ def test_xi2_values_and_errors():
     # with xi_1 = 0 the step moves Y toward X by xi_2 h, xi_2 = 2 c rho / phi(Y)^2
     M, cfg = euclid_config()
     cfg2 = C.CouplingConfig(
-        x=cfg.x, y=cfg.y, T=cfg.T, D=cfg.D, phi=ConstPhi(0.5),
+        x=cfg.x, y=cfg.y, T=cfg.T, domain_radius=cfg.domain_radius,
         K_D_rho=0.0, c_D_phi=1.0, eps_couple=cfg.eps_couple, h=cfg.h, rho0=0.0,
     )
-    p, theta = _step_one(M, cfg2, [0.0], [0.5], [0.0])
+
+    def step(x, y, phi_y):
+        pair = _pair(M, cfg2, x, y)._replace(phi_y=np.array([phi_y]))
+        p, theta = C._coupled_step(M, cfg2, cfg2.h_eff, 0.0, pair, np.zeros((1, 1)))
+        return p, int(theta[0])
+
+    p, theta = step([0.0], [0.5], 0.5)
     assert (0.5 - p.Y[0, 0]) / cfg2.h_eff == pytest.approx(4.0)
     assert theta == C.THETA_NONE and not p.flagged[0]
-    # phi(Y) <= 0: Y is on the domain boundary; the step caps phi at
-    # PHI_CAP (the drift then stops at X) and flags the pair, no error
-    cfg2.phi = ConstPhi(-0.1)
-    p, theta = _step_one(M, cfg2, [0.0], [0.5], [0.0])
-    assert p.Y[0, 0] == pytest.approx(0.0, abs=1e-12)
+    # phi(Y) <= 0: Y is beyond the boundary of D = B(0.3, 1); the step
+    # caps phi at PHI_CAP (the drift then stops at X, also outside D)
+    # and flags the pair, no error
+    p, theta = step([-0.8], [-0.75], -0.1)
+    assert p.Y[0, 0] == pytest.approx(-0.8, abs=1e-12)
     assert p.flagged[0] and theta == C.THETA_BOUNDARY_Y
     assert np.isfinite(p.log_R[0])
 
@@ -117,7 +114,7 @@ def test_step_coupled_one_dim_formula():
     move = math.sqrt(2 * h) * 0.9
     assert cfg.K_D_rho == 0.0
     x1 = cfg.rho0 / cfg.T  # the flat deadline drift
-    x2 = 2 * cfg.c_D_phi * 0.3 / float(cfg.phi.phi(np.array([[0.3]]))[0]) ** 2
+    x2 = 2 * cfg.c_D_phi * 0.3  # Y is at the domain centre y, where phi = 1
     a = min(math.hypot(x1, x2), 0.3 / h)
     assert p.X[0, 0] == pytest.approx(move)
     assert p.Y[0, 0] == pytest.approx(0.3 + move - a * h)
@@ -158,16 +155,17 @@ def test_pair_geometry_is_bit_identical_to_public_calls(M):
 
 
 def test_sphere_coupled_step_geometry_budget(monkeypatch):
-    # one angle for the step's pair geometry plus four for the stopping
-    # checks, and a single frame at X shared by the noise map and the
-    # Girsanov frame components
+    # one angle for the step's pair geometry plus three for the stopping
+    # checks (phi(Y') and Y' in D share the distance of Y' to y), and a
+    # single frame at X shared by the noise map and the Girsanov frame
+    # components
     M = G.Sphere(2)
     y = np.array([0.0, 0.0, 1.0])
     x = M.exp(y, 0.3 * M.frame(y)[0])
     cfg = C.standard_coupling_config(M, x, y, T=0.5, h=1e-3)
     n = 50
-    X, Y = np.tile(x, (n, 1)), np.tile(y, (n, 1))
-    pairs = C._Pairs(X, Y, M.distance(X, Y), cfg.phi.phi(Y), np.zeros(n), np.zeros(n, dtype=bool))
+    X, Y = np.tile(x, (n, 1)), np.tile(y, (n, 1))  # phi(Y) = phi(y) = 1
+    pairs = C._Pairs(X, Y, M.distance(X, Y), np.ones(n), np.zeros(n), np.zeros(n, dtype=bool))
     calls = {"_angle": 0, "frame": 0}
     for name in calls:
         orig = getattr(G.Sphere, name)
@@ -179,7 +177,41 @@ def test_sphere_coupled_step_geometry_budget(monkeypatch):
         monkeypatch.setattr(G.Sphere, name, counted)
     xi = np.random.default_rng(0).standard_normal((n, M.dim))
     C._coupled_step(M, cfg, cfg.h_eff, 0.0, pairs, xi)
-    assert calls == {"_angle": 5, "frame": 1}
+    assert calls == {"_angle": 4, "frame": 1}
+
+
+@pytest.mark.parametrize("M,y", [
+    (G.Sphere(2), [0.0, 0.0, 1.0]), (G.Hyperbolic(), [0.0, 1.0]), (G.EuclideanBall(2, 2.0), [0.3, 0.0]),
+], ids=["sphere-2", "hyperbolic-2", "euclidean_ball-2"])
+def test_coupled_step_phi_and_stops_equal_reference_and_domain(M, y):
+    # phi(Y') and Y' in D come from one distance in the step; they must
+    # be the cosine reference's phi and DomainSpec.contains bit for bit
+    y, r, n = np.asarray(y), 0.5, 400
+    rng = np.random.default_rng(5)
+
+    def around(z, lo, hi):
+        v = rng.standard_normal((n, M.dim))
+        v *= (rng.uniform(lo, hi, n) / np.linalg.norm(v, axis=-1))[:, None]
+        return M.exp(z, M.tangent_from_frame(z, v))
+
+    Y = around(np.tile(y, (n, 1)), 0.0, r)
+    X = around(Y, 0.05, 0.3)
+    # no xi_2 and a slow xi_1: no pair couples, so every Y' is the
+    # stepped point the checks saw
+    cfg = C.CouplingConfig(h=1e-3, T=1.0, x=X[0], y=y, domain_radius=r, K_D_rho=0.0,
+                           c_D_phi=0.0, eps_couple=0.01, rho0=0.1)
+    ref, D = LB.cosine_reference(M, y, r), LB.DomainSpec(y, r)
+    pairs = C._Pairs(X, Y, M.distance(X, Y), ref.phi(Y), np.zeros(n), np.zeros(n, dtype=bool))
+    p, theta = C._coupled_step(M, cfg, cfg.h_eff, 0.0, pairs, rng.standard_normal((n, M.dim)))
+    phi = ref.phi(p.Y)
+    expected = np.select(
+        [(phi <= cfg.phi_floor) | ~D.contains(M, p.Y), ~D.enlarged(cfg.rho0).contains(M, p.X),
+         p.rho <= cfg.eps_couple],
+        [C.THETA_BOUNDARY_Y, C.THETA_EXIT_X, C.THETA_COUPLED], C.THETA_NONE,
+    )
+    assert np.array_equal(p.phi_y, phi)
+    assert np.array_equal(theta, expected)
+    assert set(theta) == {C.THETA_NONE, C.THETA_BOUNDARY_Y, C.THETA_EXIT_X}
 
 
 def test_step_coupled_clock_ends_exactly_at_horizon():
@@ -209,10 +241,17 @@ def test_eps_couple_invariant():
     with pytest.raises(ValueError):
         C.CouplingConfig(
             x=np.array([0.0]), y=np.array([0.3]), T=1.0,
-            D=LB.DomainSpec(np.array([0.3]), 1.0),
-            phi=None, K_D_rho=0.0, c_D_phi=1.0,
+            domain_radius=1.0, K_D_rho=0.0, c_D_phi=1.0,
             eps_couple=1.0, h=1e-3, rho0=0.3,
         )
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan")])
+def test_domain_radius_must_be_positive(radius):
+    # a NaN radius would put every Y outside D and stop each pair at once
+    with pytest.raises(ValueError, match="domain_radius"):
+        C.CouplingConfig(x=np.array([0.0]), y=np.array([0.3]), T=1.0, domain_radius=radius,
+                         K_D_rho=0.0, c_D_phi=1.0, eps_couple=0.01, h=1e-3, rho0=0.3)
 
 
 # ----------------------------------------------------------------------

@@ -412,8 +412,8 @@ def test_path_and_pair_steps_take_no_linalg_norm(monkeypatch):
     x = S.exp(y, 0.3 * S.frame(y)[0])
     cfg = C.standard_coupling_config(S, x, y, T=0.5, h=1e-3)
     n = 20
-    X, Y = np.tile(x, (n, 1)), np.tile(y, (n, 1))
-    pairs = C._Pairs(X, Y, S.distance(X, Y), cfg.phi.phi(Y), np.zeros(n), np.zeros(n, dtype=bool))
+    X, Y = np.tile(x, (n, 1)), np.tile(y, (n, 1))  # phi(Y) = phi(y) = 1
+    pairs = C._Pairs(X, Y, S.distance(X, Y), np.ones(n), np.zeros(n), np.zeros(n, dtype=bool))
     rng = np.random.default_rng(0)
     models = [G.Euclidean(2), G.EuclideanBall(2, 1.0), S]
     starts = [np.zeros((n, 2)), np.full((n, 2), 0.5), np.tile(y, (n, 1))]
