@@ -266,7 +266,7 @@ class ExperimentConfig:
 
     def validate(self):
         try:
-            chart_dim = model_from_config(self.model).chart_dim
+            M = model_from_config(self.model)
         except GeometryError as e:
             raise ConfigError("model", str(e)) from None
         for i, chk in enumerate(self.checks):
@@ -289,10 +289,10 @@ class ExperimentConfig:
                 if not isinstance(vals, list) or len(vals) == 0:
                     raise ConfigError(f"{where}.grid.{key}", "grid values must be a non-empty list")
                 for v in vals:
-                    self._check_value(f"{where}.grid.{key}", key, v, chart_dim)
+                    self._check_value(f"{where}.grid.{key}", key, v, M)
 
     @staticmethod
-    def _check_value(where, key, v, chart_dim):
+    def _check_value(where, key, v, M):
         if key in ("use_oracle", "correction") and not isinstance(v, bool):
             raise ConfigError(where, f"{key} must be true or false, got {v!r}")
         if key in ("T", "t", "h", "domain_radius", "r", "c2_max") and not _is_positive(v):
@@ -301,8 +301,10 @@ class ExperimentConfig:
             raise ConfigError(where, f"eps_tilt must be a finite number, got {v!r}")
         if key in ("x", "y"):
             entries = v if isinstance(v, list) else [v]
-            if len(entries) != chart_dim or not all(map(_is_finite, entries)):
-                raise ConfigError(where, f"{key} must be a point of {chart_dim} finite numbers, got {v!r}")
+            if len(entries) != M.chart_dim or not all(map(_is_finite, entries)):
+                raise ConfigError(where, f"{key} must be a point of {M.chart_dim} finite numbers, got {v!r}")
+            if not M.contains(np.asarray(entries, dtype=float)):
+                raise ConfigError(where, f"{key} must lie on the {M.variant} model, got {v!r}")
         if key == "n_paths":
             if not isinstance(v, int) or isinstance(v, bool) or v < 1000:
                 raise ConfigError(where, f"n_paths must be an integer >= 1000, got {v!r}")

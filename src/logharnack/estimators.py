@@ -497,10 +497,10 @@ def mu_ball(M: ModelSpace, y, s: float) -> float:
         theta = min(s / M.radius, np.pi)
         return 0.5 * (1.0 - math.cos(theta))
     if isinstance(M, OrnsteinUhlenbeck) and M.dim == 1:
-        from scipy.stats import norm
-
-        sd = 1.0 / math.sqrt(M.lam)
-        return float(norm.cdf((y[0] + s) / sd) - norm.cdf((y[0] - s) / sd))
+        # N(0, 1/lam) mass of (|y| - s, |y| + s), by upper tails so that
+        # a far-out ball keeps its mass instead of rounding to 0
+        a, y0 = math.sqrt(0.5 * M.lam), abs(float(y[0]))
+        return 0.5 * (math.erfc(a * (y0 - s)) - math.erfc(a * (y0 + s)))
     raise NoOracle(f"no invariant measure for variant {M.variant!r}")
 
 

@@ -9,6 +9,10 @@ kappa(y) that dominates c_D for the cosine choice.
 
 Suprema are taken by low-discrepancy sampling with local refinement; a
 re-check at four times the resolution is reported alongside the value.
+The Sobol' points come from the private kernel ``_sobol``, which is bit
+for bit the set ``scipy.stats.qmc.Sobol(d, scramble=..., seed=seed)
+.random_base2(m)`` gives with its default 30 bits (pinned in
+``tests/test_local_bounds.py``), so the runtime needs no scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .geometry import (
     EuclideanBall,
@@ -124,23 +127,72 @@ class DomainSpec:
         return DomainSpec(self.center, self.radius + r, self.sample_resolution)
 
 
+_SOBOL_BITS = 30
+
+
+def _sobol_directions():
+    """Direction numbers of Sobol' dimensions 1-3 (primitive polynomials
+    1, 3, 7 with initial numbers (1), (1), (1, 3)) as 30-bit integers."""
+    v = np.ones((3, _SOBOL_BITS), dtype=np.int64)
+    v[2, 1] = 3
+    for j in range(1, _SOBOL_BITS):
+        v[1, j] = v[1, j - 1] ^ (v[1, j - 1] << 1)
+        if j >= 2:
+            v[2, j] = v[2, j - 2] ^ (v[2, j - 1] << 1) ^ (v[2, j - 2] << 2)
+    return (v << (_SOBOL_BITS - 1 - np.arange(_SOBOL_BITS))).astype(np.uint32)
+
+
+_SOBOL_V = _sobol_directions()
+
+
+def _sobol(d: int, m: int, seed: int = 0) -> np.ndarray:
+    """The first 2^m Sobol' points in [0, 1)^d, d <= 3.
+
+    seed=0 gives the plain sequence; another seed scrambles it (linear
+    matrix scrambling plus a digital shift, both drawn from
+    ``np.random.default_rng(seed)``).  Points come in Gray-code order.
+    """
+    v, shift = _SOBOL_V[:d], np.zeros(d, dtype=np.uint32)
+    if seed:
+        rng = np.random.default_rng(seed)
+        bit = np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)  # top bit first
+        shift = rng.integers(2, size=(d, _SOBOL_BITS), dtype=np.uint32) @ (1 << bit[::-1])
+        ltm = np.tril(rng.integers(2, size=(d, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+        ltm[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+        v_bits = (v[:, :, None] >> bit) & 1  # (d, column, bit)
+        v = ((v_bits @ ltm.transpose(0, 2, 1)) & 1) @ (1 << bit)
+    q = shift[None, :]
+    for c in range(m):
+        q = np.concatenate([q, q[::-1] ^ v[:, c]])
+    return q * (1.0 / 2**_SOBOL_BITS)
+
+
 def _tangent_ball_samples(M: ModelSpace, center, radius, n, skip=0):
     """Quasi-random tangent vectors of length < radius at center.
 
     skip=0 gives the plain Sobol set; other values give deterministic
-    scrambled variants for refinement rounds.
+    scrambled variants for refinement rounds.  Covers d <= 3.
     """
     d = M.dim
+    if d > 3:
+        raise GeometryError(f"ball sampling covers d <= 3, got d = {d}")
     m = max(4, math.ceil(math.log2(max(n, 2))))
-    if skip:
-        eng = qmc.Sobol(d=d, scramble=True, seed=skip)
-    else:
-        eng = qmc.Sobol(d=d, scramble=False)
-    u = eng.random_base2(m)[:n]
+    u = _sobol(d, m, skip)[:n]
     frame = M.frame(np.asarray(center, dtype=float))
     if d == 1:
         s = (2.0 * u[:, 0] - 1.0) * radius
         return s[:, None] * frame[0]
+    if d == 3:
+        # volume-uniform spherical map: cube-root radius, uniform height
+        r = radius * np.cbrt(u[:, 0])
+        z = 2.0 * u[:, 1] - 1.0
+        rho = r * np.sqrt(1.0 - z * z)
+        theta = 2.0 * np.pi * u[:, 2]
+        return (
+            (rho * np.cos(theta))[:, None] * frame[0]
+            + (rho * np.sin(theta))[:, None] * frame[1]
+            + (r * z)[:, None] * frame[2]
+        )
     # area-uniform polar map in the tangent disc
     r = radius * np.sqrt(u[:, 0])
     theta = 2.0 * np.pi * u[:, 1]

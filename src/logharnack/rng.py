@@ -9,6 +9,7 @@ reproducible no matter how the blocks are scheduled.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # numpy >= 2 loads it on first use; every run needs it
 
 __all__ = ["BLOCK_SIZE", "stream", "path_blocks", "derive_seed"]
 

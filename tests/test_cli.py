@@ -322,6 +322,18 @@ def test_console_entry_point():
     assert "coupling-diagnostics" in proc.stdout
 
 
+def test_cli_import_loads_no_scipy():
+    # scipy costs about a second of start-up; the runtime needs none of it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, logharnack.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_mc_generator_row_has_a_band(tmp_path):
     # no oracle on the explosive line: the slope's standard error sets the
     # band; the oracle route (OU) keeps band 0
@@ -458,9 +470,16 @@ HALF1_MODEL = {"variant": "half_space", "dim": 1}
     (BASE["model"], "log-harnack", dict(LOG_HARNACK_GRID, x=[[0.0, 1.0]]), "x"),
     (BASE["model"], "log-harnack", dict(LOG_HARNACK_GRID, x=[[float("nan")]]), "x"),
     (BASE["model"], "log-harnack", dict(LOG_HARNACK_GRID, y=[[True]]), "y"),
+    # start points off the model ran and could report holds
+    ({"variant": "sphere", "dim": 2, "radius": 1.0}, "kernel-lower",
+     {"x": [[0.0, 0.0, 2.0]], "y": [[0.0, 0.3, 0.9539392014169457]], "t": [0.5]}, "x"),
+    (HALF1_MODEL, "log-harnack", dict(LOG_HARNACK_GRID, y=[[-0.3]]), "y"),
+    ({"variant": "hyperbolic", "dim": 2}, "harnack",
+     {"x": [[0.0, 1.0]], "y": [[0.0, 0.0]], "T": [0.5], "f": [{"tag": "coord_exp", "a": [1.0, 0.0]}]}, "y"),
 ], ids=["t-true", "T-true", "h-true", "domain_radius-true", "n_paths-true", "t_grid-true",
         "t_grid-empty", "t_grid-nan", "eps_tilt-true", "eps_tilt-nan", "r-true", "r-negative",
-        "c2_max-string", "x-size", "x-nan", "y-true"])
+        "c2_max-string", "x-size", "x-nan", "y-true", "x-off-sphere", "y-off-half-space",
+        "y-off-hyperbolic"])
 def test_bad_numbers_name_the_field(tmp_path, capsys, model, tag, grid, key):
     cfg = dict(BASE, model=model, output_dir=str(tmp_path / "out"), checks=[{"tag": tag, "grid": grid}])
     path = write_config(tmp_path, cfg)

@@ -265,6 +265,19 @@ def test_mu_ball_values():
     assert E.mu_ball(G.OrnsteinUhlenbeck(1, 4.0), [0.0], 1.0) == pytest.approx(0.9545, abs=1e-3)
 
 
+def test_mu_ball_ou_matches_scipy_normal():
+    from scipy.stats import norm
+
+    # upper tails of N(0, 1/lam) keep far-out balls accurate on both sides
+    for lam in (0.25, 1.0, 4.0, 10.0):
+        sd = 1.0 / math.sqrt(lam)
+        for y in (-9.0, -3.0, -1.0, -0.2, 0.0, 0.5, 2.0, 9.0):
+            for s in (0.05, 0.5, 1.0, 4.0):
+                lo, hi = (abs(y) - s) / sd, (abs(y) + s) / sd
+                expected = norm.sf(lo) - norm.sf(hi)
+                assert E.mu_ball(G.OrnsteinUhlenbeck(1, lam), [y], s) == pytest.approx(expected, rel=1e-11)
+
+
 def test_series_tail_bound_is_negligible():
     # the 200-term truncation tail at the smallest horizons in use
     for M in (G.Sphere(1, 1.0), G.Sphere(2, 1.0)):

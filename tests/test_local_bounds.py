@@ -392,6 +392,30 @@ def test_local_constants_serialization():
 # ----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sobol_kernel_is_scipy_bit_for_bit(d):
+    from scipy.stats import qmc
+
+    for m in range(4, 15):
+        assert np.array_equal(LB._sobol(d, m), qmc.Sobol(d=d, scramble=False).random_base2(m))
+        for seed in (1, 2, 3, 7):
+            expected = qmc.Sobol(d=d, scramble=True, seed=seed).random_base2(m)
+            assert np.array_equal(LB._sobol(d, m, seed), expected), (m, seed)
+
+
+def test_ball_samples_fill_three_dimensions():
+    # the 3-d ball used to be sampled in the plane of the first two frame
+    # vectors, so c_D depended on the drift direction
+    pts = LB.ball_samples(G.Euclidean(3), np.zeros(3), 1.0, 4096)
+    assert np.all(np.abs(pts).max(axis=0) > 0.95)
+    assert np.all(np.linalg.norm(pts, axis=-1) < 1.0)
+    values = [LB.c_D(M, LB.cosine_reference(M, np.zeros(3)))
+              for M in (G.Euclidean(3, drift_vec=[1.0, 0.0, 0.0]), G.Euclidean(3, drift_vec=[0.0, 0.0, 1.0]))]
+    assert values[1] == pytest.approx(values[0], rel=1e-4)
+    with pytest.raises(G.GeometryError, match="d = 4"):
+        LB.ball_samples(G.Euclidean(4), np.zeros(4), 1.0, 1024)
+
+
 def test_domain_supremum_reports_recheck():
     M = G.Euclidean(2)
     D = LB.DomainSpec(np.array([0.0, 0.0]), 1.0, sample_resolution=1024)
