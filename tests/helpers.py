@@ -3,8 +3,8 @@
 These deliberately avoid the library's closed-form code paths: geodesics
 and parallel transport are integrated from the Christoffel symbols of the
 upper half-plane metric, curvature is recovered from geodesic deviation,
-and boundary-exit probabilities come from the classical reflection
-series.
+boundary-exit probabilities come from the classical reflection series,
+and domain suprema are maxima over polar grids in every direction.
 """
 
 import math
@@ -82,7 +82,27 @@ def bm_two_sided_exit_prob(t, r=1.0, terms=40):
     return 1.0 - 4.0 / math.pi * s
 
 
-def dense_scan_sup_1d(fn, lo, hi, n=2_000_001):
-    """Dense-grid supremum oracle for 1-d objectives."""
-    z = np.linspace(lo, hi, n)[:, None]
-    return float(np.max(fn(z)))
+def polar_grid_sup(M, ref, coef=5.0, n_rho=401, k=12):
+    """Maximum of coef |grad phi|^2 - phi L phi over a polar grid of
+    D ∩ M for a reference function on D = B(y, r).
+
+    The grid is exp_y(s v): n_rho radii s in [0, r], end point included,
+    times unit directions v = sum_i xi_i e_i in the frame at y, with xi
+    = +-1 in 1-d and otherwise the normalised integer points of the cube
+    surface max_i |xi_i| = k.  Points outside M are dropped.  Nothing is
+    assumed about which direction holds the supremum.
+    """
+    y, r = ref.domain.center, ref.domain.radius
+    if M.dim == 1:
+        xi = np.array([[1.0], [-1.0]])
+    else:
+        axis = np.arange(-k, k + 1)
+        cube = np.stack(np.meshgrid(*[axis] * M.dim, indexing="ij"), axis=-1).reshape(-1, M.dim)
+        cube = cube[np.abs(cube).max(axis=1) == k].astype(float)
+        xi = cube / np.linalg.norm(cube, axis=1, keepdims=True)
+    v = xi @ M.frame(y)
+    s = np.linspace(0.0, r, n_rho)[1:]
+    tangent = (s[:, None, None] * v[None]).reshape(-1, M.chart_dim)
+    pts = M.exp(np.broadcast_to(y, tangent.shape), tangent)
+    pts = np.concatenate([y[None, :], pts[M.contains(pts)]])
+    return float(np.max(coef * ref.grad_norm_sq(pts) - ref.phi(pts) * ref.l_phi(pts)))

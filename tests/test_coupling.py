@@ -344,18 +344,18 @@ def test_run_coupling_pinned_diagnostics():
     x = np.array([0.0, -0.19866933079506122, 0.9800665778412416])
     cfg = C.standard_coupling_config(Ms, x, [0.0, 0.0, 1.0], T=0.5, h=2e-3)
     d = C.run_coupling(Ms, cfg, 300, master_seed=3)
-    assert (d.e_r.mean, d.e_r.stderr) == (1.014106112896908, 0.033907259148627855)
-    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.16019647845001106, 0.04701785968868921)
-    assert d.max_rho_excess == -0.009904621749131426
+    assert (d.e_r.mean, d.e_r.stderr) == (1.0141061128982671, 0.033907259149894314)
+    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.1601964784608153, 0.04701785969112598)
+    assert d.max_rho_excess == -0.009904621749682957
     assert d.theta_counts["coupled"] == 300
 
     Mh = G.Hyperbolic()
     cfg = C.standard_coupling_config(Mh, [0.0, math.exp(0.2)], [0.0, 1.0], T=0.5, h=2e-3)
     d = C.run_coupling(Mh, cfg, 300, master_seed=3)
-    assert (d.e_r.mean, d.e_r.stderr) == (0.9523358973488187, 0.029668678262160506)
-    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.07970540523968533, 0.03626180268352357)
-    assert (d.coupling_weighted.mean, d.coupled_fraction) == (0.952251576970005, 299 / 300)
-    assert d.max_rho_excess == -0.005067080973403748
+    assert (d.e_r.mean, d.e_r.stderr) == (0.9523358973471033, 0.029668678263785116)
+    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.07970540525099082, 0.03626180268607217)
+    assert (d.coupling_weighted.mean, d.coupled_fraction) == (0.9522515769682612, 299 / 300)
+    assert d.max_rho_excess == -0.005067080974475696
     assert (d.theta_counts["coupled"], d.theta_counts["tau_D_y"]) == (299, 1)
 
 
