@@ -7,8 +7,11 @@ significant digits so reruns diff bit-exactly.  Grid points are expanded
 in a fixed order, dispatched to a bounded worker pool, and the rows are
 written in grid order, so the report is identical for any worker count.
 
-Every grid key is the keyword of the same name on its checker, and
-``_ARGS`` maps each key to the coercion of its grid values.  Runners:
+Each config value is read once, by one reader, when the file is loaded:
+the reader checks the value and converts it to what the checker gets,
+and a bad value fails there with its field named.  ``_ARGS`` holds the
+reader of each grid key, which is the keyword of the same name on its
+checker; the jobs run the values as read.  Runners:
 
     log-harnack, log-harnack-local,   one runner: check(M, **args) plus the
     gradient, harnack                 job seed; margin plotted against T / t
@@ -41,8 +44,8 @@ import yaml
 from . import coupling as cp
 from . import verify as vf
 from .diffusion import local_time_profile
-from .estimators import generator_check, test_function_from_config
-from .geometry import GeometryError, model_from_config
+from .estimators import _is_finite, generator_check, test_function_from_config
+from .geometry import GeometryError, ModelSpace, model_from_config
 from .rng import derive_seed
 
 __all__ = [
@@ -88,92 +91,59 @@ class JobResult:
     series: list = field(default_factory=list)  # (name, xval, yval)
 
 
-def _floats(v):
-    return np.asarray(v, dtype=float)
-
-
-# grid key -> coercion of one grid value to the checker keyword of that name
-_ARGS = {
-    "x": _floats,
-    "y": _floats,
-    "f": test_function_from_config,
-    "g": test_function_from_config,
-    "T": float,
-    "t": float,
-    "h": float,
-    "domain_radius": float,
-    "eps_tilt": float,
-    "r": float,
-    "c2_max": float,
-    "t_grid": lambda v: [float(t) for t in v],
-    "n_paths": int,
-    "use_oracle": bool,
-    "correction": bool,
-}
-
-
-def _args(p) -> dict:
-    return {k: _ARGS[k](v) for k, v in p.items()}
-
-
 def _report_runner(check, seeded=False):
     """Runner of a checker that returns one report: every grid key is the
     checker keyword of the same name; Monte Carlo checkers also get the
     job seed.  The margin is plotted against T (or t) under the tag."""
 
     def run_job(M, p, seed):
-        args = _args(p)
-        if seeded:
-            args["master_seed"] = seed
+        args = dict(p, master_seed=seed) if seeded else p
         rep = check(M, **args)
-        return JobResult(reports=[rep], series=[(rep.tag, args.get("T", args.get("t")), rep.margin)])
+        return JobResult(reports=[rep], series=[(rep.tag, p.get("T", p.get("t")), rep.margin)])
 
     return run_job
 
 
 def _run_coupling(M, p, seed):
-    a = _args(p)
+    a = dict(p)
     h, n_pairs = a.pop("h", 1e-3), a.pop("n_paths", 20000)
     diag = cp.run_coupling(M, cp.standard_coupling_config(M, h=h, **a), n_pairs, seed)
-    row = {"variant": M.variant, "x": json.dumps(list(map(float, np.atleast_1d(p["x"])))),
-           "y": json.dumps(list(map(float, np.atleast_1d(p["y"])))), "T": a["T"], "h": h}
+    row = {"variant": M.variant, "x": json.dumps(p["x"].tolist()), "y": json.dumps(p["y"].tolist()),
+           "T": p["T"], "h": h}
     row.update(diag.to_row())
-    return JobResult(diagnostics=[row], series=[("coupling-entropy", a["T"], diag.entropy_bound - diag.e_rlogr.mean)])
+    return JobResult(diagnostics=[row], series=[("coupling-entropy", p["T"], diag.entropy_bound - diag.e_rlogr.mean)])
 
 
 def _run_local_time(M, p, seed):
-    a = _args(p)
-    t_grid, n_paths, h = a["t_grid"], a.get("n_paths", 100000), a.get("h", 1e-4)
-    ests, ref = local_time_profile(M, a["x"], t_grid, n_paths, h, seed, r=a.get("r", 1.0))
+    t_grid, n_paths, h = p["t_grid"], p.get("n_paths", 100000), p.get("h", 1e-4)
+    ests, ref = local_time_profile(M, p["x"], t_grid, n_paths, h, seed, r=p.get("r", 1.0))
+    # lhs: the C2 fitted to |E l - 2 sqrt(t/pi)| <= C2 t + 3 se
     fitted = max(max(0.0, abs(e.mean - rv) - 3.0 * e.stderr) / t for t, e, rv in zip(t_grid, ests, ref))
     series = [("local-time", t, e.mean - rv) for t, e, rv in zip(t_grid, ests, ref)]
     rep = vf.InequalityReport(
         "local-time",
-        {"variant": M.variant, "x": list(np.atleast_1d(p["x"])), "t_grid": t_grid,
-         "n_paths": n_paths, "h": h, "seed": seed},
+        {"variant": M.variant, "x": p["x"].tolist(), "t_grid": t_grid, "n_paths": n_paths, "h": h, "seed": seed},
         lhs=fitted,
-        rhs=a.get("c2_max", 5.0),
-        notes="lhs = fitted C2 for |E l - 2 sqrt(t/pi)| <= C2 t + 3 se",
+        rhs=p.get("c2_max", 5.0),
     )
     return JobResult(reports=[rep], series=series)
 
 
 def _run_generator(M, p, seed):
-    res = generator_check(M, master_seed=seed, **_args(p))
+    res = generator_check(M, master_seed=seed, **p)
     rep = vf.InequalityReport(
         "generator",
-        {"variant": M.variant, "x": list(np.atleast_1d(p["x"])), "g": p["g"], "seed": seed},
+        {"variant": M.variant, "x": p["x"].tolist(), "g": p["g"].to_config(), "seed": seed},
         lhs=abs(res["slope"] - res["lg"]),
         rhs=0.05 * max(abs(res["lg"]), 1e-12),
         lhs_se=0.0 if res["oracle"] else res["slope_paths"].stderr,
-        notes=f"slope={res['slope']:.6g} lg={res['lg']:.6g}",
     )
     series = [("generator", float(s), float(v)) for s, v in zip(res["s_grid"], res["values"])]
     return JobResult(reports=[rep], series=series)
 
 
 def _run_sharpness(M, p, seed):
-    rep = vf.sharpness_experiment(M, master_seed=seed, **_args(p))
+    rep = vf.sharpness_experiment(M, master_seed=seed, **p)
     series = [("sharpness-cbound", float(r["r"]), float(r["c_bound"])) for r in rep.rows]
     return JobResult(reports=rep.to_reports(), series=series)
 
@@ -212,33 +182,116 @@ def list_checks() -> str:
 
 
 # ----------------------------------------------------------------------
-# Config parsing and validation
+# Config reading: each value is read once, by one reader
 # ----------------------------------------------------------------------
 
 
-def _is_number(v) -> bool:
-    # YAML true/false load as bool, a subclass of int
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _reader(must, ok, convert=float):
+    """Reader of a value that ``ok`` judges alone; ``convert`` gives what
+    the checker gets."""
+
+    def read(v, M):
+        if not ok(v):
+            raise ValueError(f"must be {must}, got {v!r}")
+        return convert(v)
+
+    return read
 
 
-def _is_positive(v) -> bool:
-    return _is_number(v) and v > 0  # "> 0" rejects NaN
+def _is_int(v, least) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 
-def _is_finite(v) -> bool:
-    return _is_number(v) and abs(v) <= sys.float_info.max  # NaN fails the compare
+def _point(v, M) -> np.ndarray:
+    entries = v if isinstance(v, list) else [v]
+    if len(entries) != M.chart_dim or not all(map(_is_finite, entries)):
+        raise ValueError(f"must be a point of {M.chart_dim} finite numbers, got {v!r}")
+    x = np.asarray(entries, dtype=float)
+    if not M.contains(x):
+        raise ValueError(f"must lie on the {M.variant} model, got {v!r}")
+    x.flags.writeable = False  # the jobs of this grid value share the array
+    return x
+
+
+def _test_function(v, M):
+    return test_function_from_config(v, M.chart_dim)
+
+
+_POSITIVE = _reader("a positive number", lambda v: _is_finite(v) and v > 0)
+_FLAG = _reader("true or false", lambda v: isinstance(v, bool), bool)
+
+# grid key -> its reader: (YAML value, model) -> the checker keyword of the
+# same name; a reader raises ValueError saying what the value must be
+_ARGS = {
+    "x": _point,
+    "y": _point,
+    "f": _test_function,
+    "g": _test_function,
+    "T": _POSITIVE,
+    "t": _POSITIVE,
+    "h": _POSITIVE,
+    "domain_radius": _POSITIVE,
+    "r": _POSITIVE,
+    "c2_max": _POSITIVE,
+    "eps_tilt": _reader("a finite number", _is_finite),
+    "t_grid": _reader("a non-empty list of positive times",
+                      lambda v: isinstance(v, list) and v and all(_is_finite(t) and t > 0 for t in v),
+                      lambda v: [float(t) for t in v]),
+    "n_paths": _reader("an integer >= 1000", lambda v: _is_int(v, 1000), int),
+    "use_oracle": _FLAG,
+    "correction": _FLAG,
+}
+_SEED = _reader("an integer >= 0", lambda v: _is_int(v, 0), int)
+_WORKERS = _reader("an integer >= 1", lambda v: _is_int(v, 1), int)
+
+
+def _read(where, reader, v, M=None):
+    try:
+        return reader(v, M)
+    except ValueError as e:
+        raise ConfigError(where, str(e)) from None
+
+
+def _read_check(where, chk, M):
+    """(tag, {grid key: [read values]}) of one entry of ``checks``."""
+    if not isinstance(chk, dict) or "tag" not in chk:
+        raise ConfigError(where + ".tag", "missing tag")
+    tag = chk["tag"]
+    if not isinstance(tag, str) or tag not in CHECKS:
+        raise ConfigError(where + ".tag", f"unknown check {tag!r}")
+    grid = chk.get("grid", {})
+    if not isinstance(grid, dict):
+        raise ConfigError(where + ".grid", "grid must be a mapping of parameter lists")
+    spec = CHECKS[tag]
+    for req in spec["required"]:
+        if req not in grid:
+            raise ConfigError(f"{where}.grid.{req}", "required parameter missing")
+    read = {}
+    for key, vals in grid.items():
+        if key not in spec["required"] + spec["optional"]:
+            raise ConfigError(f"{where}.grid.{key}", f"unknown parameter for {tag}")
+        if not isinstance(vals, list) or len(vals) == 0:
+            raise ConfigError(f"{where}.grid.{key}", "grid values must be a non-empty list")
+        read[key] = [_read(f"{where}.grid.{key}", _ARGS[key], v, M) for v in vals]
+    return tag, read
 
 
 @dataclass
 class ExperimentConfig:
+    """An experiment file as read: ``model`` is the raw model record,
+    ``space`` the model it builds, and ``checks`` holds (tag, grid) pairs
+    whose grid values are what the readers returned."""
+
     model: dict
+    space: ModelSpace
     checks: list
     master_seed: int = 0
     output_dir: str = "out"
     workers: int = 1
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, master_seed=None, workers=None, output_dir=None) -> "ExperimentConfig":
+        """Read the file; master_seed, workers and output_dir, unless None, replace its values."""
         try:
             raw = yaml.safe_load(Path(path).read_text())
         except FileNotFoundError:
@@ -251,82 +304,32 @@ class ExperimentConfig:
             raise ConfigError("schema_version", f"must be {SCHEMA_VERSION}")
         if "model" not in raw:
             raise ConfigError("model", "missing model record")
-        checks = raw.get("checks", [])
-        if checks is None:
-            checks = []
-        cfg = cls(
-            model=raw["model"],
-            checks=checks,
-            master_seed=int(raw.get("master_seed", 0)),
-            output_dir=str(raw.get("output_dir", "out")),
-            workers=int(raw.get("workers", 1)),
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self):
+        overrides = {"master_seed": master_seed, "workers": workers, "output_dir": output_dir}
+        raw.update({k: v for k, v in overrides.items() if v is not None})
         try:
-            M = model_from_config(self.model)
+            M = model_from_config(raw["model"])
         except GeometryError as e:
             raise ConfigError("model", str(e)) from None
-        for i, chk in enumerate(self.checks):
-            where = f"checks[{i}]"
-            if "tag" not in chk:
-                raise ConfigError(where + ".tag", "missing tag")
-            tag = chk["tag"]
-            if tag not in CHECKS:
-                raise ConfigError(where + ".tag", f"unknown check {tag!r}")
-            grid = chk.get("grid", {})
-            if not isinstance(grid, dict):
-                raise ConfigError(where + ".grid", "grid must be a mapping of parameter lists")
-            for req in CHECKS[tag]["required"]:
-                if req not in grid:
-                    raise ConfigError(f"{where}.grid.{req}", "required parameter missing")
-            known = set(CHECKS[tag]["required"]) | set(CHECKS[tag]["optional"])
-            for key, vals in grid.items():
-                if key not in known:
-                    raise ConfigError(f"{where}.grid.{key}", f"unknown parameter for {tag}")
-                if not isinstance(vals, list) or len(vals) == 0:
-                    raise ConfigError(f"{where}.grid.{key}", "grid values must be a non-empty list")
-                for v in vals:
-                    self._check_value(f"{where}.grid.{key}", key, v, M)
-
-    @staticmethod
-    def _check_value(where, key, v, M):
-        if key in ("use_oracle", "correction") and not isinstance(v, bool):
-            raise ConfigError(where, f"{key} must be true or false, got {v!r}")
-        if key in ("T", "t", "h", "domain_radius", "r", "c2_max") and not _is_positive(v):
-            raise ConfigError(where, f"{key} must be a positive number, got {v!r}")
-        if key == "eps_tilt" and not _is_finite(v):
-            raise ConfigError(where, f"eps_tilt must be a finite number, got {v!r}")
-        if key in ("x", "y"):
-            entries = v if isinstance(v, list) else [v]
-            if len(entries) != M.chart_dim or not all(map(_is_finite, entries)):
-                raise ConfigError(where, f"{key} must be a point of {M.chart_dim} finite numbers, got {v!r}")
-            if not M.contains(np.asarray(entries, dtype=float)):
-                raise ConfigError(where, f"{key} must lie on the {M.variant} model, got {v!r}")
-        if key == "n_paths":
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1000:
-                raise ConfigError(where, f"n_paths must be an integer >= 1000, got {v!r}")
-        if key == "t_grid":
-            if not isinstance(v, list) or not v or not all(_is_positive(t) for t in v):
-                raise ConfigError(where, f"t_grid must be a non-empty list of positive times, got {v!r}")
-        if key in ("f", "g"):
-            if not isinstance(v, dict) or "tag" not in v:
-                raise ConfigError(where, "test functions are mappings with a 'tag'")
+        checks = raw.get("checks") or []
+        if not isinstance(checks, list):
+            raise ConfigError("checks", "must be a list of checks")
+        return cls(
+            model=raw["model"],
+            space=M,
+            checks=[_read_check(f"checks[{i}]", chk, M) for i, chk in enumerate(checks)],
+            master_seed=_read("master_seed", _SEED, raw.get("master_seed", 0)),
+            output_dir=str(raw.get("output_dir", "out")),
+            workers=_read("workers", _WORKERS, raw.get("workers", 1)),
+        )
 
     def jobs(self):
         """Expand every check grid into (job_index, tag, params) in a
         fixed deterministic order."""
         out = []
-        idx = 0
-        for chk in self.checks:
-            tag = chk["tag"]
-            grid = chk.get("grid", {})
-            keys = sorted(grid.keys())
+        for tag, grid in self.checks:
+            keys = sorted(grid)
             for combo in itertools.product(*(grid[k] for k in keys)):
-                out.append((idx, tag, dict(zip(keys, combo))))
-                idx += 1
+                out.append((len(out), tag, dict(zip(keys, combo))))
         return out
 
 
@@ -383,14 +386,8 @@ def _csv_line(values) -> str:
 
 def run(config_path, *, workers=None, seed=None, out=None) -> int:
     """Execute the experiment file; returns the process exit status."""
-    cfg = ExperimentConfig.from_file(config_path)
-    if seed is not None:
-        cfg.master_seed = int(seed)
-    if workers is not None:
-        cfg.workers = int(workers)
-    if out is not None:
-        cfg.output_dir = str(out)
-    M = model_from_config(cfg.model)
+    cfg = ExperimentConfig.from_file(config_path, master_seed=seed, workers=workers, output_dir=out)
+    M = cfg.space
     jobs = cfg.jobs()
 
     def exec_job(job):
@@ -401,15 +398,11 @@ def run(config_path, *, workers=None, seed=None, out=None) -> int:
         except (ValueError, GeometryError) as e:
             raise PreconditionError(f"job {idx} ({tag})", str(e)) from e
 
-    results = {}
     if cfg.workers > 1:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for idx, res in pool.map(exec_job, jobs):
-                results[idx] = res
+            results = dict(pool.map(exec_job, jobs))
     else:
-        for job in jobs:
-            idx, res = exec_job(job)
-            results[idx] = res
+        results = dict(map(exec_job, jobs))
 
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)

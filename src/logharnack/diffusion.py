@@ -72,7 +72,9 @@ class PathConfig:
 
 def _advance(M: ModelSpace, pos, h, xi, alive):
     """One geodesic Euler step for a batch.  Returns (positions,
-    local-time increments, alive).  Dead paths are frozen."""
+    local-time increments, alive).  Only the explosive variant ends
+    lifetimes, and it freezes its dead paths; on every other variant
+    ``alive`` passes through."""
     if isinstance(M, ExplosiveDrift1D):
         return _advance_explosive(M, pos, h, xi, alive)
     v = math.sqrt(2.0 * h) * M.tangent_from_frame(pos, xi) + h * M.drift(pos)
@@ -81,10 +83,6 @@ def _advance(M: ModelSpace, pos, h, xi, alive):
         new, dl = M.reflect(new)
     else:
         dl = np.zeros(pos.shape[:-1])
-    if not np.all(alive):
-        keep = alive[..., None]
-        new = np.where(keep, new, pos)
-        dl = np.where(alive, dl, 0.0)
     return new, dl, alive
 
 

@@ -17,7 +17,9 @@ against s, from one marked ensemble when there is no oracle.
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -276,10 +278,41 @@ _BUILDERS = {
 }
 
 
-def test_function_from_config(cfg: dict) -> TestFunction:
-    cfg = dict(cfg)
-    tag = cfg.pop("tag")
-    return _BUILDERS[tag](**cfg)
+def _is_finite(v) -> bool:
+    # YAML true/false load as bool, a subclass of int; NaN fails the compare
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def test_function_from_config(cfg: dict, chart_dim: int) -> TestFunction:
+    """Read a catalogue function from its config mapping, e.g.
+    ``{tag: coord, i: 0}``: the tag names a builder above and the other
+    keys are its arguments.
+
+    Raises ValueError saying what the mapping must be: a known tag, each
+    argument the builder needs and none it does not take, finite numbers,
+    an integer index ``i`` in range(chart_dim), a ``center`` or ``a`` of
+    chart_dim entries.
+    """
+    tag = cfg.get("tag") if isinstance(cfg, dict) else None
+    if not isinstance(tag, str) or tag not in _BUILDERS:
+        raise ValueError(f"must be a mapping with a tag among {', '.join(_BUILDERS)}, got {cfg!r}")
+    args = {k: v for k, v in cfg.items() if k != "tag"}
+    params = inspect.signature(_BUILDERS[tag]).parameters
+    need = [k for k, par in params.items() if par.default is par.empty]
+    if not set(need) <= set(args) <= set(params):
+        raise ValueError(f"{tag} takes {', '.join(params)}, of which {', '.join(need) or 'none'} required, "
+                         f"got {list(args)}")
+    for k, v in args.items():
+        vector = k in ("center", "a")
+        entries = v if vector and isinstance(v, list) else [v]
+        if not all(map(_is_finite, entries)) or k == "i" and not isinstance(v, int):
+            what = "an integer" if k == "i" else "finite numbers" if vector else "a finite number"
+            raise ValueError(f"{tag} {k} must be {what}, got {v!r}")
+        if vector and len(entries) != chart_dim:
+            raise ValueError(f"{tag} {k} must have {chart_dim} entries, got {v!r}")
+        if k == "i" and not 0 <= v < chart_dim:
+            raise ValueError(f"{tag} i must lie in range({chart_dim}), got {v!r}")
+    return _BUILDERS[tag](**args)
 
 
 # ----------------------------------------------------------------------
@@ -511,19 +544,6 @@ def mu_quadrature(M: ModelSpace, n: int = 512):
         theta = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         pts = M.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         return pts, np.full(n, 1.0 / n)
-    if isinstance(M, Sphere) and M.dim == 2:
-        u, wu = np.polynomial.legendre.leggauss(n)
-        psi = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        sin_t = np.sqrt(np.maximum(1.0 - u**2, 0.0))
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        e3 = np.array([0.0, 0.0, 1.0])
-        pts = (
-            u[:, None, None] * e3
-            + sin_t[:, None, None] * (np.cos(psi)[None, :, None] * e1 + np.sin(psi)[None, :, None] * e2)
-        ) * M.radius
-        w = np.repeat(wu / 2.0 / n, n)
-        return pts.reshape(-1, 3), w
     if isinstance(M, OrnsteinUhlenbeck) and M.dim == 1:
         nodes, weights = np.polynomial.hermite.hermgauss(min(n, 180))
         sd = 1.0 / math.sqrt(M.lam)

@@ -101,9 +101,6 @@ class ModelSpace:
     has_boundary = False
     conservative = True
     injectivity_radius = np.inf
-    # True when pointwise_K is the same at every point (all catalogue
-    # variants except the explosive one).
-    constant_K = True
 
     # -- drift ---------------------------------------------------------
 
@@ -204,9 +201,8 @@ class ModelSpace:
         raise NotImplementedError
 
     def sup_pointwise_K_ball(self, center, radius: float) -> float:
-        """Exact sup of pointwise_K over B(center, radius)."""
-        if not self.constant_K:
-            raise NotImplementedError
+        """Exact sup of pointwise_K over B(center, radius); a variant whose
+        pointwise_K varies overrides it."""
         return float(self.pointwise_K(_arr(center)))
 
     def radial_laplacian(self, center, z) -> np.ndarray:
@@ -363,7 +359,6 @@ class ExplosiveDrift1D(_FlatChart):
 
     variant = "explosive_drift_1d"
     conservative = False
-    constant_K = False
     explosion_threshold = 1e6
 
     def __init__(self):

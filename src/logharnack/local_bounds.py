@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    INJ_MARGIN,
     EuclideanBall,
     GeometryError,
     HalfSpace,
@@ -155,7 +156,7 @@ class ReferenceFunction:
     domain: DomainSpec
 
     def __post_init__(self):
-        if self.M.injectivity_radius <= self.domain.radius / 0.9:
+        if self.M.injectivity_radius <= self.domain.radius / INJ_MARGIN:
             raise GeometryError("cosine reference needs injectivity radius beyond the ball")
 
     @property
@@ -278,7 +279,7 @@ class LocalConstants:
 def kappa(M: ModelSpace, y, x=None) -> LocalConstants:
     """kappa(y) = K_y + pi^2 (d+3)/4 + pi (b_y + sqrt(K_y^0 (d-1)) / 2)
     together with its ingredients; K_xy is filled when x is given."""
-    if M.injectivity_radius <= 1.0 / 0.9:
+    if M.injectivity_radius <= 1.0 / INJ_MARGIN:
         raise GeometryError("kappa needs injectivity radius > 1")
     y = np.asarray(y, dtype=float)
     unit_ball = DomainSpec(y, 1.0)

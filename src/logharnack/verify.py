@@ -49,7 +49,7 @@ from .estimators import (
     mu_quadrature,
     oracle_semigroup,
 )
-from .geometry import ModelSpace, OrnsteinUhlenbeck
+from .geometry import INJ_MARGIN, ModelSpace, OrnsteinUhlenbeck
 from .local_bounds import (
     DomainSpec,
     LocalConstants,
@@ -105,7 +105,6 @@ class InequalityReport:
     lhs_se: float = 0.0
     rhs_se: float = 0.0
     constants: LocalConstants = field(default_factory=LocalConstants)
-    notes: str = ""
 
     @property
     def margin(self) -> float:
@@ -222,17 +221,13 @@ def check_log_harnack(
     c_phi = c_D(M, phi)
     rhs = log_harnack_rhs(rho, K_rho, T, c_phi, 1.0)  # phi(y) = 1
 
-    notes = ""
     if use_oracle:
         try:
-            lhs, lhs_se, arg = _lhs_log_harnack_oracle(M, x, y, T, f)
-            notes = "oracle"
+            lhs, lhs_se, _ = _lhs_log_harnack_oracle(M, x, y, T, f)
         except NoOracle:
             use_oracle = False
     if not use_oracle:
-        lhs, lhs_se, arg = _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, master_seed, correction)
-        if not correction:
-            notes = "no-correction"
+        lhs, lhs_se, _ = _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, master_seed, correction)
 
     consts = LocalConstants(K_D_rho=K_rho, c_D_phi=c_phi)
     cfg = {
@@ -248,9 +243,7 @@ def check_log_harnack(
         "seed": master_seed,
         "correction": correction,
     }
-    return InequalityReport(
-        "log-harnack", cfg, lhs=lhs, rhs=rhs, lhs_se=lhs_se, constants=consts, notes=notes
-    )
+    return InequalityReport("log-harnack", cfg, lhs=lhs, rhs=rhs, lhs_se=lhs_se, constants=consts)
 
 
 def check_log_harnack_local(
@@ -272,7 +265,7 @@ def check_log_harnack_local(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     rho = float(M.distance(x, y))
-    if M.injectivity_radius <= (1.0 + rho) / 0.9:
+    if M.injectivity_radius <= (1.0 + rho) / INJ_MARGIN:
         raise ValueError("needs injectivity radius beyond 1 + rho(x, y)")
     consts = kappa(M, y, x=x)
     rhs = local_log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
@@ -543,7 +536,6 @@ class SharpnessReport:
                 lhs=0.45,
                 rhs=self.c_min,
                 rhs_se=self.c_min_se,
-                notes="empirical admissible-c lower bound",
             )
         )
         return out

@@ -1,5 +1,6 @@
 import csv
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -351,6 +352,25 @@ def test_mc_generator_row_has_a_band(tmp_path):
     assert float(rows["ornstein_uhlenbeck"]["band"]) == 0.0
 
 
+@pytest.mark.parametrize("g,written", [
+    ({"tag": "coord", "i": 0}, {"tag": "coord", "i": 0}),
+    # the row writes the function as read: defaults filled in, numbers as floats
+    ({"tag": "gauss_bump", "center": [0], "width": 1},
+     {"tag": "gauss_bump", "center": [0.0], "width": 1.0, "amp": 1.0}),
+    ({"tag": "one_plus_bump", "center": [1], "width": 2},
+     {"tag": "one_plus_bump", "center": [1.0], "width": 2.0, "b": 0.5}),
+], ids=["coord", "gauss_bump-defaults", "one_plus_bump-defaults"])
+def test_generator_row_writes_the_read_function(tmp_path, g, written):
+    out = tmp_path / "out"
+    cfg = dict(BASE, model={"variant": "ornstein_uhlenbeck", "dim": 1, "lam": 1.0}, output_dir=str(out),
+               checks=[{"tag": "generator", "grid": {"x": [[1]], "g": [g]}}])
+    run(write_config(tmp_path, cfg))
+    [row] = _csv_rows(out / "report.csv")
+    config = json.loads(row["config"])
+    assert config["g"] == written and config["x"] == [1.0]
+    assert row["config"] == json.dumps(config, sort_keys=True)
+
+
 @pytest.mark.parametrize("name", ["logharnack"] + [f"logharnack.{m.name}" for m in
                                                    pkgutil.iter_modules(logharnack.__path__)])
 def test_every_export_resolves(name):
@@ -417,10 +437,11 @@ def _csv_rows(path):
 def test_cli_row_equals_direct_call(tmp_path, tag, model, check, grid):
     assert set(grid) == set(CHECKS[tag]["required"]) | set(CHECKS[tag]["optional"])
     out, job_seed = _one_job(tmp_path, model, tag, grid)
-    kwargs = {k: E.test_function_from_config(v) if k == "f" else v for k, v in grid.items()}
+    M = model_from_config(model)
+    kwargs = {k: E.test_function_from_config(v, M.chart_dim) if k == "f" else v for k, v in grid.items()}
     if "n_paths" in grid:
         kwargs["master_seed"] = job_seed
-    rep = check(model_from_config(model), **kwargs)
+    rep = check(M, **kwargs)
     [row] = _csv_rows(out / "report.csv")
     assert {k: row[k] for k in rep.to_row()} == {k: _fmt(v) for k, v in rep.to_row().items()}
 
@@ -476,10 +497,22 @@ HALF1_MODEL = {"variant": "half_space", "dim": 1}
     (HALF1_MODEL, "log-harnack", dict(LOG_HARNACK_GRID, y=[[-0.3]]), "y"),
     ({"variant": "hyperbolic", "dim": 2}, "harnack",
      {"x": [[0.0, 1.0]], "y": [[0.0, 0.0]], "T": [0.5], "f": [{"tag": "coord_exp", "a": [1.0, 0.0]}]}, "y"),
+    # test functions were built only at job time: a bad tag or parameter
+    # raised there, and a centre of the wrong size ran another function
+    (BASE["model"], "log-harnack", dict(LOG_HARNACK_GRID, f=[{"tag": "nonsense"}]), "f"),
+    (BASE["model"], "gradient", {"x": [[0.0]], "T": [0.5], "f": [{"tag": "coord", "j": 3}]}, "f"),
+    (BASE["model"], "gradient", {"x": [[0.0]], "T": [0.5], "f": [{"tag": "gauss_bump", "center": [0.0]}]}, "f"),
+    (BASE["model"], "gradient", {"x": [[0.0]], "T": [0.5], "f": [{"tag": "coord", "i": 4}]}, "f"),
+    (BASE["model"], "harnack",
+     {"x": [[0.0]], "y": [[0.3]], "T": [0.5], "f": [{"tag": "gauss_bump", "center": [0.0, 0.0], "width": 1.0}]},
+     "f"),
+    (BASE["model"], "generator", {"x": [[0.0]], "g": [{"tag": "gauss_bump", "center": [0.0, 0.0], "width": 1.0}]},
+     "g"),
 ], ids=["t-true", "T-true", "h-true", "domain_radius-true", "n_paths-true", "t_grid-true",
         "t_grid-empty", "t_grid-nan", "eps_tilt-true", "eps_tilt-nan", "r-true", "r-negative",
         "c2_max-string", "x-size", "x-nan", "y-true", "x-off-sphere", "y-off-half-space",
-        "y-off-hyperbolic"])
+        "y-off-hyperbolic", "f-unknown-tag", "f-unknown-parameter", "f-missing-parameter",
+        "f-index", "f-center-size", "g-center-size"])
 def test_bad_numbers_name_the_field(tmp_path, capsys, model, tag, grid, key):
     cfg = dict(BASE, model=model, output_dir=str(tmp_path / "out"), checks=[{"tag": tag, "grid": grid}])
     path = write_config(tmp_path, cfg)
@@ -488,4 +521,29 @@ def test_bad_numbers_name_the_field(tmp_path, capsys, model, tag, grid, key):
     assert f"checks[0].grid.{key}" in str(err.value)
     assert main(["run", str(path)]) == 2
     assert f"checks[0].grid.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,value", [("master_seed", "abc"), ("master_seed", -5), ("master_seed", 1.9),
+                                       ("workers", "two"), ("workers", True), ("workers", 0)])
+def test_bad_top_level_value_names_the_key(tmp_path, capsys, key, value):
+    # these raised at run time or ran as another integer
+    cfg = dict(BASE, output_dir=str(tmp_path / "out"), checks=[{"tag": "entropy-cost", "grid": {"t": [0.5]}}])
+    cfg[key] = value
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_file(path)
+    assert err.value.where == key
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_precondition_exits_two(tmp_path, capsys):
+    cfg = dict(BASE, model={"variant": "explosive_drift_1d"}, output_dir=str(tmp_path / "out"),
+               checks=[{"tag": "harnack", "grid": {"x": [[0.0]], "y": [[0.3]], "T": [0.5],
+                                                   "f": [{"tag": "const", "c": 1.0}]}}])
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err == (
+        "precondition error: job 0 (harnack): Harnack form requires a conservative variant\n")
     assert not (tmp_path / "out").exists()

@@ -66,7 +66,7 @@ def test_laplacians_match_finite_differences():
 
 def test_function_config_round_trip():
     f = E.one_plus_bump([0.1, 0.2], 0.7, b=0.4)
-    f2 = E.test_function_from_config(f.to_config())
+    f2 = E.test_function_from_config(f.to_config(), 2)
     z = np.array([[0.3, -0.2]])
     assert f(z) == pytest.approx(f2(z))
 
