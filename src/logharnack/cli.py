@@ -44,8 +44,8 @@ import yaml
 from . import coupling as cp
 from . import verify as vf
 from .diffusion import local_time_profile
-from .estimators import _is_finite, generator_check, test_function_from_config
-from .geometry import GeometryError, ModelSpace, model_from_config
+from .estimators import generator_check, test_function_from_config
+from .geometry import GeometryError, ModelSpace, _is_finite, model_from_config
 from .rng import derive_seed
 
 __all__ = [

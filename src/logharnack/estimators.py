@@ -17,9 +17,7 @@ against s, from one marked ensemble when there is no oracle.
 
 from __future__ import annotations
 
-import inspect
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -33,6 +31,7 @@ from .geometry import (
     ModelSpace,
     OrnsteinUhlenbeck,
     Sphere,
+    read_record,
 )
 from .stats import MonteCarloEstimate, estimate_from_values, sample_mean
 
@@ -278,37 +277,18 @@ _BUILDERS = {
 }
 
 
-def _is_finite(v) -> bool:
-    # YAML true/false load as bool, a subclass of int; NaN fails the compare
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
 def test_function_from_config(cfg: dict, chart_dim: int) -> TestFunction:
     """Read a catalogue function from its config mapping, e.g.
     ``{tag: coord, i: 0}``: the tag names a builder above and the other
-    keys are its arguments.
+    keys are its arguments, read by ``geometry.read_record``.
 
-    Raises ValueError saying what the mapping must be: a known tag, each
-    argument the builder needs and none it does not take, finite numbers,
-    an integer index ``i`` in range(chart_dim), a ``center`` or ``a`` of
-    chart_dim entries.
+    Raises ValueError saying what the mapping must be: a record the
+    builder takes, an index ``i`` in range(chart_dim), a ``center`` or
+    ``a`` of chart_dim entries.
     """
-    tag = cfg.get("tag") if isinstance(cfg, dict) else None
-    if not isinstance(tag, str) or tag not in _BUILDERS:
-        raise ValueError(f"must be a mapping with a tag among {', '.join(_BUILDERS)}, got {cfg!r}")
-    args = {k: v for k, v in cfg.items() if k != "tag"}
-    params = inspect.signature(_BUILDERS[tag]).parameters
-    need = [k for k, par in params.items() if par.default is par.empty]
-    if not set(need) <= set(args) <= set(params):
-        raise ValueError(f"{tag} takes {', '.join(params)}, of which {', '.join(need) or 'none'} required, "
-                         f"got {list(args)}")
+    tag, args = read_record(cfg, "tag", _BUILDERS)
     for k, v in args.items():
-        vector = k in ("center", "a")
-        entries = v if vector and isinstance(v, list) else [v]
-        if not all(map(_is_finite, entries)) or k == "i" and not isinstance(v, int):
-            what = "an integer" if k == "i" else "finite numbers" if vector else "a finite number"
-            raise ValueError(f"{tag} {k} must be {what}, got {v!r}")
-        if vector and len(entries) != chart_dim:
+        if k in ("center", "a") and np.size(v) != chart_dim:
             raise ValueError(f"{tag} {k} must have {chart_dim} entries, got {v!r}")
         if k == "i" and not 0 <= v < chart_dim:
             raise ValueError(f"{tag} i must lie in range({chart_dim}), got {v!r}")
@@ -435,11 +415,18 @@ def series_tail_bound(M: Sphere, t: float) -> float:
     return a_next / (1.0 - q)
 
 
+def _row_dots(a, v):
+    """a[..., k] v[k] summed over k for each row of a, by the BLAS dot
+    that np.dot uses on one row: each row gets its one-row value bit for
+    bit, which a matrix-vector product over many rows does not give."""
+    return (a[..., None, :] @ v[:, None])[..., 0, 0]
+
+
 def _sphere1_kernel_vals(M: Sphere, delta, t):
     """Transition density on the circle w.r.t. normalised arclength."""
     ks = np.arange(1, SERIES_TERMS + 1)
     damp = np.exp(-(ks**2) * t / M.radius**2)
-    return 1.0 + 2.0 * np.cos(np.outer(delta, ks / 1.0) / M.radius) @ damp
+    return 1.0 + 2.0 * _row_dots(np.cos(np.asarray(delta)[..., None] * ks / M.radius), damp)
 
 
 def _sphere2_kernel_vals(M: Sphere, cos_theta, t):
@@ -471,8 +458,8 @@ def oracle_semigroup(M: ModelSpace, x, T: float, f: Callable) -> float:
 
         return _adaptive_gh(folded, x, math.sqrt(2.0 * T))
     if isinstance(M, Euclidean):
-        if M._drift is not None:
-            x = x + T * M._drift
+        if M.drift_vec is not None:
+            x = x + T * M.drift_vec
         return _adaptive_gh(f, x, math.sqrt(2.0 * T))
     if isinstance(M, Sphere) and M.dim == 1:
         n = 4096
@@ -501,23 +488,29 @@ def oracle_semigroup(M: ModelSpace, x, T: float, f: Callable) -> float:
 # -- symmetric kernels and invariant measures ---------------------------
 
 
-def heat_kernel(M: ModelSpace, x, y, t: float) -> float:
+def heat_kernel(M: ModelSpace, x, y, t: float):
     """Transition density p_t(x, y) w.r.t. the invariant probability
     measure (circle / 2-sphere with normalised volume, OU with its
-    normalised Gaussian)."""
+    normalised Gaussian).  ``y`` is one point or an array of points
+    (..., chart_dim); each density is bit for bit that of its point
+    alone."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if isinstance(M, Sphere) and M.dim == 1:
-        rho = float(M.distance(x, y))
-        return float(_sphere1_kernel_vals(M, np.array([rho]), t)[0])
+        return _sphere1_kernel_vals(M, M.distance(x, y), t)
     if isinstance(M, Sphere) and M.dim == 2:
-        c = float(np.dot(x, y) / M.radius**2)
-        return float(_sphere2_kernel_vals(M, np.array([c]), t)[0])
+        return _sphere2_kernel_vals(M, _row_dots(y, x) / M.radius**2, t)
     if isinstance(M, OrnsteinUhlenbeck) and M.dim == 1:
         m = math.exp(-M.lam * t)
-        xx, yy = float(x[0]), float(y[0])
-        expo = M.lam * (-(m**2) * (xx**2 + yy**2) / (2 * (1 - m**2)) + m * xx * yy / (1 - m**2))
-        return math.exp(expo) / math.sqrt(1.0 - m**2)
+        xx = float(x[0])
+
+        def mehler(yy):
+            # in Python floats: numpy's exp and square differ from libm's
+            # exp and pow in the last bit
+            expo = M.lam * (-(m**2) * (xx**2 + yy**2) / (2 * (1 - m**2)) + m * xx * yy / (1 - m**2))
+            return math.exp(expo) / math.sqrt(1.0 - m**2)
+
+        return np.vectorize(mehler, otypes=[float])(y[..., 0])[()]
     raise NoOracle(f"no symmetric kernel for variant {M.variant!r}")
 
 
@@ -552,25 +545,10 @@ def mu_quadrature(M: ModelSpace, n: int = 512):
     raise NoOracle(f"no invariant measure for variant {M.variant!r}")
 
 
-def kernel_entropy(M: ModelSpace, y, t: float, n: int = 1024) -> float:
-    """Relative entropy  int p_t(y, z) log p_t(y, z) mu(dz)  by quadrature."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if isinstance(M, Sphere) and M.dim == 1:
-        theta0 = math.atan2(y[1], y[0])
-        theta = theta0 + 2.0 * np.pi * (np.arange(n) + 0.5) / n
-        p = _sphere1_kernel_vals(M, M.radius * (theta - theta0), t)
-        p = np.maximum(p, 1e-300)
-        return float(np.mean(p * np.log(p)))
-    if isinstance(M, Sphere) and M.dim == 2:
-        u, wu = np.polynomial.legendre.leggauss(n)
-        p = np.maximum(_sphere2_kernel_vals(M, u, t), 1e-300)
-        return float(np.sum(wu * p * np.log(p)) / 2.0)
-    if isinstance(M, OrnsteinUhlenbeck) and M.dim == 1:
-        pts, w = mu_quadrature(M, 180)
-        p = np.array([heat_kernel(M, y, z, t) for z in pts])
-        p = np.maximum(p, 1e-300)
-        return float(np.sum(w * p * np.log(p)))
-    raise NoOracle(f"no kernel entropy for variant {M.variant!r}")
+def kernel_entropy(M: ModelSpace, y, t: float) -> float:
+    """Relative entropy  int p_t(y, z) log p_t(y, z) mu(dz), which is the
+    semigroup expectation P_t(log p_t(y, .))(y)."""
+    return oracle_semigroup(M, y, t, lambda z: np.log(np.maximum(heat_kernel(M, y, z, t), 1e-300)))
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,9 @@ and safe to call concurrently.
 
 from __future__ import annotations
 
+import inspect
+import sys
+
 import numpy as np
 
 __all__ = [
@@ -233,7 +236,14 @@ class ModelSpace:
     # -- config ----------------------------------------------------------
 
     def to_config(self) -> dict:
-        raise NotImplementedError
+        """The record ``model_from_config`` reads back: the variant and
+        every constructor argument that is set."""
+        cfg = {"variant": self.variant}
+        for k in inspect.signature(type(self)).parameters:
+            v = getattr(self, k)
+            if v is not None:
+                cfg[k] = v.tolist() if isinstance(v, np.ndarray) else v
+        return cfg
 
     def _require_inside_injectivity(self, rho):
         lim = INJ_MARGIN * self.injectivity_radius
@@ -300,26 +310,20 @@ class Euclidean(_FlatChart):
 
     def __init__(self, dim: int, drift_vec=None):
         self.dim = self.chart_dim = int(dim)
-        self._drift = None
+        self.drift_vec = None
         if drift_vec is not None:
-            self._drift = np.asarray(drift_vec, dtype=float)
-            if self._drift.shape != (self.dim,):
+            self.drift_vec = np.asarray(drift_vec, dtype=float)
+            if self.drift_vec.shape != (self.dim,):
                 raise GeometryError("drift_vec must have length dim")
 
     def drift(self, x):
         x = _arr(x)
-        if self._drift is None:
+        if self.drift_vec is None:
             return np.zeros_like(x)
-        return np.broadcast_to(self._drift, x.shape).copy()
+        return np.broadcast_to(self.drift_vec, x.shape).copy()
 
     def sup_drift_norm_ball(self, center, radius):
-        return 0.0 if self._drift is None else float(np.linalg.norm(self._drift))
-
-    def to_config(self):
-        cfg = {"variant": self.variant, "dim": self.dim}
-        if self._drift is not None:
-            cfg["drift_vec"] = list(self._drift)
-        return cfg
+        return 0.0 if self.drift_vec is None else float(np.linalg.norm(self.drift_vec))
 
 
 class OrnsteinUhlenbeck(_FlatChart):
@@ -345,9 +349,6 @@ class OrnsteinUhlenbeck(_FlatChart):
 
     def pointwise_K(self, x):
         return np.full(_arr(x).shape[:-1], -self.lam)
-
-    def to_config(self):
-        return {"variant": self.variant, "dim": self.dim, "lam": self.lam}
 
 
 class ExplosiveDrift1D(_FlatChart):
@@ -384,9 +385,6 @@ class ExplosiveDrift1D(_FlatChart):
         c = float(_arr(center)[..., 0])
         return 3.0 * (abs(c) + radius) ** 2
 
-    def to_config(self):
-        return {"variant": self.variant}
-
 
 class HalfSpace(_FlatChart):
     """R^d restricted to x_1 >= 0 with reflection at the flat boundary."""
@@ -415,9 +413,6 @@ class HalfSpace(_FlatChart):
         over = np.maximum(-q[..., 0], 0.0)
         q[..., 0] = np.abs(q[..., 0])
         return q, 2.0 * over
-
-    def to_config(self):
-        return {"variant": self.variant, "dim": self.dim}
 
 
 class EuclideanBall(_FlatChart):
@@ -457,9 +452,6 @@ class EuclideanBall(_FlatChart):
             scale = np.where(out, np.maximum(2 * self.radius - r, 0.0) / np.maximum(r, 1e-300), 1.0)
             q *= scale[..., None]
         return q, 2.0 * over
-
-    def to_config(self):
-        return {"variant": self.variant, "dim": self.dim, "radius": self.radius}
 
 
 # ----------------------------------------------------------------------
@@ -584,9 +576,6 @@ class Sphere(ModelSpace):
             return np.zeros_like(rho)
         return (self.dim - 1) / self.radius / np.tan(rho / self.radius)
 
-    def to_config(self):
-        return {"variant": self.variant, "dim": self.dim, "radius": self.radius}
-
 
 class Hyperbolic(ModelSpace):
     """Hyperbolic plane (curvature -1) in the upper half-plane chart.
@@ -693,9 +682,6 @@ class Hyperbolic(ModelSpace):
         rho = self.distance(center, z)
         return 1.0 / np.tanh(rho)
 
-    def to_config(self):
-        return {"variant": self.variant, "dim": self.dim}
-
 
 # ----------------------------------------------------------------------
 # Factory
@@ -712,17 +698,50 @@ _VARIANTS = {
 }
 
 
+def _is_finite(v) -> bool:
+    # YAML true/false load as bool, a subclass of int; NaN fails the compare
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def read_record(cfg, key: str, builders: dict):
+    """(name, args) of a config record ``{key: name, arg: value, ...}``
+    whose name is a key of ``builders`` and whose other keys are that
+    builder's arguments.
+
+    The builder's signature defines the record: its parameters are the
+    keys allowed, those without a default the keys required.  A parameter
+    annotated ``int`` takes an integer, one annotated ``float`` a finite
+    number, any other a list of finite numbers; booleans are refused.
+    Raises ValueError saying what the record must be.
+    """
+    name = cfg.get(key) if isinstance(cfg, dict) else None
+    if not isinstance(name, str) or name not in builders:
+        raise ValueError(f"must be a mapping with a {key} among {', '.join(builders)}, got {cfg!r}")
+    args = {k: v for k, v in cfg.items() if k != key}
+    params = inspect.signature(builders[name], eval_str=True).parameters
+    need = [k for k, par in params.items() if par.default is par.empty]
+    if not set(need) <= set(args) <= set(params):
+        raise ValueError(f"{name} takes {', '.join(params) or 'no arguments'}, of which "
+                         f"{', '.join(need) or 'none'} required, got {list(args)}")
+    for k, v in args.items():
+        kind = params[k].annotation
+        entries = v if kind not in (int, float) and isinstance(v, list) else [v]
+        if not all(map(_is_finite, entries)) or kind is int and not isinstance(v, int):
+            what = {int: "an integer", float: "a finite number"}.get(kind, "finite numbers")
+            raise ValueError(f"{name} {k} must be {what}, got {v!r}")
+    return name, args
+
+
 def model_from_config(cfg: dict) -> ModelSpace:
-    """Build a catalogue variant from a configuration record."""
-    cfg = dict(cfg)
+    """Build a catalogue variant from its configuration record, e.g.
+    ``{variant: sphere, dim: 2, radius: 1.0}``: the variant names a class
+    above and the other keys are its constructor arguments, read by
+    ``read_record``.  Raises GeometryError saying what the record must
+    be, including dim >= 1."""
     try:
-        name = cfg.pop("variant")
-    except KeyError:
-        raise GeometryError("model config needs a 'variant' field") from None
-    try:
-        cls = _VARIANTS[name]
-    except KeyError:
-        raise GeometryError(
-            f"unknown variant {name!r}; known: {sorted(_VARIANTS)}"
-        ) from None
-    return cls(**cfg)
+        name, args = read_record(cfg, "variant", _VARIANTS)
+    except ValueError as e:
+        raise GeometryError(str(e)) from None
+    if args.get("dim", 1) < 1:
+        raise GeometryError(f"{name} dim must be >= 1, got {args['dim']!r}")
+    return _VARIANTS[name](**args)

@@ -440,7 +440,7 @@ def check_kernel_lower_bound(M: ModelSpace, x, y, t: float) -> InequalityReport:
     consts = kappa(M, y, x=x)
     cost = local_log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
     lhs = math.exp(-cost)  # the bound
-    rhs = heat_kernel(M, x, y, 2.0 * t)  # the kernel must dominate it
+    rhs = float(heat_kernel(M, x, y, 2.0 * t))  # the kernel must dominate it
     cfg = {"variant": M.variant, "x": list(x), "y": list(y), "t": t}
     return InequalityReport("kernel-lower", cfg, lhs=lhs, rhs=rhs, constants=consts)
 

@@ -524,6 +524,30 @@ def test_bad_numbers_name_the_field(tmp_path, capsys, model, tag, grid, key):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("model", [
+    # a bare name and an unknown key raised tracebacks (exit 1)
+    "euclidean",
+    {"variant": "euclidean", "dim": 1, "foo": 2},
+    # these loaded: a 0-d model, dim read through int(), non-finite
+    # parameters that ran to invalid rows
+    {"variant": "euclidean", "dim": 0},
+    {"variant": "euclidean", "dim": True},
+    {"variant": "euclidean", "dim": 1.5},
+    {"variant": "ornstein_uhlenbeck", "dim": 1, "lam": float("nan")},
+    {"variant": "sphere", "dim": 2, "radius": float("inf")},
+    {"variant": "euclidean", "dim": 2, "drift_vec": [1.0, float("nan")]},
+], ids=["bare-name", "unknown-key", "dim-0", "dim-true", "dim-float", "lam-nan", "radius-inf", "drift-nan"])
+def test_bad_model_record_names_the_model(tmp_path, capsys, model):
+    cfg = dict(BASE, model=model, output_dir=str(tmp_path / "out"))
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_file(path)
+    assert err.value.where == "model"
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: model: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key,value", [("master_seed", "abc"), ("master_seed", -5), ("master_seed", 1.9),
                                        ("workers", "two"), ("workers", True), ("workers", 0)])
 def test_bad_top_level_value_names_the_key(tmp_path, capsys, key, value):

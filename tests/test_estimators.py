@@ -258,6 +258,22 @@ def test_heat_kernel_on_diagonal_at_least_one():
             assert E.heat_kernel(M, x, x, 2 * t) >= 1.0 - 1e-12
 
 
+@pytest.mark.parametrize("M", [G.Sphere(1, 1.0), G.Sphere(2, 2.0), G.OrnsteinUhlenbeck(1, 1.0)], ids=repr)
+def test_heat_kernel_on_point_arrays(M):
+    # an array of points gets each point's own density, bit for bit
+    rng = np.random.default_rng(11)
+    if M.variant == "sphere":
+        z = rng.standard_normal((41, M.chart_dim))
+        z *= M.radius / np.linalg.norm(z, axis=-1, keepdims=True)
+    else:
+        z = rng.uniform(-3.0, 3.0, (41, 1))
+    for t in (0.02, 0.3, 2.0):
+        vals = E.heat_kernel(M, z[0], z, t)
+        assert vals.shape == (41,)
+        assert np.array_equal(vals, [E.heat_kernel(M, z[0], p, t) for p in z])
+        assert np.array_equal(E.heat_kernel(M, z[0], z.reshape(41, 1, -1), t), vals[:, None])
+
+
 def test_mu_ball_values():
     assert E.mu_ball(G.Sphere(1, 1.0), [1.0, 0.0], math.pi) == pytest.approx(1.0)
     assert E.mu_ball(G.Sphere(2, 1.0), [0.0, 0.0, 1.0], math.pi) == pytest.approx(1.0)
@@ -293,6 +309,36 @@ def test_kernel_entropy_nonnegative_and_decreasing():
     assert all(v >= -1e-12 for v in vals)
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 0.01  # ergodic limit: kernel -> 1, entropy -> 0
+
+
+def _dense_sphere_entropy(M, y, t):
+    """int p log p dmu on the circle or the 2-sphere by composite
+    Gauss-Legendre in the angle theta from y (400 panels of 32 nodes);
+    mu(dtheta) is dtheta / pi on the circle, sin(theta) dtheta / 2 on the
+    2-sphere."""
+    u, w = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(0.0, math.pi, 401)
+    half = np.diff(edges)[:, None] / 2.0
+    theta = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * u).ravel()
+    weights = (half * w).ravel() * (np.sin(theta) / 2.0 if M.dim == 2 else 1.0 / math.pi)
+    z = np.cos(theta)[:, None] * y + M.radius * np.sin(theta)[:, None] * M.frame(y)[0]
+    p = np.maximum(E.heat_kernel(M, y, z, t), 1e-300)
+    return float(np.sum(weights * p * np.log(p)))
+
+
+@pytest.mark.parametrize("t", [0.02, 0.05, 0.2, 1.0])
+def test_kernel_entropy_against_independent_values(t):
+    # OU: the entropy of p_t(y, .) against mu is KL(N(e^{-lam t} y, v_t) || N(0, 1/lam))
+    M = G.OrnsteinUhlenbeck(1, 1.0)
+    for y in (0.0, 0.7):
+        m, v0 = math.exp(-M.lam * t), 1.0 / M.lam
+        v = (1.0 - m**2) / M.lam
+        kl = 0.5 * (v / v0 + (m * y) ** 2 / v0 - 1.0 + math.log(v0 / v))
+        assert E.kernel_entropy(M, [y], t) == pytest.approx(kl, rel=1e-11)
+    for M, y in [(G.Sphere(1, 1.0), [0.6, 0.8]), (G.Sphere(1, 2.0), [0.0, 2.0]),
+                 (G.Sphere(2, 1.0), [0.0, 0.0, 1.0]), (G.Sphere(2, 2.0), [1.2, 0.0, 1.6])]:
+        y = np.array(y)
+        assert E.kernel_entropy(M, y, t) == pytest.approx(_dense_sphere_entropy(M, y, t), rel=1e-11), M
 
 
 # ----------------------------------------------------------------------

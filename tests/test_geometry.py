@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from logharnack import geometry as G
 
@@ -352,9 +353,10 @@ def test_boundary_errors():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("M", catalogue(), ids=lambda m: repr(m))
+@pytest.mark.parametrize("M", catalogue() + [G.Euclidean(2, drift_vec=[1.0, -0.5])], ids=lambda m: repr(m))
 def test_model_config_round_trip(M):
-    M2 = G.model_from_config(M.to_config())
+    # through YAML, as a config file carries the record
+    M2 = G.model_from_config(yaml.safe_load(yaml.safe_dump(M.to_config())))
     assert M2.to_config() == M.to_config()
     assert M2.variant == M.variant
     assert M2.dim == M.dim
