@@ -17,11 +17,14 @@ against s, from one marked ensemble when there is no oracle.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.polynomial import hermite as npherm
 from numpy.polynomial import legendre as npleg
 
 from .diffusion import PathConfig, simulate_ensemble
@@ -376,9 +379,29 @@ def mc_functional(
 # ----------------------------------------------------------------------
 
 
+_RULES_LOCK = threading.Lock()
+
+
+def _rule(kind: str, n: int):
+    """The n-node Gauss rule of ``kind`` ("legendre" on [-1, 1] or
+    "hermite" for the weight exp(-z^2)) as read-only (nodes, weights).
+    numpy builds a rule with a dense eigensolve, so each is built once
+    per process, on first use."""
+    # lru_cache alone lets two pool threads that meet a rule first both build it
+    with _RULES_LOCK:
+        return _build_rule(kind, n)
+
+
+@functools.lru_cache(maxsize=None)
+def _build_rule(kind: str, n: int):
+    nodes, weights = {"legendre": npleg.leggauss, "hermite": npherm.hermgauss}[kind](n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _gauss_hermite_expectation(fn: Callable, mean: np.ndarray, sigma: float, order: int) -> float:
     """E fn(N(mean, sigma^2 I)) by a tensor Gauss-Hermite rule."""
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = _rule("hermite", order)
     d = len(mean)
     grids = np.meshgrid(*([nodes] * d), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -429,11 +452,21 @@ def _sphere1_kernel_vals(M: Sphere, delta, t):
     return 1.0 + 2.0 * _row_dots(np.cos(np.asarray(delta)[..., None] * ks / M.radius), damp)
 
 
-def _sphere2_kernel_vals(M: Sphere, cos_theta, t):
+def _sphere2_kernel_vals(radius: float, cos_theta, t):
     """Transition density on the 2-sphere w.r.t. normalised area."""
     ls = np.arange(SERIES_TERMS + 1)
-    coeff = (2 * ls + 1) * np.exp(-ls * (ls + 1) * t / M.radius**2)
+    coeff = (2 * ls + 1) * np.exp(-ls * (ls + 1) * t / radius**2)
     return npleg.legval(np.asarray(cos_theta), coeff)
+
+
+@functools.lru_cache(maxsize=64)
+def _sphere2_u_weights(radius: float, t: float):
+    """Weights of the 2-sphere oracle's Gauss-Legendre rule in
+    u = cos(theta), each times the kernel at its node (read-only)."""
+    u, wu = _rule("legendre", 240)
+    out = wu * _sphere2_kernel_vals(radius, u, t)
+    out.flags.writeable = False
+    return out
 
 
 def oracle_semigroup(M: ModelSpace, x, T: float, f: Callable) -> float:
@@ -469,8 +502,8 @@ def oracle_semigroup(M: ModelSpace, x, T: float, f: Callable) -> float:
         kern = _sphere1_kernel_vals(M, M.radius * (theta - theta0), T)
         return float(np.mean(kern * f(pts)))
     if isinstance(M, Sphere) and M.dim == 2:
-        n_u, n_psi = 240, 240
-        u, wu = np.polynomial.legendre.leggauss(n_u)
+        n_psi = 240
+        u, _ = _rule("legendre", 240)
         psi = 2.0 * np.pi * (np.arange(n_psi) + 0.5) / n_psi
         nvec = x / M.radius
         fr = M.frame(x)
@@ -479,9 +512,8 @@ def oracle_semigroup(M: ModelSpace, x, T: float, f: Callable) -> float:
             u[:, None, None] * nvec
             + sin_t[:, None, None] * (np.cos(psi)[None, :, None] * fr[0] + np.sin(psi)[None, :, None] * fr[1])
         ) * M.radius
-        kern = _sphere2_kernel_vals(M, u, T)
-        fvals = f(pts.reshape(-1, 3)).reshape(n_u, n_psi)
-        return float(np.sum(wu * kern * fvals.mean(axis=1)) / 2.0)
+        fvals = f(pts.reshape(-1, 3)).reshape(len(u), n_psi)
+        return float(np.sum(_sphere2_u_weights(M.radius, T) * fvals.mean(axis=1)) / 2.0)
     raise NoOracle(f"no closed-form semigroup oracle for variant {M.variant!r}")
 
 
@@ -499,7 +531,7 @@ def heat_kernel(M: ModelSpace, x, y, t: float):
     if isinstance(M, Sphere) and M.dim == 1:
         return _sphere1_kernel_vals(M, M.distance(x, y), t)
     if isinstance(M, Sphere) and M.dim == 2:
-        return _sphere2_kernel_vals(M, _row_dots(y, x) / M.radius**2, t)
+        return _sphere2_kernel_vals(M.radius, _row_dots(y, x) / M.radius**2, t)
     if isinstance(M, OrnsteinUhlenbeck) and M.dim == 1:
         m = math.exp(-M.lam * t)
         xx = float(x[0])
@@ -538,7 +570,7 @@ def mu_quadrature(M: ModelSpace, n: int = 512):
         pts = M.radius * np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         return pts, np.full(n, 1.0 / n)
     if isinstance(M, OrnsteinUhlenbeck) and M.dim == 1:
-        nodes, weights = np.polynomial.hermite.hermgauss(min(n, 180))
+        nodes, weights = _rule("hermite", min(n, 180))
         sd = 1.0 / math.sqrt(M.lam)
         pts = (math.sqrt(2.0) * sd * nodes)[:, None]
         return pts, weights / math.sqrt(math.pi)

@@ -7,7 +7,9 @@ boundary-exit probabilities come from the classical reflection series,
 and domain suprema are maxima over polar grids in every direction.
 """
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -106,3 +108,13 @@ def polar_grid_sup(M, ref, coef=5.0, n_rho=401, k=12):
     pts = M.exp(np.broadcast_to(y, tangent.shape), tangent)
     pts = np.concatenate([y[None, :], pts[M.contains(pts)]])
     return float(np.max(coef * ref.grad_norm_sq(pts) - ref.phi(pts) * ref.l_phi(pts)))
+
+
+def workload_configs(workload, seed, directory):
+    """Write the benchmark's seeded configs of one workload
+    (``perfbench/workloads.py``) under ``directory``; returns their paths."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.write_configs(workload, seed, directory)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -16,6 +17,8 @@ from logharnack import verify as V
 from logharnack.cli import CHECKS, ConfigError, ExperimentConfig, _fmt, list_checks, main, run
 from logharnack.geometry import model_from_config
 from logharnack.rng import derive_seed
+
+from helpers import workload_configs
 
 
 def write_config(tmp_path, body) -> Path:
@@ -333,6 +336,33 @@ def test_cli_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_builds_no_quadrature_rule():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import logharnack.cli, logharnack.estimators as E; "
+         "print(E._build_rule.cache_info().currsize, E._sphere2_u_weights.cache_info().currsize)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 0"
+
+
+def test_closed_form_run_builds_each_rule_once(tmp_path, monkeypatch):
+    built = []
+    for module, name in ((np.polynomial.legendre, "leggauss"), (np.polynomial.hermite, "hermgauss")):
+        def counted(n, inner=getattr(module, name), name=name):
+            built.append((name, n))
+            return inner(n)
+
+        monkeypatch.setattr(module, name, counted)
+    E._build_rule.cache_clear()
+    for path in workload_configs("closed-form", 1, tmp_path / "cfg"):
+        assert run(path, workers=2, out=tmp_path / "out" / path.stem) == 0
+    assert sorted(built) == sorted(set(built))
+    assert {("leggauss", 240), ("hermgauss", 48)} <= set(built)
 
 
 def test_mc_generator_row_has_a_band(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -190,6 +191,42 @@ def test_oracle_half_space_reflection():
     # and free processes agree in law of |X|, E X_T^2 = x^2 + 2T
     val = E.oracle_semigroup(G.HalfSpace(1), [0.0], 0.5, E.coord_sq(0))
     assert val == pytest.approx(1.0, rel=1e-10)
+
+
+# sha256 of the oracle_semigroup values at every (x, T, f) of a case, in
+# that nesting order, followed by the kernel_entropy values at every
+# (x, T) (the plane has no symmetric kernel), recorded before the
+# quadrature rules were built once per process
+PINNED_ORACLES = {
+    "sphere-1": (G.Sphere(1, 1.0), [[0.6, 0.8], [1.0, 0.0]], (0.05, 0.5),
+                 [E.coord(0), E.one_plus_bump([1.0, 0.0], 0.9, b=0.5)],
+                 "b48c197b515835cc5147105c516d0910c4360976b9ccde372a4729f387b6ec0e"),
+    "sphere-2": (G.Sphere(2, 2.0), [[0.0, 0.0, 2.0], [1.2, 0.96, 1.28]], (0.1, 0.5),
+                 [E.coord(2), E.one_plus_bump([0.0, 0.0, 2.0], 1.0, b=0.5)],
+                 "9fe2c9b5fcc519e536fcf6a624e978051fa617a02ade0291ca6fea31297f2b0f"),
+    "ou": (G.OrnsteinUhlenbeck(1, 1.0), [[0.3], [-0.7]], (0.05, 0.5),
+           [E.coord_sq(0), E.coord_exp([0.5])],
+           "dcd7b7b2be39c64575a7f6678c906da773defef55cde1ce6c9749fb565b22bb3"),
+    "euclidean": (G.Euclidean(2), [[0.0, 0.0], [0.1, -0.2]], (0.25, 1.0),
+                  [E.coord_exp([1.0, -0.5]), E.gauss_bump([0.0, 0.0], 0.8)],
+                  "d307aacac5af0360c392167c7c6510cb5c174fbff310d174510da5a11caaa84c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ORACLES))
+def test_oracle_values_match_pinned_digest(name):
+    M, xs, Ts, fs, digest = PINNED_ORACLES[name]
+    vals = [E.oracle_semigroup(M, x, T, f) for x in xs for T in Ts for f in fs]
+    if not isinstance(M, G.Euclidean):
+        vals += [E.kernel_entropy(M, x, T) for x in xs for T in Ts]
+    assert hashlib.sha256(np.array(vals).tobytes()).hexdigest() == digest
+
+
+def test_cached_quadrature_arrays_are_read_only():
+    E.oracle_semigroup(G.Sphere(2, 1.0), [0.0, 0.0, 1.0], 0.3, E.coord(2))
+    for arr in (*E._rule("legendre", 240), *E._rule("hermite", 48), E._sphere2_u_weights(1.0, 0.3)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_oracle_missing_variant():
