@@ -60,6 +60,10 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# libyaml's parser where PyYAML was built with it: the same mappings, read
+# several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     def __init__(self, where: str, msg: str):
@@ -293,7 +297,7 @@ class ExperimentConfig:
     def from_file(cls, path, master_seed=None, workers=None, output_dir=None) -> "ExperimentConfig":
         """Read the file; master_seed, workers and output_dir, unless None, replace its values."""
         try:
-            raw = yaml.safe_load(Path(path).read_text())
+            raw = yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
         except FileNotFoundError:
             raise ConfigError(str(path), "config file not found") from None
         except yaml.YAMLError as e:

@@ -41,6 +41,7 @@ from .stats import MonteCarloEstimate, estimate_from_values, sample_mean
 __all__ = [
     "NonpositiveF",
     "NoOracle",
+    "OracleNotConverged",
     "TestFunction",
     "const",
     "coord",
@@ -72,6 +73,11 @@ class NonpositiveF(ValueError):
 
 class NoOracle(ValueError):
     pass
+
+
+class OracleNotConverged(ValueError):
+    """The oracle's quadrature did not settle at its highest order: it
+    gives no value rather than an unconverged one."""
 
 
 # ----------------------------------------------------------------------
@@ -411,15 +417,51 @@ def _gauss_hermite_expectation(fn: Callable, mean: np.ndarray, sigma: float, ord
     return float(np.sum(w * fn(z)) / math.pi ** (d / 2))
 
 
-def _adaptive_gh(fn, mean, sigma, tol=1e-10):
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    prev = None
-    for order in (48, 96, 180):
-        val = _gauss_hermite_expectation(fn, mean, sigma, order)
+def _reflected_expectation(fn: Callable, x: np.ndarray, sigma: float, n_wall: int, order: int) -> float:
+    """E fn of N(x, sigma^2 I) with its first coordinate reflected at 0.
+
+    That coordinate has the density phi(z - x_0) + phi(z + x_0) on z >= 0
+    (phi the N(0, sigma^2) density), integrated by an n_wall-node
+    Gauss-Legendre rule on [max(0, x_0 - 10 sigma), x_0 + 10 sigma]: the
+    wall is an end of the window, so the integrand is smooth on it.  The
+    other coordinates take the Gauss-Hermite rule of ``order``."""
+    lo, hi = max(0.0, x[0] - 10.0 * sigma), x[0] + 10.0 * sigma
+    u, wu = _rule("legendre", n_wall)
+    half = 0.5 * (hi - lo)
+    z0 = lo + half * (1.0 + u)
+    dens = np.exp(-0.5 * ((z0 - x[0]) / sigma) ** 2) + np.exp(-0.5 * ((z0 + x[0]) / sigma) ** 2)
+    w0 = half * wu * dens / (sigma * math.sqrt(2.0 * math.pi))
+    if len(x) == 1:
+        return float(w0 @ fn(z0[:, None]))
+
+    def along_normal(rest):
+        pts = np.concatenate([np.broadcast_to(z0[:, None, None], (n_wall, len(rest), 1)),
+                              np.broadcast_to(rest, (n_wall,) + rest.shape)], axis=-1)
+        return w0 @ fn(pts)
+
+    return _gauss_hermite_expectation(along_normal, x[1:], sigma, order)
+
+
+# Gauss-Hermite orders tried in turn; a tensor grid of more than 180**3
+# points is not built
+_GH_ORDERS = (48, 96, 180, 256, 360)
+
+
+def _gaussian_values(fn: Callable, mean: np.ndarray, sigma: float):
+    """E fn(N(mean, sigma^2 I)) at the rising Gauss-Hermite orders."""
+    return (_gauss_hermite_expectation(fn, mean, sigma, n) for n in _GH_ORDERS if n ** len(mean) <= 180**3)
+
+
+def _converged(variant: str, values, tol=1e-10) -> float:
+    """The first of ``values`` (one quadrature at rising orders) that
+    agrees with the one before to ``tol`` relative."""
+    prev = last = None
+    for val in values:
         if prev is not None and abs(val - prev) < tol * (1.0 + abs(val)):
             return val
-        prev = val
-    return prev
+        prev, last = val, prev
+    raise OracleNotConverged(
+        f"{variant} oracle quadrature did not converge: its last two orders give {last!r} and {prev!r}")
 
 
 def series_tail_bound(M: Sphere, t: float) -> float:
@@ -473,27 +515,26 @@ def oracle_semigroup(M: ModelSpace, x, T: float, f: Callable) -> float:
     """P_T f(x) by quadrature against the exact kernel.
 
     Supported: Euclidean (Gaussian), Ornstein-Uhlenbeck (Gaussian with
-    contracted mean), half-space (reflection principle via folding), and
-    spheres of dimension 1 and 2 (eigenfunction series).  Quadrature
-    error is far below the Monte Carlo resolution (< 1e-8 on the
-    catalogue observables).
+    contracted mean), half-space (the Neumann kernel, split at the wall;
+    see ``_reflected_expectation``), and spheres of dimension 1 and 2
+    (eigenfunction series).  The Gaussian and half-space rules rise in
+    order until two orders agree to 1e-10 relative, and raise
+    OracleNotConverged when the highest does not; the sphere rules are
+    fixed.  Each Gauss rule is built once per process (``_rule``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(M, OrnsteinUhlenbeck):
         m = math.exp(-M.lam * T)
         sigma = math.sqrt((1.0 - m**2) / M.lam)
-        return _adaptive_gh(f, m * x, sigma)
+        return _converged(M.variant, _gaussian_values(f, m * x, sigma))
     if isinstance(M, HalfSpace):
-        def folded(z):
-            zz = np.array(z, copy=True)
-            zz[..., 0] = np.abs(zz[..., 0])
-            return f(zz)
-
-        return _adaptive_gh(folded, x, math.sqrt(2.0 * T))
+        sigma = math.sqrt(2.0 * T)
+        return _converged(M.variant, (_reflected_expectation(f, x, sigma, n_wall, n)
+                                      for n_wall, n in zip((128, 256, 512), _GH_ORDERS)))
     if isinstance(M, Euclidean):
         if M.drift_vec is not None:
             x = x + T * M.drift_vec
-        return _adaptive_gh(f, x, math.sqrt(2.0 * T))
+        return _converged(M.variant, _gaussian_values(f, x, math.sqrt(2.0 * T)))
     if isinstance(M, Sphere) and M.dim == 1:
         n = 4096
         theta0 = math.atan2(x[1], x[0])

@@ -14,7 +14,7 @@ import logharnack
 from logharnack import coupling as C
 from logharnack import estimators as E
 from logharnack import verify as V
-from logharnack.cli import CHECKS, ConfigError, ExperimentConfig, _fmt, list_checks, main, run
+from logharnack.cli import CHECKS, ConfigError, ExperimentConfig, _YAML_LOADER, _fmt, list_checks, main, run
 from logharnack.geometry import model_from_config
 from logharnack.rng import derive_seed
 
@@ -338,6 +338,23 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_yaml_loader_reads_configs_like_the_python_loader(tmp_path):
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    for workload in ("mc-grid", "coupling", "closed-form"):
+        for seed in (1, 2, 3):
+            paths += workload_configs(workload, seed, tmp_path / workload / str(seed))
+    for path in paths:
+        text = path.read_text()
+        assert yaml.load(text, Loader=_YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader), path
+
+
+def test_invalid_yaml_names_the_file(tmp_path, capsys):
+    path = tmp_path / "exp.yaml"
+    path.write_text("schema_version: 1\nmodel: {variant: euclidean\n")
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {path}: invalid YAML: ")
+
+
 def test_cli_import_builds_no_quadrature_rule():
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -600,4 +617,16 @@ def test_failed_precondition_exits_two(tmp_path, capsys):
     assert main(["run", str(write_config(tmp_path, cfg))]) == 2
     assert capsys.readouterr().err == (
         "precondition error: job 0 (harnack): Harnack form requires a conservative variant\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_unconverged_oracle_exits_two(tmp_path, capsys):
+    # a bump of width 0.3 under a kernel of sd 2: Gauss-Hermite orders 96
+    # and 180 disagree, and the oracle check may not fall back to paths
+    f = {"tag": "one_plus_bump", "center": [0.0], "width": 0.3, "b": 0.5}
+    cfg = dict(BASE, output_dir=str(tmp_path / "out"),
+               checks=[{"tag": "gradient", "grid": {"x": [[0.0]], "T": [2.0], "f": [f], "use_oracle": [True]}}])
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err.startswith(
+        "precondition error: job 0 (gradient): euclidean oracle quadrature did not converge: ")
     assert not (tmp_path / "out").exists()

@@ -193,6 +193,33 @@ def test_oracle_half_space_reflection():
     assert val == pytest.approx(1.0, rel=1e-10)
 
 
+def _half_line_reference(x, T, f):
+    """P_T f(x) on the reflecting half-line by 4,000 panels of 40-node
+    Gauss-Legendre on [max(0, x - 12 s), x + 12 s] against the Neumann
+    kernel phi_s(z - x) + phi_s(z + x), s^2 = 2T."""
+    s = math.sqrt(2.0 * T)
+    u, w = np.polynomial.legendre.leggauss(40)
+    edges = np.linspace(max(0.0, x - 12.0 * s), x + 12.0 * s, 4001)
+    half = np.diff(edges)[:, None] / 2.0
+    z = ((edges[:-1, None] + edges[1:, None]) / 2.0 + half * u).ravel()
+    kern = (np.exp(-((z - x) ** 2) / (2 * s * s)) + np.exp(-((z + x) ** 2) / (2 * s * s))) / (s * math.sqrt(2 * math.pi))
+    return float(np.sum((half * w).ravel() * kern * f(z[:, None])))
+
+
+@pytest.mark.parametrize("x, T", [(0.1, 0.5), (0.41, 0.5), (0.71, 0.5), (0.0, 5.0), (3.0, 0.05), (30.0, 1e-3)])
+def test_oracle_half_space_against_composite_rule(x, T):
+    # a non-even f: folding it at the wall leaves a kink there, on which
+    # the Gauss-Hermite rule was off by up to 8e-4
+    f = E.one_plus_bump([0.4068], 0.7, b=0.5)
+    assert abs(E.oracle_semigroup(G.HalfSpace(1), [x], T, f) - _half_line_reference(x, T, f)) < 1e-12
+
+
+def test_oracle_refuses_an_unconverged_quadrature():
+    # |z| has a kink: Gauss-Hermite orders 96 and 180 differ by 1.6e-3
+    with pytest.raises(E.OracleNotConverged, match="euclidean oracle quadrature did not converge"):
+        E.oracle_semigroup(G.Euclidean(1), [0.1], 0.5, lambda z: np.abs(z[..., 0]))
+
+
 # sha256 of the oracle_semigroup values at every (x, T, f) of a case, in
 # that nesting order, followed by the kernel_entropy values at every
 # (x, T) (the plane has no symmetric kernel), recorded before the
