@@ -175,7 +175,8 @@ class _Pairs(NamedTuple):
     flagged: np.ndarray
 
     def take(self, keep) -> "_Pairs":
-        return _Pairs(*(a[keep] for a in self))
+        """The pairs at the indices ``keep``."""
+        return _Pairs(*(a.take(keep, axis=0) for a in self))
 
 
 def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
@@ -226,7 +227,8 @@ def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
         [THETA_BOUNDARY_Y, THETA_EXIT_X, THETA_COUPLED, THETA_HORIZON],
         THETA_NONE,
     ).astype(np.int8)
-    Yn = np.where((theta == THETA_COUPLED)[:, None], Xn, Yn)
+    coupled = theta == THETA_COUPLED
+    Yn[coupled] = Xn[coupled]
     return _Pairs(Xn, Yn, rho, phi_y, p.log_R + dlogR, flagged), theta
 
 
@@ -323,12 +325,12 @@ def run_coupling(
             if run.size:
                 pairs, th = _coupled_step(M, cfg, h, k * h, pairs, xi)
                 max_rho_excess = max(max_rho_excess, float(np.max(pairs.rho)) - cfg.rho0)
-                stop = th != THETA_NONE
-                if stop.any():
-                    done = run[stop]
-                    X[done], logR[done] = pairs.X[stop], pairs.log_R[stop]
-                    flagged[done], theta[done] = pairs.flagged[stop], th[stop]
-                    run, pairs = run[~stop], pairs.take(~stop)
+                stop = np.flatnonzero(th)  # THETA_NONE is 0
+                if stop.size:
+                    done, keep = run[stop], np.flatnonzero(th == THETA_NONE)
+                    X[done], logR[done] = pairs.X.take(stop, axis=0), pairs.log_R.take(stop)
+                    flagged[done], theta[done] = pairs.flagged.take(stop), th.take(stop)
+                    run, pairs = run.take(keep), pairs.take(keep)
             if terminal_fn is not None and merged.size:
                 xim = rng.standard_normal((merged.size, M.dim))
                 X[merged] = _advance(M, X[merged], h, xim, np.ones(merged.size, dtype=bool))[0]

@@ -91,6 +91,23 @@ def _norm(v):
     return np.sqrt(_sum_products(v, v))
 
 
+def _scale(a, v):
+    """Bit for bit a[..., None] * v, one chart column at a time: the
+    broadcast form runs numpy's inner loop once per row."""
+    out = np.empty(np.broadcast_shapes(np.shape(a) + (1,), v.shape))
+    for k in range(v.shape[-1]):
+        np.multiply(a, v[..., k], out=out[..., k])
+    return out
+
+
+def _divide(v, a):
+    """Bit for bit v / a[..., None], one chart column at a time."""
+    out = np.empty(np.broadcast_shapes(v.shape, np.shape(a) + (1,)))
+    for k in range(v.shape[-1]):
+        np.divide(v[..., k], a, out=out[..., k])
+    return out
+
+
 class ModelSpace:
     """Base class for the fixed catalogue of model manifolds.
 
@@ -493,11 +510,11 @@ class Sphere(ModelSpace):
         self._require_inside_injectivity(s)
         theta = s / self.radius
         with np.errstate(invalid="ignore", divide="ignore"):
-            direction = np.where(s[..., None] > 0, v / np.maximum(s, 1e-300)[..., None], 0.0)
-        out = np.cos(theta)[..., None] * x + (self.radius * np.sin(theta))[..., None] * direction
+            direction = _divide(v, np.maximum(s, 1e-300))
+        direction[~(s > 0)] = 0.0
+        out = _scale(np.cos(theta), x) + _scale(self.radius * np.sin(theta), direction)
         # renormalise to kill accumulated rounding
-        out *= (self.radius / _norm(out))[..., None]
-        return out
+        return _scale(self.radius / _norm(out), out)
 
     def _angle_inside(self, x, y):
         alpha = self._angle(x, y)
@@ -506,45 +523,53 @@ class Sphere(ModelSpace):
 
     def log(self, x, y):
         x, y = _arr(x), _arr(y)
-        return self._log(x, y, self._angle_inside(x, y))
+        alpha = self._angle_inside(x, y)
+        return self._log(x, y, alpha, np.cos(alpha))
 
-    def _log(self, x, y, alpha):
-        """log_x(y) given alpha = _angle(x, y)."""
-        c = np.cos(alpha)
-        u = y - c[..., None] * x
+    def _log(self, x, y, alpha, cos_alpha):
+        """log_x(y) given alpha = _angle(x, y) and its cosine."""
+        u = y - _scale(cos_alpha, x)
         nu = _norm(u)
         with np.errstate(invalid="ignore", divide="ignore"):
-            direction = np.where(nu[..., None] > 1e-300, u / np.maximum(nu, 1e-300)[..., None], 0.0)
-        return (self.radius * alpha)[..., None] * direction
+            direction = _divide(u, np.maximum(nu, 1e-300))
+        direction[~(nu > 1e-300)] = 0.0
+        return _scale(self.radius * alpha, direction)
 
     def transport(self, x, y, v):
         x, y, v = _arr(x), _arr(y), _arr(v)
         alpha = self._angle_inside(x, y)
-        return self._transport(x, v, alpha, self._log(x, y, alpha))
+        c = np.cos(alpha)
+        return self._transport(x, v, alpha, c, self._log(x, y, alpha, c))
 
     def _pair_geometry(self, x, y, rho, xi):
         # one angle for both logs and the transport, one frame at x for
         # the noise map and the frame components
         _require_apart(rho)
         alpha = self._angle_inside(x, y)
-        lxy, lyx = self._log(x, y, alpha), self._log(y, x, alpha)
+        c = np.cos(alpha)
+        lxy, lyx = self._log(x, y, alpha, c), self._log(y, x, alpha, c)
         fr = self.frame(x)
         G = self.tangent_from_frame(x, xi, frame=fr)
-        GY = self._transport(x, G, alpha, lxy)
-        return G, GY, -lyx / rho[..., None], self.frame_components(x, -lxy / rho[..., None], frame=fr)
+        GY = self._transport(x, G, alpha, c, lxy)
+        return G, GY, _divide(-lyx, rho), self.frame_components(x, _divide(-lxy, rho), frame=fr)
 
-    def _transport(self, x, v, alpha, lg):
-        """transport(x, y, v) given alpha = _angle(x, y) and lg = log(x, y)."""
+    def _transport(self, x, v, alpha, cos_alpha, lg):
+        """transport(x, y, v) given alpha = _angle(x, y), its cosine and
+        lg = log(x, y)."""
         s = _norm(lg)
         small = s < 1e-14
         with np.errstate(invalid="ignore", divide="ignore"):
-            e = np.where(small[..., None], 0.0, lg / np.maximum(s, 1e-300)[..., None])
+            e = _divide(lg, np.maximum(s, 1e-300))
+        e[small] = 0.0
         u1 = x / self.radius
         a = _dot(v, e)
-        w = v - a[..., None] * e
-        e_t = -np.sin(alpha)[..., None] * u1 + np.cos(alpha)[..., None] * e
-        out = a[..., None] * e_t + w
-        return np.where(small[..., None], v, out)
+        w = v - _scale(a, e)
+        e_t = _scale(-np.sin(alpha), u1) + _scale(cos_alpha, e)
+        out = _scale(a, e_t) + w
+        if np.any(small):
+            small = np.broadcast_to(small, out.shape[:-1])
+            out[small] = np.broadcast_to(v, out.shape)[small]
+        return out
 
     def frame(self, x):
         x = _arr(x)
@@ -595,12 +620,16 @@ class Hyperbolic(ModelSpace):
 
     @staticmethod
     def _c(x):
+        """Chart points (..., 2) as complex x_1 + i x_2: a view of x where
+        its last axis is contiguous."""
         x = _arr(x)
-        return x[..., 0] + 1j * x[..., 1]
+        return (x if x.strides[-1] == x.itemsize else x.copy()).view(np.complex128)[..., 0]
 
     @staticmethod
     def _r(z):
-        return np.stack([z.real, z.imag], axis=-1)
+        """The inverse of _c: a (..., 2) view of complex z."""
+        z = np.asarray(z)
+        return (z if z.flags.c_contiguous else z.copy())[..., None].view(np.float64)
 
     def contains(self, x):
         return _arr(x)[..., 1] > 0
