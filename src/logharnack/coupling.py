@@ -25,11 +25,12 @@ D = B(y, domain_radius) with the cosine reference on D.
 rho(X, Y) and phi(Y) carry over from the previous step's stopping
 checks; log_X(Y) and log_Y(X) are computed once each and feed the
 transported noise and both unit directions (on the sphere from one
-angle); the sphere builds its frame at X once for the noise map and the
-Girsanov frame components; the stopping checks then take rho(X', Y')
-and the distances of Y' and of X' to the domain centre y, phi(Y') and
-Y' in D both being read from the distance of Y'.  On the 2-sphere that
-is four angle evaluations and one frame per step.
+angle and its cosine); the noise map at X and its adjoint, which the
+Girsanov increment dots with the normals, need no frame on the
+2-sphere; the stopping checks then take rho(X', Y') and the distances
+of Y' and of X' to the domain centre y, phi(Y') and Y' in D both being
+read from the distance of Y'.  On the 2-sphere that is four angle
+evaluations and no frame per step.
 ``run_coupling`` keeps the running pairs of a block in compacted arrays,
 in index order, and writes a pair back only when it stops.
 """
@@ -43,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .diffusion import PathConfig, _advance
-from .geometry import ModelSpace, _dot
+from .geometry import ModelSpace, _dot, _scale
 from .local_bounds import (
     _cosine,
     c_D,
@@ -198,20 +199,20 @@ def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
     # density of the drift actually applied
     a = np.minimum(np.sqrt(x1**2 + x2**2), p.rho / h)
 
-    # G realises Phi dB in chart components; GY is its transport to Y,
-    # toward the unit at Y pointing away from X, away_c the frame
-    # components at X of the unit pointing away from Y
+    # G = noise(X, xi) realises Phi dB in chart components; GY is its
+    # transport to Y, toward the unit at Y pointing away from X, away_c
+    # the noise components at X of the unit pointing away from Y
     G, GY, toward, away_c = M._pair_geometry(p.X, p.Y, p.rho, xi)
     vX = math.sqrt(2.0 * h) * G + h * M.drift(p.X)
     Xn = M.exp(p.X, vX)
-    vY = math.sqrt(2.0 * h) * GY + h * (M.drift(p.Y) - a[:, None] * toward)
+    vY = math.sqrt(2.0 * h) * GY + h * (M.drift(p.Y) - _scale(a, toward))
     Yn = M.exp(p.Y, vY)
     if M.has_boundary:
         Xn, Yn = M.reflect(Xn)[0], M.reflect(Yn)[0]
 
-    # Girsanov increment for eta = (a / sqrt 2) * (unit at X away from Y):
-    # <eta, Phi dB> in frame components is eta_i xi_i sqrt(h).
-    eta = (a / math.sqrt(2.0))[:, None] * away_c
+    # Girsanov increment for eta = (a / sqrt 2) * (unit at X away from Y),
+    # held in noise components: <eta, Phi dB> is eta_i xi_i sqrt(h).
+    eta = _scale(a / math.sqrt(2.0), away_c)
     dlogR = -math.sqrt(h) * _dot(eta, xi) - 0.5 * h * _dot(eta, eta)
 
     rho = M.distance(Xn, Yn)
@@ -321,7 +322,7 @@ def run_coupling(
                 merged = np.flatnonzero(theta == THETA_COUPLED)
             if run.size == 0 and (terminal_fn is None or merged.size == 0):
                 break
-            xi = rng.standard_normal((run.size, M.dim))
+            xi = rng.standard_normal((run.size, M.noise_width))
             if run.size:
                 pairs, th = _coupled_step(M, cfg, h, k * h, pairs, xi)
                 max_rho_excess = max(max_rho_excess, float(np.max(pairs.rho)) - cfg.rho0)
@@ -332,7 +333,7 @@ def run_coupling(
                     flagged[done], theta[done] = pairs.flagged.take(stop), th.take(stop)
                     run, pairs = run.take(keep), pairs.take(keep)
             if terminal_fn is not None and merged.size:
-                xim = rng.standard_normal((merged.size, M.dim))
+                xim = rng.standard_normal((merged.size, M.noise_width))
                 X[merged] = _advance(M, X[merged], h, xim, np.ones(merged.size, dtype=bool))[0]
         X[run], logR[run], flagged[run] = pairs.X, pairs.log_R, pairs.flagged
 

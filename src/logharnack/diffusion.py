@@ -1,9 +1,11 @@
 """Geodesic Euler simulation of the (reflecting) diffusion with generator
 Laplace-Beltrami + Z.
 
-One step moves the path to  exp_x( sqrt(2h) * frame * noise + h * Z(x) );
-proposals that leave the chart through the boundary are mirrored back and
-the overshoot feeds the boundary local time.  The explosive catalogue
+One step moves the path to  exp_x( sqrt(2h) * noise(x, xi) + h * Z(x) ),
+xi being the variant's ``noise_width`` standard normals and noise(x, .)
+its map of them to a standard Gaussian of T_x M (``ModelSpace.noise``);
+proposals that leave the chart through the boundary are mirrored back
+and the overshoot feeds the boundary local time.  The explosive catalogue
 variant instead splits each step into the exact flow of its cubic drift
 and the noise, and paths that blow up or cross the explosion threshold
 flip their ``alive`` flag (the lifetime indicator of the semigroup).
@@ -77,7 +79,7 @@ def _advance(M: ModelSpace, pos, h, xi, alive):
     ``alive`` passes through."""
     if isinstance(M, ExplosiveDrift1D):
         return _advance_explosive(M, pos, h, xi, alive)
-    v = math.sqrt(2.0 * h) * M.tangent_from_frame(pos, xi) + h * M.drift(pos)
+    v = math.sqrt(2.0 * h) * M.noise(pos, xi) + h * M.drift(pos)
     new = M.exp(pos, v)
     if M.has_boundary:
         new, dl = M.reflect(new)
@@ -176,7 +178,7 @@ def simulate_ensemble(
     for kstep in range(n_steps):
         t_now = (kstep + 1) * h_eff
         for rng, (_, lo, hi) in zip(rngs, spans):
-            xi = rng.standard_normal((hi - lo, M.dim))
+            xi = rng.standard_normal((hi - lo, M.noise_width))
             for s in range(n_starts):
                 p, a, ls, st = pos[s, lo:hi], alive[s, lo:hi], l[s, lo:hi], stopped[s, lo:hi]
                 new, dl, live = _advance(M, p, h_eff, xi, a)

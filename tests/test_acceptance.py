@@ -111,20 +111,28 @@ def coupling_configs():
     return out
 
 
+def _coupling_prob(vals):
+    """The weighted coupling probability E[R; coupled] read as
+    1 - E[R; not coupled], through the exact E R = 1 of criterion 2: its
+    Monte Carlo error comes from the few uncoupled pairs only, where the
+    direct mean carries the spread of R over all pairs."""
+    return 1.0 - float(np.mean(vals["R"] * ~vals["coupled"]))
+
+
 @pytest.fixture(scope="module")
 def coupling_runs():
     runs = []
     for k, (name, M, x, y, T) in enumerate(coupling_configs()):
         cfg = C.standard_coupling_config(M, x, y, T=T, h=1e-3)
-        diag = C.run_coupling(M, cfg, 100_000, master_seed=SEED + 100 + k)
-        runs.append((name, M, cfg, diag))
+        diag, vals = C.run_coupling(M, cfg, 100_000, master_seed=SEED + 100 + k, return_values=True)
+        runs.append((name, M, cfg, diag, _coupling_prob(vals)))
     return runs
 
 
 def test_criterion_02_girsanov_normalisation(coupling_runs):
     ok = True
     worst = 0.0
-    for name, _, _, diag in coupling_runs:
+    for name, _, _, diag, _ in coupling_runs:
         dev = abs(diag.e_r.mean - 1.0) / diag.e_r.stderr
         worst = max(worst, dev)
         ok &= dev <= 3.0
@@ -134,7 +142,7 @@ def test_criterion_02_girsanov_normalisation(coupling_runs):
 def test_criterion_03_entropy_bound(coupling_runs):
     ok = True
     msgs = []
-    for name, _, cfg, diag in coupling_runs:
+    for name, _, cfg, diag, _ in coupling_runs:
         bound = diag.entropy_bound
         ok &= diag.e_rlogr.mean <= bound + 3.0 * diag.e_rlogr.stderr
         msgs.append(f"{diag.e_rlogr.mean:.3f}<={bound:.2f}")
@@ -142,23 +150,30 @@ def test_criterion_03_entropy_bound(coupling_runs):
 
 
 def test_criterion_04_coupling_success(coupling_runs):
+    # the bounds hold 1 - E[R; not coupled]; the direct mean E[R; coupled]
+    # is printed beside it (its standard error at 20k pairs, 0.006, is
+    # larger than the 0.005 the fine bound leaves)
     ok = True
-    coarse = []
-    fine = []
-    for k, (name, M, cfg, diag) in enumerate(coupling_runs):
-        coarse.append(diag.coupling_weighted.mean)
-        ok &= diag.coupling_weighted.mean >= 0.98
+    coarse, fine, coarse_direct, fine_direct = [], [], [], []
+    for k, (name, M, cfg, diag, p_coarse) in enumerate(coupling_runs):
+        coarse.append(p_coarse)
+        coarse_direct.append(diag.coupling_weighted.mean)
+        ok &= p_coarse >= 0.98
         cfg_fine = C.standard_coupling_config(M, cfg.x, cfg.y, T=cfg.T, h=2.5e-4)
-        diag_fine = C.run_coupling(M, cfg_fine, 20_000, master_seed=SEED + 200 + k)
-        fine.append(diag_fine.coupling_weighted.mean)
-        ok &= diag_fine.coupling_weighted.mean >= 0.995
+        diag_fine, vals = C.run_coupling(M, cfg_fine, 20_000, master_seed=SEED + 200 + k,
+                                         return_values=True)
+        fine.append(_coupling_prob(vals))
+        fine_direct.append(diag_fine.coupling_weighted.mean)
+        ok &= fine[-1] >= 0.995
     ok &= float(np.mean(fine)) > float(np.mean(coarse)) or min(fine) >= 0.999
     _line(
         4,
         ok,
-        f"weighted coupling prob >= 0.98 at h=1e-3 (min {min(coarse):.4f}), "
-        f">= 0.995 at h=2.5e-4 (min {min(fine):.4f}), refinement improves "
-        f"({np.mean(coarse):.4f} -> {np.mean(fine):.4f})",
+        f"weighted coupling prob 1 - E[R; not coupled] >= 0.98 at h=1e-3 (min {min(coarse):.6f}), "
+        f">= 0.995 at h=2.5e-4 (min {min(fine):.6f}), refinement improves "
+        f"({np.mean(coarse):.6f} -> {np.mean(fine):.6f}); direct E[R; coupled] "
+        f"min {min(coarse_direct):.4f} / {min(fine_direct):.4f}, "
+        f"mean {np.mean(coarse_direct):.4f} -> {np.mean(fine_direct):.4f}",
     )
 
 

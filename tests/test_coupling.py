@@ -146,19 +146,18 @@ def _random_pairs(M, rng, n=200):
 def test_pair_geometry_is_bit_identical_to_public_calls(M):
     rng = np.random.default_rng(11)
     X, Y = _random_pairs(M, rng)
-    xi = rng.standard_normal((X.shape[0], M.dim))
+    xi = rng.standard_normal((X.shape[0], M.noise_width))
     G_, GY, toward, away_c = M._pair_geometry(X, Y, M.distance(X, Y), xi)
-    assert np.array_equal(G_, M.tangent_from_frame(X, xi))
+    assert np.array_equal(G_, M.noise(X, xi))
     assert np.array_equal(GY, M.transport(X, Y, G_))
     assert np.array_equal(toward, M.grad_distance(X, Y))
-    assert np.array_equal(away_c, M.frame_components(X, M.grad_distance(Y, X)))
+    assert np.array_equal(away_c, M.noise_components(X, M.grad_distance(Y, X)))
 
 
 def test_sphere_coupled_step_geometry_budget(monkeypatch):
     # one angle for the step's pair geometry plus three for the stopping
-    # checks (phi(Y') and Y' in D share the distance of Y' to y), and a
-    # single frame at X shared by the noise map and the Girsanov frame
-    # components
+    # checks (phi(Y') and Y' in D share the distance of Y' to y), and no
+    # frame: the noise is projected and the Girsanov term dots with it
     M = G.Sphere(2)
     y = np.array([0.0, 0.0, 1.0])
     x = M.exp(y, 0.3 * M.frame(y)[0])
@@ -175,9 +174,9 @@ def test_sphere_coupled_step_geometry_budget(monkeypatch):
             return _orig(self, *a)
 
         monkeypatch.setattr(G.Sphere, name, counted)
-    xi = np.random.default_rng(0).standard_normal((n, M.dim))
+    xi = np.random.default_rng(0).standard_normal((n, M.noise_width))
     C._coupled_step(M, cfg, cfg.h_eff, 0.0, pairs, xi)
-    assert calls == {"_angle": 4, "frame": 1}
+    assert calls == {"_angle": 4, "frame": 0}
 
 
 @pytest.mark.parametrize("M,y", [
@@ -202,7 +201,7 @@ def test_coupled_step_phi_and_stops_equal_reference_and_domain(M, y):
                            c_D_phi=0.0, eps_couple=0.01, rho0=0.1)
     ref, D = LB.cosine_reference(M, y, r), LB.DomainSpec(y, r)
     pairs = C._Pairs(X, Y, M.distance(X, Y), ref.phi(Y), np.zeros(n), np.zeros(n, dtype=bool))
-    p, theta = C._coupled_step(M, cfg, cfg.h_eff, 0.0, pairs, rng.standard_normal((n, M.dim)))
+    p, theta = C._coupled_step(M, cfg, cfg.h_eff, 0.0, pairs, rng.standard_normal((n, M.noise_width)))
     phi = ref.phi(p.Y)
     expected = np.select(
         [(phi <= cfg.phi_floor) | ~D.contains(M, p.Y), ~D.enlarged(cfg.rho0).contains(M, p.X),
@@ -344,9 +343,9 @@ def test_run_coupling_pinned_diagnostics():
     x = np.array([0.0, -0.19866933079506122, 0.9800665778412416])
     cfg = C.standard_coupling_config(Ms, x, [0.0, 0.0, 1.0], T=0.5, h=2e-3)
     d = C.run_coupling(Ms, cfg, 300, master_seed=3)
-    assert (d.e_r.mean, d.e_r.stderr) == (1.0141061128982671, 0.033907259149894314)
-    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.1601964784608153, 0.04701785969112598)
-    assert d.max_rho_excess == -0.009904621749682957
+    assert (d.e_r.mean, d.e_r.stderr) == (1.0334934942462073, 0.03666267561569859)
+    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.18366616388593218, 0.059747659099782184)
+    assert d.max_rho_excess == -0.009904621589657714
     assert d.theta_counts["coupled"] == 300
 
     Mh = G.Hyperbolic()

@@ -198,15 +198,17 @@ def test_ensemble_bitwise_reproducible():
 
 
 # sha256 of simulate_ensemble outputs recorded before the block loop
-# stepped all blocks in lockstep: three blocks (2500 paths, block size
-# 1000), a stop domain, two exit domains and three marks; the mark digest
-# covers (local time, alive) at each mark, stacked in mark order
+# stepped all blocks in lockstep (sphere-2: re-recorded when its noise
+# became the tangent projection of three normals): three blocks (2500
+# paths, block size 1000), a stop domain, two exit domains and three
+# marks; the mark digest covers (local time, alive) at each mark, stacked
+# in mark order
 PINNED_ENSEMBLES = {
     "half_space": (G.HalfSpace(1), [0.05], 0.05, 1e-3,
                    "80b2758d20e9a094d6690bdfc0daa6cec2ffb290d25801cc337b89067701cdc2",
                    "20aa6cfb58358327b9b8f2074f2cb57a697a54f4e8423269c64f2da7c6d06040"),
     "sphere-2": (G.Sphere(2, 1.0), [0.0, 0.0, 1.0], 0.2, 1e-2,
-                 "567557f33170a0e7b4ccc7409eff0195447d89024000ca40b29d03dd69525b9f",
+                 "b9f2ea8bd39dbc33ca719d38a601531be4e42a935e1934b8bc3bb76cf66d5e47",
                  "496a0f9111dc9cc4bb2574a6ab85d4cd90b59ff838663518b47623dbc256f4be"),
 }
 
@@ -251,7 +253,8 @@ MULTI_START = {
 }
 
 # sha256 of (terminal state, mark states) of each start run on its own,
-# recorded before starts could share an ensemble: BLOCK_SIZE + 100 paths
+# recorded before starts could share an ensemble (sphere-2: re-recorded,
+# each start on its own, for the projected noise): BLOCK_SIZE + 100 paths
 # (two blocks), seed 29, a stop domain and two exit domains about the
 # first start, marks at T/4, T/2 and T; the mark digest covers
 # (positions, alive, local time) at each mark, stacked in mark order
@@ -283,10 +286,10 @@ PER_START_DIGESTS = {
          "5a862640545919803b37b73b9a110ecd685d534dcfa4dd22cb06071d27f44faa"),
     ],
     "sphere-2": [
-        ("748e66cbbf2fc5e618104028cec71ac88509608500134181f4461d278bfd55d9",
-         "19f7a56736388d48cac558777c64cff2af289ea76197f5b2dbdb9783509a988f"),
-        ("dd9170f89143d5bd3a6e2c2452a8f57588a0652ed55e70ce864d7c06c7769005",
-         "3a6450836c6a87a646d5239fd2d0ef6b186d0b70502be6eb9624f8eaa02dc551"),
+        ("8cc1d974a1b0252f995cef49a62b8bce788b2b8af3fca889b553777bf5104795",
+         "37d8c5e528c22407f8e04519bbedc8fd8181d5729eaac7d0dfd84e503cb219f6"),
+        ("4a83d072febb0ab6bacc2d0b84fcb6ed7b9689c58318ee166ea05d7806ccef8e",
+         "d357b32877716aaea680a6029b8657f756dbfcf19d4aaa47edd7d30952c9de14"),
     ],
     "hyperbolic-2": [
         ("62f5403e153a1c8f39b56efed710d8479855737d0ff9134ea7826f43d38bd393",
@@ -343,6 +346,18 @@ def test_multi_start_ensemble_matches_per_start_runs(name):
         assert _sha256(*[np.stack([m[j][s] for m in res["marks"]]) for j in (0, 1, 2)]) == marks
 
 
+@pytest.mark.parametrize("x0", [[1.0, 0.0, 0.0], [0.6, 0.48, 0.64]])
+def test_sphere_starts_that_share_noise_stay_together(x0):
+    # starts x0 +- 1e-3 along one tangent share every normal; with a frame
+    # that jumps where its reference axis switches, 10.7% (from (1, 0, 0))
+    # and 3.6% of the pairs ended more than 10x further apart by t = 0.01
+    M, x0 = G.Sphere(2), np.asarray(x0)
+    starts = np.stack([M.exp(x0, s * M.frame(x0)[0]) for s in (1e-3, -1e-3)])
+    res = simulate_ensemble(M, starts, 0.01, 1e-3, 20_000, master_seed=3)
+    apart = M.distance(res["positions"][0], res["positions"][1])
+    assert np.count_nonzero(apart > 10.0 * M.distance(*starts)) == 0
+
+
 def test_simulate_ensemble_ends_exactly_at_the_horizon():
     # T / h = 10/3: four steps of 0.25 on the block's stream, not of 0.3
     M = G.Euclidean(1)
@@ -352,7 +367,7 @@ def test_simulate_ensemble_ends_exactly_at_the_horizon():
     rng = stream(2, 0, 0)
     pos, alive = np.zeros((n, 1)), np.ones(n, dtype=bool)
     for _ in range(4):
-        pos, _, alive = _advance(M, pos, 0.25, rng.standard_normal((n, M.dim)), alive)
+        pos, _, alive = _advance(M, pos, 0.25, rng.standard_normal((n, M.noise_width)), alive)
     assert np.array_equal(pos, res["positions"])
 
 

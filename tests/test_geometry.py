@@ -424,6 +424,6 @@ def test_path_and_pair_steps_take_no_linalg_norm(monkeypatch):
         raise AssertionError("np.linalg.norm on a per-step path")
 
     monkeypatch.setattr(G.np.linalg, "norm", boom)
-    C._coupled_step(S, cfg, cfg.h_eff, 0.0, pairs, rng.standard_normal((n, 2)))
+    C._coupled_step(S, cfg, cfg.h_eff, 0.0, pairs, rng.standard_normal((n, S.noise_width)))
     for M, x0 in zip(models, starts):
-        _advance(M, x0, 0.01, rng.standard_normal((n, M.dim)), np.ones(n, dtype=bool))
+        _advance(M, x0, 0.01, rng.standard_normal((n, M.noise_width)), np.ones(n, dtype=bool))

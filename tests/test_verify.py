@@ -389,7 +389,7 @@ def test_gradient_mc_runs_two_per_dimension_plus_one(ensemble_starts):
 
 @pytest.mark.parametrize("M, x, T, f, pinned", [
     (G.Sphere(2, 1.0), [0.6, 0.48, 0.64], 0.3, E.coord_exp([1.0, 0.0, 0.0]),
-     (0.32258688637248534, 1.4471823118410203, 14.172585905226121, 0.24856885392726788)),
+     (0.2974438189276585, 0.014394487437138807, 14.51809175033497, 0.2486084579232516)),
     (G.HalfSpace(1), [0.1], 0.2, E.gauss_bump([0.2], 0.5),
      (0.01069463947062454, 0.0029074489613510617, 2.9271257561772073, 0.07069508421420051)),
     (G.ExplosiveDrift1D(), [0.5], 0.2, E.one_plus_bump([0.3], 0.7),
