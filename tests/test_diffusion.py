@@ -346,7 +346,7 @@ def test_multi_start_ensemble_matches_per_start_runs(name):
         assert _sha256(*[np.stack([m[j][s] for m in res["marks"]]) for j in (0, 1, 2)]) == marks
 
 
-@pytest.mark.parametrize("x0", [[1.0, 0.0, 0.0], [0.6, 0.48, 0.64]])
+@pytest.mark.parametrize("x0", [[1.0, 0.0, 0.0], [0.6, 0.48, 0.64]], ids=["on-axis", "off-axis"])
 def test_sphere_starts_that_share_noise_stay_together(x0):
     # starts x0 +- 1e-3 along one tangent share every normal; with a frame
     # that jumps where its reference axis switches, 10.7% (from (1, 0, 0))
