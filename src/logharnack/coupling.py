@@ -199,9 +199,10 @@ def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
     # density of the drift actually applied
     a = np.minimum(np.sqrt(x1**2 + x2**2), p.rho / h)
 
-    # G = noise(X, xi) realises Phi dB in chart components; GY is its
-    # transport to Y, toward the unit at Y pointing away from X, away_c
-    # the noise components at X of the unit pointing away from Y
+    # G = tangent_from_frame(X, xi) realises Phi dB in chart components;
+    # GY is its transport to Y, toward the unit at Y pointing away from X,
+    # away_c the noise-frame components at X of the unit pointing away
+    # from Y
     G, GY, toward, away_c = M._pair_geometry(p.X, p.Y, p.rho, xi)
     vX = math.sqrt(2.0 * h) * G + h * M.drift(p.X)
     Xn = M.exp(p.X, vX)
@@ -211,7 +212,7 @@ def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
         Xn, Yn = M.reflect(Xn)[0], M.reflect(Yn)[0]
 
     # Girsanov increment for eta = (a / sqrt 2) * (unit at X away from Y),
-    # held in noise components: <eta, Phi dB> is eta_i xi_i sqrt(h).
+    # held in noise-frame components: <eta, Phi dB> is eta_i xi_i sqrt(h).
     eta = _scale(a / math.sqrt(2.0), away_c)
     dlogR = -math.sqrt(h) * _dot(eta, xi) - 0.5 * h * _dot(eta, eta)
 

@@ -1,9 +1,9 @@
 """Geodesic Euler simulation of the (reflecting) diffusion with generator
 Laplace-Beltrami + Z.
 
-One step moves the path to  exp_x( sqrt(2h) * noise(x, xi) + h * Z(x) ),
-xi being the variant's ``noise_width`` standard normals and noise(x, .)
-its map of them to a standard Gaussian of T_x M (``ModelSpace.noise``);
+One step moves the path to  exp_x( sqrt(2h) * noise + h * Z(x) ), the
+noise being the variant's ``noise_width`` standard normals mapped to a
+standard Gaussian of T_x M by ``ModelSpace.tangent_from_frame``;
 proposals that leave the chart through the boundary are mirrored back
 and the overshoot feeds the boundary local time.  The explosive catalogue
 variant instead splits each step into the exact flow of its cubic drift
@@ -79,7 +79,7 @@ def _advance(M: ModelSpace, pos, h, xi, alive):
     ``alive`` passes through."""
     if isinstance(M, ExplosiveDrift1D):
         return _advance_explosive(M, pos, h, xi, alive)
-    v = math.sqrt(2.0 * h) * M.noise(pos, xi) + h * M.drift(pos)
+    v = math.sqrt(2.0 * h) * M.tangent_from_frame(pos, xi) + h * M.drift(pos)
     new = M.exp(pos, v)
     if M.has_boundary:
         new, dl = M.reflect(new)

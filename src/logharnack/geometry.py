@@ -180,16 +180,16 @@ class ModelSpace:
 
         Given rho = distance(x, y) and step noise xi at x, returns
         (G, GY, u_y, c_x), bit for bit equal to
-        G = noise(x, xi), GY = transport(x, y, G),
+        G = tangent_from_frame(x, xi), GY = transport(x, y, G),
         u_y = grad_distance(x, y) and
-        c_x = noise_components(x, grad_distance(y, x)).
+        c_x = frame_components(x, grad_distance(y, x)).
         log_x(y) and log_y(x) are computed once each.
         """
         _require_apart(rho)
         lxy, lyx = self.log(x, y), self.log(y, x)
-        G = self.noise(x, xi)
+        G = self.tangent_from_frame(x, xi)
         GY = self._transport_logs(x, y, G, rho, lxy, lyx)
-        return G, GY, _divide(-lyx, rho), self.noise_components(x, _divide(-lxy, rho))
+        return G, GY, _divide(-lyx, rho), self.frame_components(x, _divide(-lxy, rho))
 
     def _transport_logs(self, x, y, v, rho, lxy, lyx):
         """transport(x, y, v) given rho = distance(x, y), lxy = log(x, y)
@@ -203,31 +203,26 @@ class ModelSpace:
         """Orthonormal tangent frame at x, shape (..., dim, chart_dim)."""
         raise NotImplementedError
 
+    @property
+    def noise_width(self) -> int:
+        """Vectors in the noise frame: the standard normals per path and
+        step that tangent_from_frame maps."""
+        return self.dim
+
     def tangent_from_frame(self, x, xi) -> np.ndarray:
-        """Tangent components of sum_i xi_i e_i for the canonical frame."""
+        """The step noise map: tangent components of sum_i xi_i f_i, (f_i)
+        the noise frame at x, noise_width vectors whose sum of f_i f_i^T
+        is the identity of T_x M (a Parseval frame), so that standard
+        normals xi give a standard Gaussian of T_x M.  By default the
+        noise frame is the orthonormal frame(x)."""
         return np.einsum("...ik,...i->...k", self.frame(x), _arr(xi))
 
     def frame_components(self, x, v) -> np.ndarray:
-        """Coefficients <v, e_i> of tangent components v in the canonical
-        orthonormal frame (inverse of tangent_from_frame)."""
+        """Coefficients <v, f_i> of tangent components v in the noise
+        frame: the adjoint of tangent_from_frame, with <c, xi> =
+        <v, tangent_from_frame(x, xi)>, and its inverse when the frame
+        is orthonormal."""
         return np.einsum("...ik,...k->...i", self.frame(x), _arr(v))
-
-    @property
-    def noise_width(self) -> int:
-        """Standard normals per path and step that ``noise`` maps."""
-        return self.dim
-
-    def noise(self, x, xi) -> np.ndarray:
-        """Tangent components at x of the step noise: xi holds
-        noise_width independent standard normals, and the result is a
-        standard Gaussian of T_x M.  By default xi are the coefficients
-        in the canonical frame."""
-        return self.tangent_from_frame(x, xi)
-
-    def noise_components(self, x, v) -> np.ndarray:
-        """The adjoint of the noise map at x: for tangent components v
-        at x, the c with <c, xi> = <v, noise(x, xi)> for every xi."""
-        return self.frame_components(x, v)
 
     # -- curvature -----------------------------------------------------
 
@@ -571,27 +566,31 @@ class Sphere(ModelSpace):
         alpha = self._angle_inside(x, y)
         c = np.cos(alpha)
         lxy, lyx = self._log(x, y, alpha, c), self._log(y, x, alpha, c)
-        G = self.noise(x, xi)
+        G = self.tangent_from_frame(x, xi)
         GY = self._transport(x, G, alpha, c, lxy)
-        return G, GY, _divide(-lyx, rho), self.noise_components(x, _divide(-lxy, rho))
+        return G, GY, _divide(-lyx, rho), self.frame_components(x, _divide(-lxy, rho))
 
     @property
     def noise_width(self):
         return self.chart_dim if self.dim == 2 else 1
 
-    def noise(self, x, xi):
-        """On the 2-sphere, the projection xi - <xi, n> n of three
-        ambient normals onto the tangent plane, n = x / radius: it needs
-        no frame and is smooth in x, so starts that share noise move
-        alike.  On the circle, xi times the frame."""
+    def tangent_from_frame(self, x, xi):
+        """On the 2-sphere the noise frame is the projection of the three
+        ambient axes onto the tangent plane, so sum_i xi_i f_i is
+        xi - <xi, n> n, n = x / radius: no frame is built, and the map is
+        smooth in x, so starts that share noise move alike.  On the
+        circle, xi times frame(x)."""
         if self.dim == 1:
-            return self.tangent_from_frame(x, xi)
+            return np.einsum("...ik,...i->...k", self.frame(x), _arr(xi))
         x, xi = _arr(x), _arr(xi)
         return xi - _scale(_dot(xi, x) / self.radius**2, x)
 
-    def noise_components(self, x, v):
-        """On the 2-sphere, v itself: tangent v is its own projection."""
-        return self.frame_components(x, v) if self.dim == 1 else _arr(v)
+    def frame_components(self, x, v):
+        """On the 2-sphere <v, P e_i> = v_i: tangent v is its own
+        projection."""
+        if self.dim == 1:
+            return np.einsum("...ik,...k->...i", self.frame(x), _arr(v))
+        return _arr(v)
 
     def _transport(self, x, v, alpha, cos_alpha, lg):
         """transport(x, y, v) given alpha = _angle(x, y), its cosine and
