@@ -91,17 +91,6 @@ def _norm(v):
     return np.sqrt(_sum_products(v, v))
 
 
-def _norm_of_difference(x, y):
-    """Bit for bit _norm(y - x), one chart column at a time: a single
-    point against a batch is not broadcast over the chart axis."""
-    d = y[..., 0] - x[..., 0]
-    out = d * d
-    for k in range(1, y.shape[-1]):
-        d = y[..., k] - x[..., k]
-        out = out + d * d
-    return np.sqrt(out)
-
-
 def _scale(a, v):
     """Bit for bit a[..., None] * v, one chart column at a time: the
     broadcast form runs numpy's inner loop once per row."""
@@ -305,7 +294,7 @@ class _FlatChart(ModelSpace):
     (geodesics are straight lines in the chart)."""
 
     def distance(self, x, y):
-        return _norm_of_difference(_arr(x), _arr(y))
+        return _norm(_arr(y) - _arr(x))
 
     def exp(self, x, v):
         # injectivity_radius is infinite on a flat chart: no check
@@ -517,7 +506,7 @@ class Sphere(ModelSpace):
 
     def _angle(self, x, y):
         # 2 arcsin of half the chord length: stable near coincidence.
-        chord = _norm_of_difference(_arr(x), _arr(y)) / self.radius
+        chord = _norm(_arr(y) - _arr(x)) / self.radius
         return 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
 
     def distance(self, x, y):

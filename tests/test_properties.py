@@ -49,17 +49,6 @@ def test_scale_and_divide_equal_broadcast_forms_bitwise(av):
         _same_bits(G._divide(v, a), v / a[..., None])
 
 
-@settings(max_examples=300, deadline=None)
-@given(_factor_and_vectors(), st.data())
-def test_norm_of_difference_equals_norm_of_the_broadcast_difference(av, data):
-    # a point (or batch) x against the batch v, as in distance(centre, paths)
-    _, v = av
-    x_shape = data.draw(st.sampled_from([v.shape, v.shape[-1:]]))
-    x = data.draw(hnp.arrays(np.float64, x_shape, elements=st.one_of(_ANY_FLOAT, _FINITE)))
-    with np.errstate(all="ignore"):
-        _same_bits(np.asarray(G._norm_of_difference(x, v)), np.asarray(G._norm(v - x)))
-
-
 @st.composite
 def _sphere_points(draw, n=1):
     """Points on a 2-sphere of radius r, shape (n, 3), and r."""
