@@ -11,7 +11,7 @@ import numpy as np
 
 from logharnack import estimators as E
 from logharnack import geometry as G
-from logharnack.diffusion import local_time_profile, simulate_ensemble
+from logharnack.diffusion import PathConfig, local_time_profile, simulate_ensemble
 
 SEED = 7
 
@@ -56,8 +56,22 @@ print()
 print("=" * 70)
 print("4. Exit times decay super-polynomially")
 print("=" * 70)
-M = G.Euclidean(1)
-res = simulate_ensemble(M, [0.0], 0.06, 1e-4, 100_000, master_seed=SEED, domains=[([0.0], 1.0)])
-for t in (0.02, 0.04, 0.06):
-    p = float(np.mean(res["exit_times"][0] <= t))
+print("A reducer that marks every step records who has left the ball;")
+print("marks at the read times then give the exit probabilities.")
+M, n, t_read = G.Euclidean(1), 100_000, [0.02, 0.04, 0.06]
+cfg = PathConfig(h=1e-4, T=0.06)
+steps = [k * cfg.h_eff for k in range(1, cfg.n_steps + 1)]
+exited = np.zeros(n, dtype=bool)
+
+
+def on_mark(i, pos, alive, l):
+    if i < len(steps):
+        exited[...] |= M.distance([0.0], pos) >= 1.0
+        return None
+    return float(exited.mean())
+
+
+res = simulate_ensemble(M, [0.0], cfg.T, cfg.h, n, master_seed=SEED, marks=steps + t_read,
+                        on_mark=on_mark)
+for t, p in zip(t_read, res["marks"][len(steps):]):
     print(f"P(exit unit ball by t = {t}) ~ {p:.2e}")

@@ -193,7 +193,7 @@ def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
     flagged = p.flagged | (p.phi_y < PHI_CAP)
     phi_eff = np.maximum(p.phi_y, PHI_CAP)
 
-    x1 = _xi1_rate(np.full(n, t), cfg) * cfg.rho0
+    x1 = _xi1_rate(t, cfg) * cfg.rho0
     x2 = 2.0 * cfg.c_D_phi * p.rho / phi_eff**2
     # never move Y past X within one explicit step; R stays the exact
     # density of the drift actually applied

@@ -19,11 +19,13 @@ of the state, so every path is the same bit for bit as when the blocks
 ran one after another.  The start point may carry a leading axis of
 starts: they share each block's noise draw (common random numbers), and
 each start's rows go through their own step call, so each start's paths
-are those of a run from that start alone.  At each mark time the state
-of all paths (positions, alive flags, local times) goes to a reducer
-that the caller passes, so one run serves every time on a grid and no
-(marks x paths) array is stored.  The clock steps h_eff = T / ceil(T / h),
-so it ends exactly at T.
+are those of a run from that start alone.  Marks are the one way to
+read paths along the way: at each mark time the state of all paths
+(positions, alive flags, local times) goes to a reducer that the caller
+passes, so one run serves every time on a grid and no (marks x paths)
+array is stored.  Exit times and stopped functionals mark every step
+(``local_time_profile`` stops its local time so).  The clock steps
+h_eff = T / ceil(T / h), so it ends exactly at T.
 """
 
 from __future__ import annotations
@@ -127,8 +129,6 @@ def simulate_ensemble(
     *,
     marks: Sequence[float] = (),
     on_mark: Optional[Callable] = None,
-    stop_domain: Optional[tuple] = None,
-    domains: Sequence[tuple] = (),
     block_size: int = BLOCK_SIZE,
 ):
     """Simulate n_paths independent copies up to time T from each start.
@@ -139,16 +139,15 @@ def simulate_ensemble(
     each start's rows go through their own step, so every path is the one
     a run from that start alone would give.
 
-    stop_domain=(center, r) freezes the local-time series at the first
-    exit from B(center, r); ``domains`` is a list of (center, radius)
-    whose first exit times are recorded.  At the step that reads each
-    time in ``marks`` (``PathConfig.mark_steps``), ``on_mark(i, positions,
-    alive, local_time)`` gets mark i and read-only views of the state of
-    all paths, valid during the call.
+    At the step that reads each time in ``marks``
+    (``PathConfig.mark_steps``), ``on_mark(i, positions, alive,
+    local_time)`` gets mark i and read-only views of the state of all
+    paths, valid during the call; marks that share a step are read in
+    mark order.
 
     Returns a dict with terminal positions / alive flags / local times,
-    the reducer's value per mark (``marks``, in mark order), exit times
-    (domains first), and the effective step size.
+    the reducer's value per mark (``marks``, in mark order), the number
+    of steps and the effective step size.
     """
     if len(marks) and on_mark is None:
         raise ValueError("marks need an on_mark reducer")
@@ -169,32 +168,19 @@ def simulate_ensemble(
     pos = np.repeat(starts[:, None, :], n_paths, axis=1)
     alive = np.ones((n_starts, n_paths), dtype=bool)
     l = np.zeros((n_starts, n_paths))
-    stopped = np.zeros((n_starts, n_paths), dtype=bool)
-    exited = np.zeros((len(domains), n_starts, n_paths), dtype=bool)
-    out_exit = np.full((len(domains), n_starts, n_paths), np.inf)
     out_marks = [None] * len(marks)
     views = [_read_only(a.reshape(lead + a.shape[1:])) for a in (pos, alive, l)]
 
     for kstep in range(n_steps):
-        t_now = (kstep + 1) * h_eff
         for rng, (_, lo, hi) in zip(rngs, spans):
             xi = rng.standard_normal((hi - lo, M.noise_width))
             for s in range(n_starts):
-                p, a, ls, st = pos[s, lo:hi], alive[s, lo:hi], l[s, lo:hi], stopped[s, lo:hi]
+                p, a = pos[s, lo:hi], alive[s, lo:hi]
                 new, dl, live = _advance(M, p, h_eff, xi, a)
                 p[...], a[...] = new, live
                 # without a boundary dl is zero: l stays untouched zero pages
-                if M.has_boundary and stop_domain is not None:
-                    ls += np.where(st, 0.0, dl)
-                    c, r = stop_domain
-                    st |= M.distance(c, p) >= r
-                elif M.has_boundary:
-                    ls += dl
-                for j, (c, r) in enumerate(domains):
-                    ex = exited[j, s, lo:hi]
-                    newly = ~ex & (M.distance(c, p) >= r)
-                    out_exit[j, s, lo:hi][newly] = t_now
-                    ex |= newly
+                if M.has_boundary:
+                    l[s, lo:hi] += dl
         for mi in readers.get(kstep + 1, ()):
             out_marks[mi] = on_mark(mi, *views)
 
@@ -203,7 +189,6 @@ def simulate_ensemble(
         "alive": alive.reshape(lead + alive.shape[1:]),
         "local_time": l.reshape(lead + l.shape[1:]),
         "marks": out_marks,
-        "exit_times": out_exit.reshape(out_exit.shape[:1] + lead + out_exit.shape[2:]),
         "h_eff": h_eff,
         "n_steps": n_steps,
     }
@@ -221,22 +206,31 @@ def local_time_profile(
     """Monte Carlo estimates of E l_{t ^ sigma_r} on a time grid, where
     sigma_r is the first exit from the ball of radius r around the start.
 
-    Returns (estimates, reference) with reference the flat-boundary value
+    Every step is marked as well as the grid: a path stops at the first
+    step that finds it at distance >= r from the start, and keeps its
+    local time of that step.  The grid marks read the kept local time of
+    the stopped paths and the running one of the others.  Returns
+    (estimates, reference) with reference the flat-boundary value
     2 sqrt(t) / sqrt(pi).
     """
     if not M.has_boundary:
         raise ValueError("local_time_profile needs a boundary variant")
     t_grid = list(t_grid)
-    res = simulate_ensemble(
-        M,
-        x,
-        max(t_grid),
-        h,
-        n_paths,
-        master_seed,
-        marks=t_grid,
-        on_mark=lambda i, pos, alive, l: estimate_from_values(l, seed=master_seed),
-        stop_domain=(np.asarray(x, dtype=float), r),
-    )
+    x = np.asarray(x, dtype=float)
+    cfg = PathConfig(h=h, T=max(t_grid))
+    steps = [k * cfg.h_eff for k in range(1, cfg.n_steps + 1)]
+    stopped = np.zeros(n_paths, dtype=bool)
+    l_stop = np.zeros(n_paths)
+
+    def on_mark(i, pos, alive, l):
+        if i < len(steps):
+            newly = (M.distance(x, pos) >= r) & ~stopped
+            l_stop[newly] = l[newly]
+            stopped[newly] = True
+            return None
+        return estimate_from_values(np.where(stopped, l_stop, l), seed=master_seed)
+
+    res = simulate_ensemble(M, x, cfg.T, h, n_paths, master_seed, marks=steps + t_grid,
+                            on_mark=on_mark)
     reference = [2.0 * math.sqrt(t) / math.sqrt(math.pi) for t in t_grid]
-    return res["marks"], reference
+    return res["marks"][len(steps):], reference

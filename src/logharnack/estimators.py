@@ -31,6 +31,7 @@ from .diffusion import PathConfig, simulate_ensemble
 from .geometry import (
     Euclidean,
     HalfSpace,
+    Hyperbolic,
     ModelSpace,
     OrnsteinUhlenbeck,
     Sphere,
@@ -54,7 +55,6 @@ __all__ = [
     "mc_functional",
     "mc_functional_values",
     "oracle_semigroup",
-    "grad_semigroup",
     "generator_check",
     "heat_kernel",
     "mu_ball",
@@ -227,6 +227,10 @@ class TestFunction:
                 raise ValueError("sphere generator catalogue covers coord only")
             return -(M.dim / M.radius**2) * self(z)
         lap = self.laplacian(z)
+        if isinstance(M, Hyperbolic):
+            # conformal chart of the half-plane: Laplace-Beltrami is x_2^2
+            # times the flat Laplacian, with no first-order term
+            lap = z[..., 1] ** 2 * lap
         drift = M.drift(z)
         if np.any(drift):
             return lap + np.sum(drift * self.grad(z), axis=-1)
@@ -627,23 +631,6 @@ def kernel_entropy(M: ModelSpace, y, t: float) -> float:
 # ----------------------------------------------------------------------
 # Gradient and generator checks
 # ----------------------------------------------------------------------
-
-
-def grad_semigroup(
-    M: ModelSpace,
-    x,
-    T: float,
-    f: TestFunction,
-    n_paths: int = 100_000,
-    h: float = 1e-2,
-    master_seed: int = 0,
-    eps: float = 1e-3,
-) -> MonteCarloEstimate:
-    """|grad P_T f|(x) by central finite differences along an orthonormal
-    frame, all runs driven by common random numbers."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = mc_functional_values(M, _fd_starts(M, x, eps), T, f, "f", n_paths, h, master_seed)
-    return _fd_gradient(vals, eps, master_seed)
 
 
 def _fd_starts(M: ModelSpace, x, eps: float) -> np.ndarray:

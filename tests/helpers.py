@@ -5,6 +5,8 @@ and parallel transport are integrated from the Christoffel symbols of the
 upper half-plane metric, curvature is recovered from geodesic deviation,
 boundary-exit probabilities come from the classical reflection series,
 and domain suprema are maxima over polar grids in every direction.
+First-exit times and stopped local times are read from ensembles through
+mark reducers that mark every step.
 """
 
 import importlib.util
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from logharnack.diffusion import PathConfig, simulate_ensemble
 
 
 def hyperbolic_geodesic_ivp(x0, v0, length=1.0):
@@ -82,6 +86,41 @@ def bm_two_sided_exit_prob(t, r=1.0, terms=40):
     for k in range(terms):
         s += ((-1) ** k / (2 * k + 1)) * math.exp(-((2 * k + 1) ** 2) * math.pi**2 * tau / (8.0 * r**2))
     return 1.0 - 4.0 / math.pi * s
+
+
+def simulate_with_exits(M, x0, T, h, n_paths, master_seed, *, domains=(), stop=None,
+                        marks=(), on_mark=None, **kwargs):
+    """``simulate_ensemble`` read at every step through its marks.
+
+    ``domains`` is a list of (center, radius) whose first-exit step
+    times are recorded (inf before the exit); with ``stop`` = (center, r)
+    the local time is frozen at the first exit from B(center, r), the
+    exit step's increment included.  Every step is marked ahead of the
+    caller's ``marks``, at which ``on_mark`` sees (positions, alive,
+    frozen local time).  Returns the ensemble's dict with the frozen
+    local time, the caller's marks and ``exit_times`` of shape
+    (domains, starts..., paths).
+    """
+    cfg = PathConfig(h=h, T=T)
+    steps = [k * cfg.h_eff for k in range(1, cfg.n_steps + 1)]
+    shape = np.shape(x0)[:-1] + (n_paths,)
+    exit_times = np.full((len(domains),) + shape, np.inf)
+    frozen = np.zeros(shape)
+    stopped = np.zeros(shape, dtype=bool)
+
+    def reader(i, pos, alive, l):
+        if i >= len(steps):
+            return on_mark(i - len(steps), pos, alive, frozen)
+        np.copyto(frozen, l, where=~stopped)
+        if stop is not None:
+            stopped[...] |= M.distance(stop[0], pos) >= stop[1]
+        for et, (c, r) in zip(exit_times, domains):
+            et[np.isinf(et) & (M.distance(c, pos) >= r)] = (i + 1) * cfg.h_eff
+        return None
+
+    res = simulate_ensemble(M, x0, T, h, n_paths, master_seed, marks=steps + list(marks),
+                            on_mark=reader, **kwargs)
+    return dict(res, local_time=frozen, exit_times=exit_times, marks=res["marks"][len(steps):])
 
 
 def polar_grid_sup(M, ref, coef=5.0, n_rho=401, k=12):

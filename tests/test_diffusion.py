@@ -8,7 +8,7 @@ from logharnack import geometry as G
 from logharnack.diffusion import PathConfig, _advance, local_time_profile, simulate_ensemble
 from logharnack.rng import BLOCK_SIZE, stream
 
-from helpers import bm_two_sided_exit_prob
+from helpers import bm_two_sided_exit_prob, simulate_with_exits
 
 
 # ----------------------------------------------------------------------
@@ -104,9 +104,7 @@ def test_exit_time_monotone_in_domain():
     # same noise: enlarging the domain never shortens the exit time
     M = G.Euclidean(1)
     x = np.array([0.0])
-    res = simulate_ensemble(
-        M, x, 1.0, 1e-2, 4000, master_seed=11, domains=[(x, 0.5), (x, 1.0)]
-    )
+    res = simulate_with_exits(M, x, 1.0, 1e-2, 4000, master_seed=11, domains=[(x, 0.5), (x, 1.0)])
     t_small, t_big = res["exit_times"]
     assert np.all(t_small <= t_big + 1e-12)
 
@@ -139,7 +137,7 @@ def test_exit_probability_against_reflection_series():
     # the discrete-monitoring bias only under-counts
     M = G.Euclidean(1)
     n = 100_000
-    res = simulate_ensemble(M, [0.0], 0.05, 1e-4, n, master_seed=17, domains=[([0.0], 1.0)])
+    res = simulate_with_exits(M, [0.0], 0.05, 1e-4, n, master_seed=17, domains=[([0.0], 1.0)])
     p_mc = float(np.mean(res["exit_times"][0] <= 0.05))
     p_exact = bm_two_sided_exit_prob(0.05, 1.0)
     assert p_exact == pytest.approx(3.1e-3, rel=0.05)
@@ -152,7 +150,8 @@ def test_exit_probability_superpolynomial_decay():
     # the spec's 1e-3 budget is met at t = 0.02 (series value 4.2e-5)
     assert bm_two_sided_exit_prob(0.02, 1.0) < 1e-4
     M = G.Euclidean(1)
-    res = simulate_ensemble(M, [0.0], 0.02, 1e-4, 50_000, master_seed=19, domains=[([0.0], 1.0)])
+    res = simulate_with_exits(M, [0.0], 0.02, 1e-4, 50_000, master_seed=19,
+                              domains=[([0.0], 1.0)])
     p_mc = float(np.mean(res["exit_times"][0] <= 0.02))
     assert p_mc < 1e-3
 
@@ -178,6 +177,22 @@ def test_local_time_profile_matches_flat_boundary_value():
         assert abs(e.mean - r) <= 3 * e.stderr + 0.5 * t, (t, e.mean, r)
 
 
+# sha256 of (means, standard errors) of local_time_profile at r = 0.1,
+# where most paths stop before the last grid time, recorded while the
+# stop was an option of simulate_ensemble
+LOCAL_TIME_STOP_DIGEST = "693d18f1686e0b2df2a756236484465e8d31e7df5f8655b9b046ce9d32df4b76"
+
+
+def test_local_time_profile_stopped_at_small_radius_matches_pinned_digest():
+    h = hashlib.sha256()
+    for M, x in [(G.HalfSpace(1), [0.0]), (G.HalfSpace(2), [0.02, 0.1]),
+                 (G.EuclideanBall(2, 1.0), [0.97, 0.0])]:
+        ests, _ = local_time_profile(M, x, [0.0025, 0.01, 0.04], 20_000, 1e-4, master_seed=5, r=0.1)
+        for a in ([e.mean for e in ests], [e.stderr for e in ests]):
+            h.update(np.array(a).tobytes())
+    assert h.hexdigest() == LOCAL_TIME_STOP_DIGEST
+
+
 def test_local_time_needs_boundary():
     with pytest.raises(ValueError):
         local_time_profile(G.Euclidean(1), [0.0], [0.1], 5000, 1e-3, 0)
@@ -199,10 +214,11 @@ def test_ensemble_bitwise_reproducible():
 
 # sha256 of simulate_ensemble outputs recorded before the block loop
 # stepped all blocks in lockstep (sphere-2: re-recorded when its noise
-# became the tangent projection of three normals): three blocks (2500
-# paths, block size 1000), a stop domain, two exit domains and three
-# marks; the mark digest covers (local time, alive) at each mark, stacked
-# in mark order
+# became the tangent projection of three normals), and before the stop
+# and the exit times moved from the stepping loop into a reducer that
+# marks every step: three blocks (2500 paths, block size 1000), a stop
+# ball, two exit balls and three marks; the mark digest covers (local
+# time, alive) at each mark, stacked in mark order
 PINNED_ENSEMBLES = {
     "half_space": (G.HalfSpace(1), [0.05], 0.05, 1e-3,
                    "80b2758d20e9a094d6690bdfc0daa6cec2ffb290d25801cc337b89067701cdc2",
@@ -224,11 +240,11 @@ def _sha256(*arrays):
 def test_multi_block_ensemble_matches_pinned_digest(name):
     M, x0, T, h, terminal, marks = PINNED_ENSEMBLES[name]
     c = np.asarray(x0)
-    res = simulate_ensemble(
+    res = simulate_with_exits(
         M, x0, T, h, 2500, 11,
         marks=[T / 4, T / 2, T],
         on_mark=lambda i, pos, alive, l: (l.copy(), alive.copy()),
-        stop_domain=(c, 0.15),
+        stop=(c, 0.15),
         domains=[(c, 0.1), (c, 0.2)],
         block_size=1000,
     )
@@ -255,8 +271,8 @@ MULTI_START = {
 # sha256 of (terminal state, mark states) of each start run on its own,
 # recorded before starts could share an ensemble (sphere-2: re-recorded,
 # each start on its own, for the projected noise): BLOCK_SIZE + 100 paths
-# (two blocks), seed 29, a stop domain and two exit domains about the
-# first start, marks at T/4, T/2 and T; the mark digest covers
+# (two blocks), seed 29, a stop ball and two exit balls about the first
+# start (read at every step), marks at T/4, T/2 and T; the digest covers
 # (positions, alive, local time) at each mark, stacked in mark order
 PER_START_DIGESTS = {
     "euclidean-1": [
@@ -331,11 +347,11 @@ def test_multi_start_ensemble_matches_per_start_runs(name):
     M, starts, T, h = MULTI_START[name]
     c = np.asarray(starts[0])
     n = BLOCK_SIZE + 100
-    res = simulate_ensemble(
+    res = simulate_with_exits(
         M, starts, T, h, n, 29,
         marks=[T / 4, T / 2, T],
         on_mark=lambda i, pos, alive, l: (pos.copy(), alive.copy(), l.copy()),
-        stop_domain=(c, 0.15),
+        stop=(c, 0.15),
         domains=[(c, 0.1), (c, 0.25)],
     )
     k = len(starts)

@@ -6,6 +6,7 @@ import pytest
 
 from logharnack import estimators as E
 from logharnack import geometry as G
+from logharnack import verify as V
 from logharnack.rng import BLOCK_SIZE
 
 
@@ -410,25 +411,34 @@ def test_kernel_entropy_against_independent_values(t):
 # ----------------------------------------------------------------------
 
 
+def _mc_gradient(M, x, T, f, n_paths, h, seed):
+    """|grad P_T f|(x) and its standard error, read off the Monte Carlo
+    lhs |grad P_T f|^2 of check_gradient, whose standard error is
+    2 |grad P_T f| se."""
+    rep = V.check_gradient(M, x, T, f, n_paths=n_paths, h=h, master_seed=seed)
+    g = math.sqrt(rep.lhs)
+    return g, (rep.lhs_se / (2.0 * g) if g > 0 else 0.0)
+
+
 def test_grad_semigroup_constant_vanishes():
     M = G.Euclidean(1)
-    g = E.grad_semigroup(M, [0.0], 0.3, E.const(2.0), 5000, 1e-2, 0)
-    assert g.mean <= 3 * max(g.stderr, 1e-12)
+    g, se = _mc_gradient(M, [0.0], 0.3, E.const(2.0), 5000, 1e-2, 0)
+    assert g <= 3 * max(se, 1e-12)
 
 
 def test_grad_semigroup_euclidean_exponential():
     M = G.Euclidean(1)
-    g = E.grad_semigroup(M, [0.0], 0.5, E.coord_exp([1.0]), 50_000, 1e-2, 13)
-    assert abs(g.mean - math.exp(0.5)) < 3 * g.stderr + 1e-3
+    g, se = _mc_gradient(M, [0.0], 0.5, E.coord_exp([1.0]), 50_000, 1e-2, 13)
+    assert abs(g - math.exp(0.5)) < 3 * se + 1e-3
 
 
 def test_grad_semigroup_ou_contraction():
     # grad P_T z = e^{-lam T}, zero variance through common random numbers
     M = G.OrnsteinUhlenbeck(1, 1.0)
-    g = E.grad_semigroup(M, [0.0], 1.0, E.coord(0), 5000, 1e-2, 13)
-    assert g.mean == pytest.approx((1 - 1e-2) ** 100, rel=1e-6)
+    g, _ = _mc_gradient(M, [0.0], 1.0, E.coord(0), 5000, 1e-2, 13)
+    assert g == pytest.approx((1 - 1e-2) ** 100, rel=1e-6)
     # Euler carries a lam^2 T h / 2 ~ 0.5% relative drift bias
-    assert g.mean == pytest.approx(math.exp(-1.0), rel=7e-3)
+    assert g == pytest.approx(math.exp(-1.0), rel=7e-3)
 
 
 def test_generator_check_cases():
@@ -447,6 +457,17 @@ def test_generator_check_cases():
     # circle eigenfunction: L cos = -cos
     res = E.generator_check(G.Sphere(1, 1.0), [1.0, 0.0], E.coord(0))
     assert res["lg"] == pytest.approx(-1.0)
+    assert res["rel_error"] < 0.05
+
+
+def test_hyperbolic_generator_is_the_conformal_laplacian():
+    # Laplace-Beltrami on the half-plane is x_2^2 (d_1^2 + d_2^2): for
+    # g = x_1^2, L g = 2 x_2^2
+    M = G.Hyperbolic()
+    for x2 in (2.0, 0.5):
+        assert E.coord_sq(0).generator(M, np.array([[0.0, x2]]))[0] == 2.0 * x2**2
+    res = E.generator_check(M, [0.0, 2.0], E.coord_sq(0), n_paths=200_000, h=1e-3, master_seed=3)
+    assert not res["oracle"] and res["lg"] == 8.0
     assert res["rel_error"] < 0.05
 
 
