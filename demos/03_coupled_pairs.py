@@ -25,7 +25,7 @@ cfg = C.standard_coupling_config(M, [0.0, math.exp(0.3)], [0.0, 1.0], T=1.0, h=1
 print(f"curvature bound on the enlarged domain K = {cfg.K_D_rho:.3f}")
 print(f"reference-function constant c_D        = {cfg.c_D_phi:.3f}")
 print(f"detection radius                        = {cfg.eps_couple:.4f}")
-_, vals = C.run_coupling(M, cfg, 8, master_seed=SEED, return_values=True)
+vals = C.run_coupling(M, cfg, 8, master_seed=SEED).values
 for i, (theta, log_r) in enumerate(zip(vals["theta"], vals["log_R"])):
     print(f"  pair {i}  stopped by {C.THETA_NAMES[int(theta)]:10s} log R = {log_r:+.4f}")
 print("(log R freezes at the stopping event; E R = 1 is the ensemble's identity)")
@@ -70,7 +70,7 @@ from logharnack import estimators as E  # noqa: E402
 
 f = E.one_plus_bump([0.3], 0.8, b=0.6)
 cfg = C.standard_coupling_config(M, [0.0], [0.3], T=0.5, h=1e-3)
-diag, vals = C.run_coupling(M, cfg, 50_000, master_seed=SEED, return_values=True, terminal_fn=f)
+vals = C.run_coupling(M, cfg, 50_000, master_seed=SEED, terminal_fn=f).values
 w = np.where(vals["coupled"], vals["R"] * np.nan_to_num(vals["terminal"]), 0.0)
 print(f"E[R f(X_T); coupled]  = {float(np.mean(w)):.5f}")
 print(f"P_T f(y) by quadrature = {E.oracle_semigroup(M, [0.3], 0.5, f):.5f}")

@@ -50,7 +50,7 @@ from .local_bounds import (
     c_D,
     cosine_reference,
     enlarged_K,
-    log_harnack_rate,
+    log_harnack_rhs,
     K_ZERO_TOL,
 )
 from .rng import path_blocks, stream
@@ -61,7 +61,6 @@ __all__ = [
     "CouplingDiagnostics",
     "standard_coupling_config",
     "run_coupling",
-    "coupling_entropy_bound",
 ]
 
 # xi_2 is capped (and the pair flagged boundary-degenerate) below this phi.
@@ -144,11 +143,6 @@ def standard_coupling_config(
         eps_couple=eps_couple,
         rho0=rho0,
     )
-
-
-def coupling_entropy_bound(cfg: CouplingConfig) -> float:
-    """The closed-form bound on E R log R for the run's constants."""
-    return 0.5 * cfg.rho0**2 * log_harnack_rate(cfg.K_D_rho, cfg.T, cfg.c_D_phi)
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +235,8 @@ def _coupled_step(M, cfg, h, t, p: _Pairs, xi):
 
 @dataclass
 class CouplingDiagnostics:
-    """Monte Carlo summary of a coupled run."""
+    """Monte Carlo summary of a coupled run; ``values`` holds the per-pair
+    arrays R, log_R, coupled and theta, and terminal with a terminal_fn."""
 
     e_r: MonteCarloEstimate
     e_rlogr: MonteCarloEstimate
@@ -253,6 +248,7 @@ class CouplingDiagnostics:
     max_rho_excess: float
     n: int
     seed: int
+    values: dict
 
     def to_row(self) -> dict:
         return {
@@ -277,12 +273,12 @@ def run_coupling(
     n_pairs: int,
     master_seed: int = 0,
     *,
-    return_values: bool = False,
     terminal_fn=None,
 ):
     """Simulate n_pairs independent coupled pairs and report the Girsanov
-    diagnostics (E R, E R log R with its closed-form bound, the weighted
-    probability of coupling before the competing stopping events).
+    diagnostics (E R, E R log R with its closed-form bound
+    ``local_bounds.log_harnack_rhs``, the weighted probability of
+    coupling before the competing stopping events).
 
     With ``terminal_fn`` the merged point of every coupled pair keeps
     evolving as a plain diffusion to the horizon and fn(X_T) is recorded;
@@ -350,21 +346,19 @@ def run_coupling(
 
     all_coupled = all_theta == THETA_COUPLED
     R = np.exp(all_logR)
-    diag = CouplingDiagnostics(
-        e_r=estimate_from_values(R, seed=master_seed),
-        e_rlogr=estimate_from_values(R * all_logR, seed=master_seed),
-        entropy_bound=coupling_entropy_bound(cfg),
-        coupling_weighted=estimate_from_values(R * all_coupled, seed=master_seed),
+    values = {"R": R, "log_R": all_logR, "coupled": all_coupled, "theta": all_theta}
+    if terminal_fn is not None:
+        values["terminal"] = all_terminal
+    return CouplingDiagnostics(
+        e_r=estimate_from_values(R),
+        e_rlogr=estimate_from_values(R * all_logR),
+        entropy_bound=log_harnack_rhs(cfg.rho0, cfg.K_D_rho, cfg.T, cfg.c_D_phi),
+        coupling_weighted=estimate_from_values(R * all_coupled),
         coupled_fraction=float(np.mean(all_coupled)),
         flagged_fraction=float(np.mean(all_flagged)),
         theta_counts={THETA_NAMES[k]: int(np.sum(all_theta == k)) for k in THETA_NAMES},
         max_rho_excess=float(max_rho_excess),
         n=n_pairs,
         seed=master_seed,
+        values=values,
     )
-    if return_values:
-        out = {"R": R, "log_R": all_logR, "coupled": all_coupled, "theta": all_theta}
-        if terminal_fn is not None:
-            out["terminal"] = all_terminal
-        return diag, out
-    return diag

@@ -228,7 +228,7 @@ def local_time_profile(
             l_stop[newly] = l[newly]
             stopped[newly] = True
             return None
-        return estimate_from_values(np.where(stopped, l_stop, l), seed=master_seed)
+        return estimate_from_values(np.where(stopped, l_stop, l))
 
     res = simulate_ensemble(M, x, cfg.T, h, n_paths, master_seed, marks=steps + t_grid,
                             on_mark=on_mark)

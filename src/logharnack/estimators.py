@@ -7,9 +7,9 @@ exact transition kernel on the variants that have one.  Keeping the two
 routes independent is the point: the oracle never touches the stepping
 code.
 
-``mc_functional_values`` reads a tuple of modes from one ensemble, and
-takes a batch of start points that share its noise, each read in the
-modes it needs.  Gradients use central finite differences at 2 dim starts
+``mc_functional_values`` simulates one ensemble from a batch of start
+points that share its noise and reads it at the (start, mode) pairs the
+caller names.  Gradients use central finite differences at 2 dim starts
 of one such ensemble (common random numbers), and the short-time
 generator identity is checked by a least-squares slope of (P_s g - g)
 against s, from one marked ensemble when there is no oracle.
@@ -328,40 +328,29 @@ def _mode_values(f, mode, positions, alive):
 
 def mc_functional_values(
     M: ModelSpace,
-    x,
+    starts,
     T: float,
     f: Optional[TestFunction],
-    mode,
+    reads: Sequence[tuple],
     n_paths: int,
     h: float,
     master_seed: int,
-):
+) -> list:
     """Per-path observable values (killed paths contribute zero), all read
-    from one simulated ensemble.
-
-    For one start point ``x``, ``mode`` is a mode or a tuple of modes and
-    the values are an array or a tuple of arrays.  ``x`` may instead be an
-    array of start points, shape (n_starts, chart_dim), which share the
-    ensemble's noise; the values are then a list with one entry per
-    start, and ``mode`` is one mode read at every start or a sequence
-    with one mode (or tuple of modes) per start."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim <= 1
-    per_start = [mode] if single else [mode] * len(x) if isinstance(mode, str) else list(mode)
-    if len(per_start) != (1 if single else len(x)):
-        raise ValueError("need one mode entry per start point")
-    wanted = [(ms,) if isinstance(ms, str) else tuple(ms) for ms in per_start]
-    for m in (m for ms in wanted for m in ms):
-        if m not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+    from one ensemble simulated from ``starts``, shape (n_starts,
+    chart_dim), whose start points share its noise.  ``reads`` lists
+    (start index, mode) pairs; the values are one array per pair, in that
+    order."""
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2:
+        raise ValueError("starts must have shape (n_starts, chart_dim)")
+    for i, m in reads:
+        if not 0 <= i < len(starts) or m not in _MODES:
+            raise ValueError(f"need a start index below {len(starts)} and a mode among {_MODES}")
         if m == "log f" and (f is None or not f.strictly_positive):
             raise NonpositiveF("mode 'log f' needs a strictly positive f")
-    res = simulate_ensemble(M, x, T, h, n_paths, master_seed)
-    pos = res["positions"].reshape(len(wanted), n_paths, -1)
-    alive = res["alive"].reshape(len(wanted), n_paths)
-    vals = [tuple(_mode_values(f, m, p, a) for m in ms) for ms, p, a in zip(wanted, pos, alive)]
-    vals = [v[0] if isinstance(ms, str) else v for ms, v in zip(per_start, vals)]
-    return vals[0] if single else vals
+    res = simulate_ensemble(M, starts, T, h, n_paths, master_seed)
+    return [_mode_values(f, m, res["positions"][i], res["alive"][i]) for i, m in reads]
 
 
 def mc_functional(
@@ -380,8 +369,8 @@ def mc_functional(
         raise ValueError("n_paths must be >= 1000")
     if np.ndim(x) > 1:
         raise ValueError("mc_functional estimates at one start point")
-    vals = mc_functional_values(M, x, T, f, mode, n_paths, h, master_seed)
-    return estimate_from_values(vals, seed=master_seed)
+    vals = mc_functional_values(M, np.reshape(x, (1, -1)), T, f, [(0, mode)], n_paths, h, master_seed)
+    return estimate_from_values(vals[0])
 
 
 # ----------------------------------------------------------------------
@@ -640,7 +629,7 @@ def _fd_starts(M: ModelSpace, x, eps: float) -> np.ndarray:
     return np.stack([M.exp(x, sign * eps * fr[i]) for i in range(M.dim) for sign in (1.0, -1.0)])
 
 
-def _fd_gradient(vals, eps: float, master_seed: int) -> MonteCarloEstimate:
+def _fd_gradient(vals, eps: float) -> MonteCarloEstimate:
     """|grad P_T f| from the per-path values at the ``_fd_starts``; its
     standard error is that of the component along the mean gradient."""
     dim, n_paths = len(vals) // 2, len(vals[0])
@@ -655,7 +644,7 @@ def _fd_gradient(vals, eps: float, master_seed: int) -> MonteCarloEstimate:
         se = float(np.sqrt(direction @ cov @ direction))
     else:
         se = float(np.sqrt(np.trace(cov)))
-    return MonteCarloEstimate(mean=norm, stderr=se, n=n_paths, seed=master_seed)
+    return MonteCarloEstimate(mean=norm, stderr=se, n=n_paths)
 
 
 def generator_check(
@@ -704,7 +693,7 @@ def generator_check(
             np.add(per_path, gv, out=per_path)
 
         simulate_ensemble(M, x, cfg.T, h, n_paths, master_seed, marks=reached, on_mark=on_mark)
-        slope_paths = estimate_from_values(per_path, seed=master_seed)
+        slope_paths = estimate_from_values(per_path)
         s_grid = reached
     y = vals - g0
     # least-squares fit y = b s + c s^2: the quadratic term absorbs the

@@ -1,8 +1,9 @@
 """Model-manifold catalogue with exact closed-form geometry.
 
 Every variant supplies distance, exponential / logarithm maps, parallel
-transport along the minimal geodesic, curvature-with-drift, and boundary
-data (inward normal, second fundamental form).  The catalogue is fixed so
+transport along the minimal geodesic, curvature-with-drift Ric_Z (from
+which the base class derives the curvature bound K), and boundary data
+(inward normal, second fundamental form).  The catalogue is fixed so
 that all geometric primitives are exact; discretisation error then lives
 entirely in the SDE stepping.
 
@@ -216,17 +217,19 @@ class ModelSpace:
     # -- curvature -----------------------------------------------------
 
     def ricci_z(self, x, u) -> np.ndarray:
-        """Ric(u,u) - <u, grad_u Z> for a unit tangent vector u."""
+        """Ric(u,u) - <u, grad_u Z> for a unit tangent vector u; the
+        same for every u on the catalogue, which may pass u = None."""
         raise NotImplementedError
 
     def pointwise_K(self, x) -> np.ndarray:
         """Smallest admissible K(x):  max over unit u of -ricci_z(x, u)."""
-        raise NotImplementedError
+        # not a bare minus: Ric_Z = 0.0 must give K = 0.0, not -0.0
+        return 0.0 - self.ricci_z(x, None)
 
-    def max_neg_ricci(self, x) -> np.ndarray:
-        """max over unit u of -Ric(u, u)  (driftless, for the kappa
-        constant)."""
-        raise NotImplementedError
+    # max over unit u of -Ric(u, u) (driftless, for the kappa constant):
+    # pointwise_K where there is no drift; the drifting variants are flat
+    # charts, which override it with Ric = 0
+    max_neg_ricci = pointwise_K
 
     def sup_pointwise_K_ball(self, center, radius: float) -> float:
         """Exact sup of pointwise_K over B(center, radius); a variant whose
@@ -314,10 +317,12 @@ class _FlatChart(ModelSpace):
     def tangent_from_frame(self, x, xi):
         return np.array(_arr(xi), copy=True)
 
-    def ricci_z(self, x, u):
-        return np.zeros(_arr(x).shape[:-1])
+    def frame_components(self, x, v):
+        # the identity frame's components; + 0.0 turns -0.0 into +0.0 as
+        # the base einsum's sum does
+        return _arr(v) + 0.0
 
-    def pointwise_K(self, x):
+    def ricci_z(self, x, u):
         return np.zeros(_arr(x).shape[:-1])
 
     def max_neg_ricci(self, x):
@@ -372,9 +377,6 @@ class OrnsteinUhlenbeck(_FlatChart):
         # grad Z = -lam * Id, so -<u, grad_u Z> = lam for |u| = 1.
         return np.full(_arr(x).shape[:-1], self.lam)
 
-    def pointwise_K(self, x):
-        return np.full(_arr(x).shape[:-1], -self.lam)
-
 
 class ExplosiveDrift1D(_FlatChart):
     """The real line with the superlinear drift Z(x) = x^3.
@@ -401,10 +403,6 @@ class ExplosiveDrift1D(_FlatChart):
         # d/dx (x^3) = 3 x^2 pointing along u = +-1, so Ric_Z = -3 x^2.
         x = _arr(x)
         return -3.0 * x[..., 0] ** 2
-
-    def pointwise_K(self, x):
-        x = _arr(x)
-        return 3.0 * x[..., 0] ** 2
 
     def sup_pointwise_K_ball(self, center, radius):
         c = float(_arr(center)[..., 0])
@@ -619,12 +617,6 @@ class Sphere(ModelSpace):
     def ricci_z(self, x, u):
         return np.full(_arr(x).shape[:-1], (self.dim - 1) / self.radius**2)
 
-    def pointwise_K(self, x):
-        return np.full(_arr(x).shape[:-1], -(self.dim - 1) / self.radius**2)
-
-    def max_neg_ricci(self, x):
-        return np.full(_arr(x).shape[:-1], -(self.dim - 1) / self.radius**2)
-
     def radial_laplacian(self, center, z):
         rho = self.distance(center, z)
         if self.dim == 1:
@@ -730,12 +722,6 @@ class Hyperbolic(ModelSpace):
 
     def ricci_z(self, x, u):
         return np.full(_arr(x).shape[:-1], -1.0)
-
-    def pointwise_K(self, x):
-        return np.ones(_arr(x).shape[:-1])
-
-    def max_neg_ricci(self, x):
-        return np.ones(_arr(x).shape[:-1])
 
     def radial_laplacian(self, center, z):
         rho = self.distance(center, z)

@@ -3,8 +3,9 @@
 Provides the pointwise curvature bound K, its supremum over a domain and
 over enlarged domains, the cosine reference function phi = cos(pi rho(y,
 .) / 2r) on the ball D = B(y, r), the constant c_D(phi) = sup_D
-{5|grad phi|^2 - phi L phi}, and the assembled constant kappa(y) that
-dominates c_D.
+{5|grad phi|^2 - phi L phi}, the assembled constant kappa(y) that
+dominates c_D, and the log-Harnack bound ``log_harnack_rhs`` built from
+them, which the checkers and the coupling share.
 
 phi is the only reference function: it is positive inside D and vanishes
 on the boundary of D by construction, and N phi >= 0 holds on the convex
@@ -35,6 +36,7 @@ __all__ = [
     "harnack_rate",
     "entropy_gain",
     "log_harnack_rate",
+    "log_harnack_rhs",
     "K_of_domain",
     "enlarged_K",
     "c_D",
@@ -81,6 +83,12 @@ def log_harnack_rate(K: float, T: float, c: float, phi: float = 1.0) -> float:
     """K/(1-e^{-2KT}) + c^2 (e^{2KT}-1) / (2 K phi^4): the factor of
     rho^2/2 in the log-Harnack bound, with the continuous K -> 0 limits."""
     return harnack_rate(K, T) + c**2 * entropy_gain(K, T) / phi**4
+
+
+def log_harnack_rhs(rho: float, K: float, T: float, c: float, phi: float = 1.0) -> float:
+    """The log-Harnack bound rho^2/2 log_harnack_rate(K, T, c, phi): c is
+    c_D(phi) in the theorem form, kappa(y) in the local form."""
+    return 0.5 * rho**2 * log_harnack_rate(K, T, c, phi)
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,11 @@ __all__ = ["MonteCarloEstimate", "sample_mean", "estimate_from_values"]
 
 @dataclass
 class MonteCarloEstimate:
-    """Sample mean with its standard error and provenance."""
+    """Sample mean with its standard error and sample size."""
 
     mean: float
     stderr: float
     n: int
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -34,7 +33,7 @@ def sample_mean(values: np.ndarray) -> float:
     return float(np.sum(values) / values.size)
 
 
-def estimate_from_values(values: np.ndarray, seed: int = 0) -> MonteCarloEstimate:
+def estimate_from_values(values: np.ndarray) -> MonteCarloEstimate:
     values = np.asarray(values, dtype=float)
     n = values.size
     mean = sample_mean(values)
@@ -43,4 +42,4 @@ def estimate_from_values(values: np.ndarray, seed: int = 0) -> MonteCarloEstimat
         stderr = math.sqrt(var / n)
     else:
         stderr = math.nan
-    return MonteCarloEstimate(mean=mean, stderr=stderr, n=n, seed=seed)
+    return MonteCarloEstimate(mean=mean, stderr=stderr, n=n)

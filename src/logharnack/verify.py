@@ -12,8 +12,10 @@ The domain checkers (log-Harnack, gradient, Harnack) take a
 ``domain_radius`` r: D = B(c, r) around the check's own start point c (y,
 or x for the gradient check), with the cosine reference phi on D, so the
 start lies in D by construction and phi(c) = cos 0 = 1.  Every right-hand
-side takes its rate factor from ``local_bounds.log_harnack_rate``.  A
-checker's keywords are the grid keys of its CLI tag.
+side takes its bound from ``local_bounds.log_harnack_rhs``, with c =
+c_D(phi) or kappa(y), or, without the rho^2/2 factor (gradient, Harnack,
+entropy), its rate ``log_harnack_rate``.  A checker's keywords are the
+grid keys of its CLI tag.
 
 Monte Carlo sides run one ensemble per check, its start points sharing
 the noise: log-Harnack and Harnack from y and x, the gradient check from
@@ -59,6 +61,7 @@ from .local_bounds import (
     kappa,
     K_of_domain,
     log_harnack_rate,
+    log_harnack_rhs,
 )
 from .stats import estimate_from_values
 
@@ -66,8 +69,6 @@ __all__ = [
     "GeodesicLeavesDomain",
     "ZeroGradient",
     "InequalityReport",
-    "log_harnack_rhs",
-    "local_log_harnack_rhs",
     "check_log_harnack",
     "check_log_harnack_local",
     "check_gradient",
@@ -145,23 +146,6 @@ class InequalityReport:
 
 
 # ----------------------------------------------------------------------
-# Right-hand-side constants
-# ----------------------------------------------------------------------
-
-
-def log_harnack_rhs(rho: float, K: float, T: float, c_phi: float, phi_ref: float) -> float:
-    """rho^2/2 ( K/(1-e^{-2KT}) + c^2 (e^{2KT}-1) / (2 K phi^4) ) with the
-    continuous K -> 0 limits."""
-    return 0.5 * rho**2 * log_harnack_rate(K, T, c_phi, phi_ref)
-
-
-def local_log_harnack_rhs(rho: float, K_xy: float, t: float, kappa_y: float) -> float:
-    """Local-geometry form: the reference is the cosine with phi(y) = 1 and
-    kappa(y) dominating c_D(phi)."""
-    return 0.5 * rho**2 * log_harnack_rate(K_xy, t, kappa_y)
-
-
-# ----------------------------------------------------------------------
 # Log-Harnack
 # ----------------------------------------------------------------------
 
@@ -170,7 +154,8 @@ def _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, seed, correction=True):
     """P_T log f(y) - log(P_T f(x) + 1 - P_T 1(x)) with common random
     numbers between the two start points; killed paths enter as zeros.
     Without the correction the argument of the log is P_T f(x) alone."""
-    ell, (fx, ax) = mc_functional_values(M, np.stack([y, x]), T, f, ("log f", ("f", "1")), n_paths, h, seed)
+    reads = [(0, "log f"), (1, "f"), (1, "1")]
+    ell, fx, ax = mc_functional_values(M, np.stack([y, x]), T, f, reads, n_paths, h, seed)
     if correction:
         g = fx - ax  # per path: f(X_T) 1_alive - 1_alive; E g = P_T f - P_T 1
         arg = 1.0 + float(np.mean(g))
@@ -219,7 +204,7 @@ def check_log_harnack(
     rho = float(M.distance(x, y))
     K_rho = enlarged_K(M, x, y, phi.domain)
     c_phi = c_D(M, phi)
-    rhs = log_harnack_rhs(rho, K_rho, T, c_phi, 1.0)  # phi(y) = 1
+    rhs = log_harnack_rhs(rho, K_rho, T, c_phi)  # phi(y) = 1
 
     if use_oracle:
         try:
@@ -268,7 +253,7 @@ def check_log_harnack_local(
     if M.injectivity_radius <= (1.0 + rho) / INJ_MARGIN:
         raise ValueError("needs injectivity radius beyond 1 + rho(x, y)")
     consts = kappa(M, y, x=x)
-    rhs = local_log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
+    rhs = log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
     if use_oracle:
         try:
             lhs, lhs_se, _ = _lhs_log_harnack_oracle(M, x, y, t, f)
@@ -327,8 +312,9 @@ def check_gradient(
             use_oracle = False
     if not use_oracle:
         # x is one more start of the finite-difference ensemble
-        *fd, fv = mc_functional_values(M, np.vstack([starts, x]), T, f, "f", n_paths, h, master_seed)
-        g = _fd_gradient(fd, eps, master_seed)
+        reads = [(i, "f") for i in range(len(starts) + 1)]
+        *fd, fv = mc_functional_values(M, np.vstack([starts, x]), T, f, reads, n_paths, h, master_seed)
+        g = _fd_gradient(fd, eps)
         lhs = g.mean**2
         lhs_se = 2.0 * abs(g.mean) * g.stderr
         m1 = float(np.mean(fv))
@@ -401,7 +387,7 @@ def check_harnack(
         except NoOracle:
             use_oracle = False
     if not use_oracle:
-        fy, fx = mc_functional_values(M, np.stack([y, x]), T, f, "f", n_paths, h, master_seed)
+        fy, fx = mc_functional_values(M, np.stack([y, x]), T, f, [(0, "f"), (1, "f")], n_paths, h, master_seed)
         lhs = float(np.mean(fy))
         m2 = float(np.mean(fy**2))
         rhs = float(np.mean(fx)) + rho * root_const * math.sqrt(m2)
@@ -438,7 +424,7 @@ def check_kernel_lower_bound(M: ModelSpace, x, y, t: float) -> InequalityReport:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     rho = float(M.distance(x, y))
     consts = kappa(M, y, x=x)
-    cost = local_log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
+    cost = log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
     lhs = math.exp(-cost)  # the bound
     rhs = float(heat_kernel(M, x, y, 2.0 * t))  # the kernel must dominate it
     cfg = {"variant": M.variant, "x": list(x), "y": list(y), "t": t}
@@ -491,7 +477,7 @@ def check_entropy_cost(M: ModelSpace, t: float, eps_tilt: float = 0.2) -> Inequa
         rho = abs(shift)
         consts = kappa(M, np.array([yv]))
         K_xy = -lam  # constant curvature bound on every ball
-        return local_log_harnack_rhs(rho, K_xy, t, consts.kappa_y)
+        return log_harnack_rhs(rho, K_xy, t, consts.kappa_y)
 
     rhs = float(np.sum(w * np.array([cost(float(p[0]), float(p[0]) + shift) for p in pts])))
     cfg = {"variant": M.variant, "t": t, "eps_tilt": eps_tilt}
@@ -574,8 +560,8 @@ def sharpness_experiment(
         # one exact Gaussian step (the flat-chart scheme with h = s) from x
         # and from every y_s of this s, in one ensemble
         starts = [x] + [M.exp(x, s * (r * g)) for r in r_values]
-        modes = ["f"] + ["log f"] * len(r_values)
-        fx, *ells = mc_functional_values(M, np.stack(starts), s, f, modes, n_paths, s, master_seed)
+        reads = [(0, "f")] + [(k, "log f") for k in range(1, len(starts))]
+        fx, *ells = mc_functional_values(M, np.stack(starts), s, f, reads, n_paths, s, master_seed)
         bx = float(np.mean(fx))
         for k, ell in enumerate(ells):
             q_vals[k, i] = float(np.mean(ell)) - math.log(bx)

@@ -124,8 +124,8 @@ def coupling_runs():
     runs = []
     for k, (name, M, x, y, T) in enumerate(coupling_configs()):
         cfg = C.standard_coupling_config(M, x, y, T=T, h=1e-3)
-        diag, vals = C.run_coupling(M, cfg, 100_000, master_seed=SEED + 100 + k, return_values=True)
-        runs.append((name, M, cfg, diag, _coupling_prob(vals)))
+        diag = C.run_coupling(M, cfg, 100_000, master_seed=SEED + 100 + k)
+        runs.append((name, M, cfg, diag, _coupling_prob(diag.values)))
     return runs
 
 
@@ -160,9 +160,8 @@ def test_criterion_04_coupling_success(coupling_runs):
         coarse_direct.append(diag.coupling_weighted.mean)
         ok &= p_coarse >= 0.98
         cfg_fine = C.standard_coupling_config(M, cfg.x, cfg.y, T=cfg.T, h=2.5e-4)
-        diag_fine, vals = C.run_coupling(M, cfg_fine, 20_000, master_seed=SEED + 200 + k,
-                                         return_values=True)
-        fine.append(_coupling_prob(vals))
+        diag_fine = C.run_coupling(M, cfg_fine, 20_000, master_seed=SEED + 200 + k)
+        fine.append(_coupling_prob(diag_fine.values))
         fine_direct.append(diag_fine.coupling_weighted.mean)
         ok &= fine[-1] >= 0.995
     ok &= float(np.mean(fine)) > float(np.mean(coarse)) or min(fine) >= 0.999

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -230,10 +231,9 @@ def test_run_coupling_clock_ends_exactly_at_horizon():
     # Var X_T = 2 T exactly; stepping h = 0.3 four times would give 2.4
     M = G.Euclidean(1)
     cfg = C.standard_coupling_config(M, [0.0], [0.0], T=1.0, h=0.3)
-    diag, vals = C.run_coupling(M, cfg, 20_000, master_seed=4, return_values=True,
-                                terminal_fn=lambda z: z[:, 0])
+    diag = C.run_coupling(M, cfg, 20_000, master_seed=4, terminal_fn=lambda z: z[:, 0])
     assert diag.coupled_fraction == 1.0
-    assert float(np.var(vals["terminal"])) == pytest.approx(2.0, abs=0.1)
+    assert float(np.var(diag.values["terminal"])) == pytest.approx(2.0, abs=0.1)
 
 
 def test_eps_couple_invariant():
@@ -261,8 +261,8 @@ def test_domain_radius_must_be_positive(radius):
 @pytest.fixture(scope="module")
 def euclid_diag():
     M, cfg = euclid_config(rho0=0.3, T=1.0, h=1e-3)
-    diag, values = C.run_coupling(M, cfg, 20_000, master_seed=42, return_values=True)
-    return M, cfg, diag, values
+    diag = C.run_coupling(M, cfg, 20_000, master_seed=42)
+    return M, cfg, diag, diag.values
 
 
 def test_run_coupling_girsanov_normalisation(euclid_diag):
@@ -272,9 +272,11 @@ def test_run_coupling_girsanov_normalisation(euclid_diag):
     assert float(np.mean(values["log_R"])) < 0
 
 
-def test_run_coupling_entropy_bound(euclid_diag):
+def test_run_coupling_entropy_within_closed_form_bound(euclid_diag):
     _, cfg, diag, _ = euclid_diag
-    assert diag.entropy_bound == pytest.approx(C.coupling_entropy_bound(cfg))
+    # flat: K = 0, so the bound is rho^2/2 (1/(2T) + c_D^2 T)
+    assert cfg.K_D_rho == 0.0
+    assert diag.entropy_bound == pytest.approx(0.5 * cfg.rho0**2 * (0.5 / cfg.T + cfg.c_D_phi**2 * cfg.T))
     assert diag.e_rlogr.mean <= diag.entropy_bound + 3 * diag.e_rlogr.stderr
     assert diag.e_rlogr.mean > 0
 
@@ -305,17 +307,17 @@ def test_coupled_pairs_at_zero_distance_from_start():
     # x = y: R = 1 identically, entropy 0, coupled at t = 0
     M = G.Euclidean(1)
     cfg = C.standard_coupling_config(M, [0.2], [0.2], T=0.5, h=1e-3)
-    diag, values = C.run_coupling(M, cfg, 2000, master_seed=1, return_values=True)
-    assert np.all(values["R"] == 1.0)
+    diag = C.run_coupling(M, cfg, 2000, master_seed=1)
+    assert np.all(diag.values["R"] == 1.0)
     assert diag.e_rlogr.mean == 0.0
     assert diag.coupled_fraction == 1.0
 
 
 def test_run_coupling_deterministic():
     M, cfg = euclid_config(rho0=0.2, T=0.5, h=2e-3)
-    a, va = C.run_coupling(M, cfg, 3000, master_seed=9, return_values=True)
-    b, vb = C.run_coupling(M, cfg, 3000, master_seed=9, return_values=True)
-    assert np.array_equal(va["R"], vb["R"])
+    a = C.run_coupling(M, cfg, 3000, master_seed=9)
+    b = C.run_coupling(M, cfg, 3000, master_seed=9)
+    assert np.array_equal(a.values["R"], b.values["R"])
     assert a.to_row() == b.to_row()
 
 
@@ -358,6 +360,36 @@ def test_run_coupling_pinned_diagnostics():
     assert (d.theta_counts["coupled"], d.theta_counts["tau_D_y"]) == (299, 1)
 
 
+# sha256 of (log_R, theta) of one pair at rho = 0.3 under the standard
+# config (T = 0.5, h = 1e-2, 2000 pairs, seed 11); a deliberate change
+# of the coupled paths re-pins them
+PINNED_PAIRS = {
+    "euclidean-2": (G.Euclidean(2), [0.3, 0.0], [0.0, 0.0],
+                    "9b18320c6cb85f16ce6072d703128d9d5a8108f94da6f7e207b32e4b7417cd19",
+                    "df8d998a715241dfff5794af97ddf6755e31b6158bee582b3e788cedb57b2812"),
+    "euclidean_ball-2": (G.EuclideanBall(2, 2.0), [1.5, 0.0], [1.2, 0.0],
+                         "e56207e2d7d78688676cf534bde4d2fdef1633b2377673d501d246c8b0335e10",
+                         "68730b6bd6333ba7a1dec9f6d129b270022c93403f65d9c4fb2d44eef5ef5b32"),
+    "sphere-2": (G.Sphere(2, 1.0), [0.0, math.sin(0.3), math.cos(0.3)], [0.0, 0.0, 1.0],
+                 "5a43f548ec52cacce96e65181a9f9371c6096af66a74bd3a3293a617eec1fc60",
+                 "2ae5edf639b13952dcfbc04e92f6818f2b5cba70a916bec74bcf6ae17bc71417"),
+    "hyperbolic": (G.Hyperbolic(), [0.0, math.exp(0.3)], [0.0, 1.0],
+                   "81f221d8974880c583cf37c01cd01eb640e090c8db957ef5d4d7c3cb00c02a0d",
+                   "1ecfdae3fdbe8f6ce8209476766bb1cffd163aad8a3a6e24ea557a1c6329ad0b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PAIRS))
+def test_run_coupling_pinned_pair_values(name):
+    # per-pair bits of the coupled step: any change to its arithmetic,
+    # its noise or its stopping order shows here
+    M, x, y, log_r_digest, theta_digest = PINNED_PAIRS[name]
+    cfg = C.standard_coupling_config(M, x, y, T=0.5, h=1e-2)
+    values = C.run_coupling(M, cfg, 2000, master_seed=11).values
+    assert hashlib.sha256(values["log_R"].tobytes()).hexdigest() == log_r_digest
+    assert hashlib.sha256(values["theta"].tobytes()).hexdigest() == theta_digest
+
+
 def test_measure_change_reproduces_semigroup_flat():
     # the identity the construction exists for: under the reweighting,
     # the merged point at the horizon has the law of the diffusion
@@ -367,7 +399,8 @@ def test_measure_change_reproduces_semigroup_flat():
     M = G.Euclidean(1)
     f = E.one_plus_bump([0.3], 0.8, b=0.6)
     cfg = C.standard_coupling_config(M, [0.0], [0.3], T=0.5, h=1e-3)
-    diag, vals = C.run_coupling(M, cfg, 50_000, master_seed=77, return_values=True, terminal_fn=f)
+    diag = C.run_coupling(M, cfg, 50_000, master_seed=77, terminal_fn=f)
+    vals = diag.values
     w = np.where(vals["coupled"], vals["R"] * np.nan_to_num(vals["terminal"]), 0.0)
     est = float(np.mean(w))
     se = float(np.std(w, ddof=1) / math.sqrt(len(w)))
@@ -385,7 +418,8 @@ def test_measure_change_reproduces_semigroup_sphere():
     x = M.exp(y, 0.3 * M.frame(y)[0])
     f = E.one_plus_bump([0.0, 0.0, 1.0], 1.0, b=0.7)
     cfg = C.standard_coupling_config(M, x, y, T=0.5, h=1e-3)
-    diag, vals = C.run_coupling(M, cfg, 30_000, master_seed=78, return_values=True, terminal_fn=f)
+    diag = C.run_coupling(M, cfg, 30_000, master_seed=78, terminal_fn=f)
+    vals = diag.values
     w = np.where(vals["coupled"], vals["R"] * np.nan_to_num(vals["terminal"]), 0.0)
     est = float(np.mean(w))
     se = float(np.std(w, ddof=1) / math.sqrt(len(w)))

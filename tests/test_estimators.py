@@ -115,16 +115,21 @@ def test_mc_values_at_several_starts_equal_single_start_runs():
     M = G.ExplosiveDrift1D()
     f = E.one_plus_bump([0.2], 0.7)
     starts = [[0.2], [0.0], [0.4]]
-    ell, (fx, ax), f2 = E.mc_functional_values(M, starts, 0.3, f, ("log f", ("f", "1"), "f2"),
-                                               2000, 1e-2, 5)
-    assert np.array_equal(ell, E.mc_functional_values(M, [0.2], 0.3, f, "log f", 2000, 1e-2, 5))
-    for got, want in zip((fx, ax), E.mc_functional_values(M, [0.0], 0.3, f, ("f", "1"), 2000, 1e-2, 5)):
+    reads = [(0, "log f"), (1, "f"), (1, "1"), (2, "f2")]
+    ell, fx, ax, f2 = E.mc_functional_values(M, starts, 0.3, f, reads, 2000, 1e-2, 5)
+
+    def alone(start, *modes):
+        return E.mc_functional_values(M, [start], 0.3, f, [(0, m) for m in modes], 2000, 1e-2, 5)
+
+    assert np.array_equal(ell, alone([0.2], "log f")[0])
+    for got, want in zip((fx, ax), alone([0.0], "f", "1")):
         assert np.array_equal(got, want)
-    assert np.array_equal(f2, E.mc_functional_values(M, [0.4], 0.3, f, "f2", 2000, 1e-2, 5))
-    every = E.mc_functional_values(M, starts, 0.3, f, "f", 2000, 1e-2, 5)
+    assert np.array_equal(f2, alone([0.4], "f2")[0])
+    every = E.mc_functional_values(M, starts, 0.3, f, [(i, "f") for i in range(3)], 2000, 1e-2, 5)
     assert len(every) == 3 and np.array_equal(every[1], fx)
-    with pytest.raises(ValueError):
-        E.mc_functional_values(M, starts, 0.3, f, ("f", "1"), 2000, 1e-2, 5)
+    for bad_starts, reads in (([0.0], [(0, "f")]), (starts, [(3, "f")]), (starts, [(0, "g")])):
+        with pytest.raises(ValueError):
+            E.mc_functional_values(M, bad_starts, 0.3, f, reads, 2000, 1e-2, 5)
     with pytest.raises(ValueError):
         E.mc_functional(M, starts, 0.3, f, "f", 2000, 1e-2, 5)
 
@@ -133,8 +138,8 @@ def test_jensen_inequality_mc():
     # P_T log f <= log P_T f on conservative variants (CRN pairing)
     M = G.Euclidean(1)
     f = E.one_plus_bump([0.5], 0.8, b=0.8)
-    a = E.mc_functional_values(M, [0.0], 0.5, f, "log f", 20_000, 1e-2, 3)
-    b = E.mc_functional_values(M, [0.0], 0.5, f, "f", 20_000, 1e-2, 3)
+    a, b = E.mc_functional_values(M, [[0.0]], 0.5, f, [(0, "log f"), (0, "f")], 20_000, 1e-2, 3)
+    assert np.array_equal(a, E.mc_functional_values(M, [[0.0]], 0.5, f, [(0, "log f")], 20_000, 1e-2, 3)[0])
     lhs = float(np.mean(a))
     rhs = math.log(float(np.mean(b)))
     se = np.std(a - b / float(np.mean(b)), ddof=1) / math.sqrt(len(a))

@@ -1,8 +1,10 @@
 """Property tests: the column kernels against numpy's broadcast forms,
-and the projected noise map of the 2-sphere."""
+the projected noise map of the 2-sphere, the isotropic Ric_Z that the
+curvature bound K is derived from, and the identity frame of the flat
+charts."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -96,3 +98,59 @@ def test_sphere_noise_is_continuous_in_x(xr, direction, step, xi):
     gap = np.linalg.norm(M.tangent_from_frame(x[0], xi) - M.tangent_from_frame(y, xi))
     bound = 2.0 * np.linalg.norm(xi) * np.linalg.norm(x[0] - y) / r
     assert gap <= bound + 1e-13 * (1.0 + np.linalg.norm(xi))
+
+
+_CATALOGUE = [
+    G.Euclidean(1),
+    G.Euclidean(3, drift_vec=[0.5, -1.0, 2.0]),
+    G.OrnsteinUhlenbeck(2, 0.5),
+    G.Sphere(1, 1.0),
+    G.Sphere(2, 2.0),
+    G.Hyperbolic(),
+    G.HalfSpace(2),
+    G.EuclideanBall(2, 2.0),
+    G.ExplosiveDrift1D(),
+]
+_FLAT = [M for M in _CATALOGUE if isinstance(M, G._FlatChart)]
+
+
+@st.composite
+def _point_and_units(draw):
+    """A catalogue variant, a point x of its chart and three unit tangent
+    vectors at x, shape (3, chart_dim)."""
+    M = draw(st.sampled_from(_CATALOGUE))
+    x, *u = draw(hnp.arrays(np.float64, (4, M.chart_dim), elements=st.floats(-3.0, 3.0)))
+    u = np.array(u)
+    if M.variant == "sphere":
+        x = M.radius * x / np.linalg.norm(x) if np.linalg.norm(x) > 1e-3 else np.eye(M.chart_dim)[-1]
+        u -= np.outer(u @ x, x) / M.radius**2
+    elif M.variant == "hyperbolic":
+        x[1] = abs(x[1]) + 0.1
+    elif M.variant == "half_space":
+        x[0] = abs(x[0])
+    elif M.variant == "euclidean_ball":
+        x *= min(1.0, 0.9 * M.radius / max(np.linalg.norm(x), 1e-300))
+    xs = np.broadcast_to(x, u.shape)
+    norm = M.norm(xs, u)
+    assume(np.all(norm > 1e-3))
+    return M, x, u / norm[:, None]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_and_units())
+def test_ricci_z_is_isotropic_and_gives_pointwise_K(mxu):
+    # pointwise_K and max_neg_ricci are derived from ricci_z(x, None),
+    # which is right only where Ric_Z(u, u) is the same for every unit u
+    M, x, u = mxu
+    ric = M.ricci_z(x, None)
+    assert np.array_equal(M.ricci_z(np.broadcast_to(x, u.shape), u), np.full(len(u), ric))
+    assert M.pointwise_K(x) == -ric
+    assert M.sup_pointwise_K_ball(x, 0.0) >= M.pointwise_K(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FLAT), st.data())
+def test_flat_frame_components_equal_the_base_form_bitwise(M, data):
+    # the identity frame's components, without the einsum over it
+    x, v = data.draw(hnp.arrays(np.float64, (2, 5, M.chart_dim), elements=_FINITE))
+    _same_bits(M.frame_components(x, v), G.ModelSpace.frame_components(M, x, v))

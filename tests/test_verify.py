@@ -57,11 +57,11 @@ def test_log_harnack_rhs_monotone_in_rho_and_c():
     vals = []
     for rho in (0.1, 0.3, 0.6):
         K = LB.K_of_domain(M, D.enlarged(rho))
-        vals.append(V.log_harnack_rhs(rho, K, 0.5, 3.0, 1.0))
+        vals.append(LB.log_harnack_rhs(rho, K, 0.5, 3.0, 1.0))
     assert vals[0] < vals[1] < vals[2]
-    cs = [V.log_harnack_rhs(0.3, 1.0, 0.5, c, 1.0) for c in (0.0, 1.0, 2.0)]
+    cs = [LB.log_harnack_rhs(0.3, 1.0, 0.5, c, 1.0) for c in (0.0, 1.0, 2.0)]
     assert cs[0] < cs[1] < cs[2]
-    ks = [V.log_harnack_rhs(0.3, k, 0.5, 1.0, 1.0) for k in (-1.0, 0.0, 1.0)]
+    ks = [LB.log_harnack_rhs(0.3, k, 0.5, 1.0, 1.0) for k in (-1.0, 0.0, 1.0)]
     assert ks[0] < ks[1] < ks[2]
 
 
@@ -79,8 +79,8 @@ def test_local_rhs_dominates_domain_rhs_when_kappa_dominates():
         x = M.exp(y, rho * M.frame(y)[0])
         consts = LB.kappa(M, y, x=x)
         c_phi = LB.c_D(M, LB.cosine_reference(M, y))
-        rhs_local = V.local_log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
-        rhs_domain = V.log_harnack_rhs(rho, consts.K_xy, t, c_phi, 1.0)
+        rhs_local = LB.log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
+        rhs_domain = LB.log_harnack_rhs(rho, consts.K_xy, t, c_phi)
         if consts.kappa_y >= c_phi:
             assert rhs_local >= rhs_domain - 1e-12, M.variant
 
