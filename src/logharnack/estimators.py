@@ -145,6 +145,12 @@ class TestFunction:
         }[self.tag]
 
     @property
+    def width(self) -> Optional[float]:
+        """A bump's width, the scale an oracle rule must resolve around
+        its centre; None for the other tags."""
+        return self.params.get("width")
+
+    @property
     def nonnegative(self) -> bool:
         if self.tag == "coord_sq":
             return True
@@ -410,8 +416,15 @@ def _gauss_hermite_expectation(fn: Callable, mean: np.ndarray, sigma: float, ord
     return float(np.sum(w * fn(z)) / math.pi ** (d / 2))
 
 
-def _reflected_expectation(fn: Callable, x: np.ndarray, sigma: float, n_wall: int, order: int) -> float:
-    """E fn of N(x, sigma^2 I) with its first coordinate reflected at 0.
+def _gh_axes(mean: np.ndarray, sigma: float, order: int) -> list:
+    """Node positions of the tensor Gauss-Hermite rule along each axis."""
+    nodes = math.sqrt(2.0) * sigma * _rule("hermite", order)[0]
+    return [m + nodes for m in mean]
+
+
+def _reflected_expectation(fn: Callable, x: np.ndarray, sigma: float, n_wall: int, order: int):
+    """E fn of N(x, sigma^2 I) with its first coordinate reflected at 0,
+    and the rule's node positions along each axis.
 
     That coordinate has the density phi(z - x_0) + phi(z + x_0) on z >= 0
     (phi the N(0, sigma^2) density), integrated by an n_wall-node
@@ -425,14 +438,14 @@ def _reflected_expectation(fn: Callable, x: np.ndarray, sigma: float, n_wall: in
     dens = np.exp(-0.5 * ((z0 - x[0]) / sigma) ** 2) + np.exp(-0.5 * ((z0 + x[0]) / sigma) ** 2)
     w0 = half * wu * dens / (sigma * math.sqrt(2.0 * math.pi))
     if len(x) == 1:
-        return float(w0 @ fn(z0[:, None]))
+        return float(w0 @ fn(z0[:, None])), [z0]
 
     def along_normal(rest):
         pts = np.concatenate([np.broadcast_to(z0[:, None, None], (n_wall, len(rest), 1)),
                               np.broadcast_to(rest, (n_wall,) + rest.shape)], axis=-1)
         return w0 @ fn(pts)
 
-    return _gauss_hermite_expectation(along_normal, x[1:], sigma, order)
+    return _gauss_hermite_expectation(along_normal, x[1:], sigma, order), [z0] + _gh_axes(x[1:], sigma, order)
 
 
 # Gauss-Hermite orders tried in turn; a tensor grid of more than 180**3
@@ -441,16 +454,40 @@ _GH_ORDERS = (48, 96, 180, 256, 360)
 
 
 def _gaussian_values(fn: Callable, mean: np.ndarray, sigma: float):
-    """E fn(N(mean, sigma^2 I)) at the rising Gauss-Hermite orders."""
-    return (_gauss_hermite_expectation(fn, mean, sigma, n) for n in _GH_ORDERS if n ** len(mean) <= 180**3)
+    """E fn(N(mean, sigma^2 I)) at the rising Gauss-Hermite orders, each
+    with the rule's node positions along each axis."""
+    return ((_gauss_hermite_expectation(fn, mean, sigma, n), _gh_axes(mean, sigma, n))
+            for n in _GH_ORDERS if n ** len(mean) <= 180**3)
 
 
-def _converged(variant: str, values, tol=1e-10) -> float:
-    """The first of ``values`` (one quadrature at rising orders) that
-    agrees with the one before to ``tol`` relative."""
+def _node_gap(nodes: np.ndarray, c: float) -> float:
+    """The gap between the two sorted nodes around c; 0 outside them."""
+    k = int(np.searchsorted(nodes, c))
+    return float(nodes[k] - nodes[k - 1]) if 0 < k < len(nodes) else 0.0
+
+
+def _require_resolved(variant: str, f: Callable, axes) -> None:
+    """Refuse a catalogue bump narrower than the node gap around its
+    centre along some axis: it falls between the nodes of every order
+    alike, so their agreement says nothing."""
+    width = getattr(f, "width", None)
+    if width is None:
+        return
+    gap = max(_node_gap(a, c) for a, c in zip(axes, f.params["center"]))
+    if gap > width:
+        raise OracleNotConverged(
+            f"{variant} oracle quadrature cannot resolve f: the node gap {gap:.3g} at its centre "
+            f"exceeds its width {width!r}")
+
+
+def _converged(variant: str, values, f: Callable, tol=1e-10) -> float:
+    """The first of ``values`` (one quadrature at rising orders, each
+    with its node positions along each axis) that agrees with the one
+    before to ``tol`` relative, once ``_require_resolved`` passes."""
     prev = last = None
-    for val in values:
+    for val, axes in values:
         if prev is not None and abs(val - prev) < tol * (1.0 + abs(val)):
+            _require_resolved(variant, f, axes)
             return val
         prev, last = val, prev
     raise OracleNotConverged(
@@ -495,13 +532,15 @@ def _sphere2_kernel_vals(radius: float, cos_theta, t):
 
 
 @functools.lru_cache(maxsize=64)
-def _sphere2_u_weights(radius: float, t: float):
-    """Weights of the 2-sphere oracle's Gauss-Legendre rule in
-    u = cos(theta), each times the kernel at its node (read-only)."""
+def _sphere2_u_rule(radius: float, t: float):
+    """The kernel p_t at the nodes of the 2-sphere oracle's Gauss-Legendre
+    rule in u = cos(theta), and the rule's weights each times it
+    (read-only): the series is summed once per node."""
     u, wu = _rule("legendre", 240)
-    out = wu * _sphere2_kernel_vals(radius, u, t)
-    out.flags.writeable = False
-    return out
+    kern = _sphere2_kernel_vals(radius, u, t)
+    weights = wu * kern
+    kern.flags.writeable = weights.flags.writeable = False
+    return kern, weights
 
 
 def oracle_semigroup(M: ModelSpace, x, T: float, f: Callable) -> float:
@@ -512,22 +551,23 @@ def oracle_semigroup(M: ModelSpace, x, T: float, f: Callable) -> float:
     see ``_reflected_expectation``), and spheres of dimension 1 and 2
     (eigenfunction series).  The Gaussian and half-space rules rise in
     order until two orders agree to 1e-10 relative, and raise
-    OracleNotConverged when the highest does not; the sphere rules are
+    OracleNotConverged when the highest does not, or when f is a bump
+    narrower than the node gap around its centre; the sphere rules are
     fixed.  Each Gauss rule is built once per process (``_rule``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(M, OrnsteinUhlenbeck):
         m = math.exp(-M.lam * T)
         sigma = math.sqrt((1.0 - m**2) / M.lam)
-        return _converged(M.variant, _gaussian_values(f, m * x, sigma))
+        return _converged(M.variant, _gaussian_values(f, m * x, sigma), f)
     if isinstance(M, HalfSpace):
         sigma = math.sqrt(2.0 * T)
         return _converged(M.variant, (_reflected_expectation(f, x, sigma, n_wall, n)
-                                      for n_wall, n in zip((128, 256, 512), _GH_ORDERS)))
+                                      for n_wall, n in zip((128, 256, 512), _GH_ORDERS)), f)
     if isinstance(M, Euclidean):
         if M.drift_vec is not None:
             x = x + T * M.drift_vec
-        return _converged(M.variant, _gaussian_values(f, x, math.sqrt(2.0 * T)))
+        return _converged(M.variant, _gaussian_values(f, x, math.sqrt(2.0 * T)), f)
     if isinstance(M, Sphere) and M.dim == 1:
         n = 4096
         theta0 = math.atan2(x[1], x[0])
@@ -547,7 +587,7 @@ def oracle_semigroup(M: ModelSpace, x, T: float, f: Callable) -> float:
             + sin_t[:, None, None] * (np.cos(psi)[None, :, None] * fr[0] + np.sin(psi)[None, :, None] * fr[1])
         ) * M.radius
         fvals = f(pts.reshape(-1, 3)).reshape(len(u), n_psi)
-        return float(np.sum(_sphere2_u_weights(M.radius, T) * fvals.mean(axis=1)) / 2.0)
+        return float(np.sum(_sphere2_u_rule(M.radius, T)[1] * fvals.mean(axis=1)) / 2.0)
     raise NoOracle(f"no closed-form semigroup oracle for variant {M.variant!r}")
 
 
@@ -613,7 +653,14 @@ def mu_quadrature(M: ModelSpace, n: int = 512):
 
 def kernel_entropy(M: ModelSpace, y, t: float) -> float:
     """Relative entropy  int p_t(y, z) log p_t(y, z) mu(dz), which is the
-    semigroup expectation P_t(log p_t(y, .))(y)."""
+    semigroup expectation P_t(log p_t(y, .))(y).
+
+    On the 2-sphere p_t(y, z) depends on z only through u = cos(theta),
+    so this is the oracle's u rule alone, 1/2 sum_i w_i p(u_i) log p(u_i),
+    the same at every y."""
+    if isinstance(M, Sphere) and M.dim == 2:
+        kern, weights = _sphere2_u_rule(M.radius, t)
+        return float(np.sum(weights * np.log(np.maximum(kern, 1e-300))) / 2.0)
     return oracle_semigroup(M, y, t, lambda z: np.log(np.maximum(heat_kernel(M, y, z, t), 1e-300)))
 
 

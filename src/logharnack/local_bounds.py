@@ -11,11 +11,17 @@ phi is the only reference function: it is positive inside D and vanishes
 on the boundary of D by construction, and N phi >= 0 holds on the convex
 boundaries of the catalogue.  Being radial, it makes c_D a maximum over
 rho along one ray from y (see ``c_D``), computed to rounding error.
+
+``c_D`` keeps a per-process memo, so each (model, y, r) is computed
+once.  Its key is the model's class and full record (``to_config``), the
+bytes of y and r: never ``id(M)``, which Python reuses once a model is
+freed.  A lock guards it, because the CLI's pool threads share a model.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,8 +237,29 @@ def _ray(M: ModelSpace, y, radius: float):
     return (z / n if n > 0 else M.frame(y)[0]), radius
 
 
+_C_D_LOCK = threading.Lock()
+_C_D_MEMO: dict = {}
+
+
 def c_D(M: ModelSpace, ref: ReferenceFunction) -> float:
     """c_D(phi) = sup_D {5 |grad phi|^2 - phi L phi}, floored at 0.
+
+    Computed once per process for each (model record, y, r) and read
+    from a memo after that; see ``_c_D_sup``.
+    """
+    if ref.M is not M:
+        raise ValueError("ref must be built on M")
+    key = (type(M), repr(M.to_config()), ref.domain.center.tobytes(), ref.domain.radius)
+    # the CLI's pool threads share models: one lock, so each key is
+    # computed once
+    with _C_D_LOCK:
+        if key not in _C_D_MEMO:
+            _C_D_MEMO[key] = _c_D_sup(M, ref)
+        return _C_D_MEMO[key]
+
+
+def _c_D_sup(M: ModelSpace, ref: ReferenceFunction) -> float:
+    """c_D(phi) computed afresh.
 
     With sin, cos = sin(a rho), cos(a rho) >= 0 on D the objective is
     a^2 (5 sin^2 + cos^2) + a sin cos (Laplacian of rho + <Z, grad rho>);
@@ -241,8 +268,6 @@ def c_D(M: ModelSpace, ref: ReferenceFunction) -> float:
     It is found on a 1025-point grid followed by six 65-point zooms
     around the best point, each 32 times finer.
     """
-    if ref.M is not M:
-        raise ValueError("ref must be built on M")
     y = ref.domain.center
     u, rho_max = _ray(M, y, ref.domain.radius)
 

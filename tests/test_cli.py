@@ -242,6 +242,27 @@ def test_determinism_across_worker_counts(tmp_path):
     assert outs[1] == outs[3] == outs[5]
 
 
+def test_oracle_jobs_sharing_a_ball_are_deterministic_across_worker_counts(tmp_path):
+    # three oracle jobs read c_D on one B(y, r) from the shared memo,
+    # whichever pool thread computes it first
+    y, x = [0.0, 0.0, 1.0], [0.0, 0.29552020666133955, 0.955336489125606]
+    f = {"tag": "one_plus_bump", "center": y, "width": 1.0, "b": 0.7}
+    common = {"T": [0.5], "domain_radius": [1.0], "use_oracle": [True]}
+    cfg = dict(BASE, model={"variant": "sphere", "dim": 2, "radius": 1.0}, checks=[
+        {"tag": "log-harnack", "grid": dict(common, x=[x], y=[y], f=[f])},
+        {"tag": "harnack", "grid": dict(common, x=[x], y=[y], f=[f])},
+        {"tag": "gradient", "grid": dict(common, x=[y], f=[{"tag": "coord", "i": 2}])},
+    ])
+    path = write_config(tmp_path, cfg)
+    reports = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert run(path, workers=workers, out=out) == 0
+        reports.append((out / "report.csv").read_bytes())
+    assert len(reports[0].splitlines()) == 4
+    assert reports[0] == reports[1] == reports[2]
+
+
 def test_seed_override_changes_report(tmp_path):
     cfg = dict(
         BASE,
@@ -359,7 +380,7 @@ def test_cli_import_builds_no_quadrature_rule():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import logharnack.cli, logharnack.estimators as E; "
-         "print(E._build_rule.cache_info().currsize, E._sphere2_u_weights.cache_info().currsize)"],
+         "print(E._build_rule.cache_info().currsize, E._sphere2_u_rule.cache_info().currsize)"],
         capture_output=True,
         text=True,
     )

@@ -226,17 +226,47 @@ def test_oracle_refuses_an_unconverged_quadrature():
         E.oracle_semigroup(G.Euclidean(1), [0.1], 0.5, lambda z: np.abs(z[..., 0]))
 
 
+def test_catalogue_bumps_expose_their_width():
+    assert E.gauss_bump([0.0], 0.3).width == 0.3
+    assert E.one_plus_bump([0.0, 1.0], 0.02).width == 0.02
+    assert E.log_bump([0.5], 1.5).width == 1.5
+    assert all(f.width is None for f in (E.const(1.0), E.coord(0), E.coord_sq(0), E.coord_exp([1.0])))
+
+
+def test_oracle_refuses_a_bump_narrower_than_its_node_gap():
+    # sigma = 10: every Gauss-Hermite order leaves a gap of about 3 around
+    # the centre, so all of them read 1.0 to 1e-15 and agree; the true value is
+    # 1 + b w / sqrt(w^2 + 2T) exp(-x^2 / (2 (w^2 + 2T))) = 1 + 5.0e-4
+    f = E.one_plus_bump([0.0], 0.02, b=0.25)
+    true = 1.0 + 0.25 * 0.02 / math.sqrt(0.02**2 + 100.0) * math.exp(-0.01 / (2.0 * (0.02**2 + 100.0)))
+    assert true == pytest.approx(1.0 + 5.0e-4, rel=1e-6)
+    for n in E._GH_ORDERS:
+        assert abs(E._gauss_hermite_expectation(f, np.array([0.1]), 10.0, n) - 1.0) < 1e-15
+    with pytest.raises(E.OracleNotConverged, match="node gap .* exceeds its width 0.02"):
+        E.oracle_semigroup(G.Euclidean(1), [0.1], 50.0, f)
+    # the half-space window rule: orders 128 and 256 agree on 1 + 1e-14,
+    # while the bump adds about 1e-5
+    with pytest.raises(E.OracleNotConverged, match="node gap .* exceeds its width 0.002"):
+        E.oracle_semigroup(G.HalfSpace(1), [0.1], 0.5, E.one_plus_bump([3.0], 0.002, b=0.25))
+    # a bump the nodes resolve keeps its value, to 1e-12 of the closed form
+    g = E.one_plus_bump([0.0], 0.7, b=0.25)
+    s2 = 0.7**2 + 1.0
+    assert E.oracle_semigroup(G.Euclidean(1), [0.1], 0.5, g) == pytest.approx(
+        1.0 + 0.25 * 0.7 / math.sqrt(s2) * math.exp(-0.01 / (2.0 * s2)), rel=1e-12)
+
+
 # sha256 of the oracle_semigroup values at every (x, T, f) of a case, in
 # that nesting order, followed by the kernel_entropy values at every
 # (x, T) (the plane has no symmetric kernel), recorded before the
-# quadrature rules were built once per process
+# quadrature rules were built once per process; sphere-2 re-pinned when
+# its entropy became the u rule alone, with its oracle values unchanged
 PINNED_ORACLES = {
     "sphere-1": (G.Sphere(1, 1.0), [[0.6, 0.8], [1.0, 0.0]], (0.05, 0.5),
                  [E.coord(0), E.one_plus_bump([1.0, 0.0], 0.9, b=0.5)],
                  "b48c197b515835cc5147105c516d0910c4360976b9ccde372a4729f387b6ec0e"),
     "sphere-2": (G.Sphere(2, 2.0), [[0.0, 0.0, 2.0], [1.2, 0.96, 1.28]], (0.1, 0.5),
                  [E.coord(2), E.one_plus_bump([0.0, 0.0, 2.0], 1.0, b=0.5)],
-                 "9fe2c9b5fcc519e536fcf6a624e978051fa617a02ade0291ca6fea31297f2b0f"),
+                 "7002ab84c6fcacf98b024590f3cf990fc78055910a4c09c31f76ff242c0ce0cf"),
     "ou": (G.OrnsteinUhlenbeck(1, 1.0), [[0.3], [-0.7]], (0.05, 0.5),
            [E.coord_sq(0), E.coord_exp([0.5])],
            "dcd7b7b2be39c64575a7f6678c906da773defef55cde1ce6c9749fb565b22bb3"),
@@ -257,7 +287,7 @@ def test_oracle_values_match_pinned_digest(name):
 
 def test_cached_quadrature_arrays_are_read_only():
     E.oracle_semigroup(G.Sphere(2, 1.0), [0.0, 0.0, 1.0], 0.3, E.coord(2))
-    for arr in (*E._rule("legendre", 240), *E._rule("hermite", 48), E._sphere2_u_weights(1.0, 0.3)):
+    for arr in (*E._rule("legendre", 240), *E._rule("hermite", 48), *E._sphere2_u_rule(1.0, 0.3)):
         with pytest.raises(ValueError):
             arr[0] = 0.0
 
@@ -394,6 +424,20 @@ def _dense_sphere_entropy(M, y, t):
     z = np.cos(theta)[:, None] * y + M.radius * np.sin(theta)[:, None] * M.frame(y)[0]
     p = np.maximum(E.heat_kernel(M, y, z, t), 1e-300)
     return float(np.sum(weights * p * np.log(p)))
+
+
+@pytest.mark.parametrize("t", [0.05, 0.2, 1.0])
+def test_sphere2_entropy_is_the_u_rule_at_every_y(t):
+    # the u rule alone against P_t(log p_t(y, .))(y) over all 57,600 nodes
+    # of the oracle's (u, psi) grid, at the pole and at two rotated y; it
+    # is the same float at each
+    M = G.Sphere(2, 2.0)
+    vals = []
+    for y in ([0.0, 0.0, 2.0], [1.2, 0.0, 1.6], [0.96, 1.2, -1.28]):
+        full = E.oracle_semigroup(M, y, t, lambda z: np.log(np.maximum(E.heat_kernel(M, y, z, t), 1e-300)))
+        vals.append(E.kernel_entropy(M, y, t))
+        assert vals[-1] == pytest.approx(full, rel=1e-14)
+    assert vals[0] == vals[1] == vals[2]
 
 
 @pytest.mark.parametrize("t", [0.02, 0.05, 0.2, 1.0])

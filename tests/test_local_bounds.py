@@ -6,7 +6,7 @@ import pytest
 from logharnack import geometry as G
 from logharnack import local_bounds as LB
 
-from helpers import polar_grid_sup
+from helpers import polar_grid_sup, workload_configs
 
 
 # ----------------------------------------------------------------------
@@ -178,6 +178,60 @@ def test_c_D_needs_its_reference_model():
     ref = LB.cosine_reference(G.Euclidean(1), [0.0])
     with pytest.raises(ValueError):
         LB.c_D(G.Euclidean(1), ref)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_c_D_memo_returns_the_uncached_value_bitwise(case, monkeypatch):
+    # the first call computes, the second reads the memo, and a model
+    # rebuilt from the same record shares the entry
+    monkeypatch.setattr(LB, "_C_D_MEMO", {})
+    M, y, r = ORACLE_CASES[case]
+    ref = LB.cosine_reference(M, np.asarray(y, dtype=float), r)
+    fresh = LB._c_D_sup(M, ref)
+    twin = G.model_from_config(M.to_config())
+    for model in (M, M, twin):
+        assert _bits(LB.c_D(model, LB.cosine_reference(model, np.asarray(y, dtype=float), r))) == _bits(fresh)
+    assert len(LB._C_D_MEMO) == 1
+
+
+@pytest.mark.parametrize("a, b, y", [
+    (G.Sphere(2, 1.0), G.Sphere(2, 2.0), None),  # y is each sphere's pole
+    (G.EuclideanBall(2, 0.5), G.EuclideanBall(2, 1.0), [0.3, 0.1]),
+    (G.OrnsteinUhlenbeck(1, 1.0), G.OrnsteinUhlenbeck(1, 2.0), [1.5]),
+])
+def test_c_D_memo_keeps_models_that_differ_in_a_parameter_apart(a, b, y, monkeypatch):
+    monkeypatch.setattr(LB, "_C_D_MEMO", {})
+    refs = [LB.cosine_reference(M, np.asarray([0.0, 0.0, M.radius] if y is None else y, dtype=float), 1.0)
+            for M in (a, b)]
+    fresh = [LB._c_D_sup(M, ref) for M, ref in zip((a, b), refs)]
+    assert fresh[0] != fresh[1]
+    for order in ((0, 1), (1, 0)):
+        LB._C_D_MEMO.clear()
+        for i in order:
+            assert _bits(LB.c_D((a, b)[i], refs[i])) == _bits(fresh[i])
+    assert len(LB._C_D_MEMO) == 2
+
+
+def test_closed_form_run_computes_each_c_D_once(tmp_path, monkeypatch):
+    # one worker pool over every seed-1 closed-form config: each distinct
+    # (model record, y, r) reaches the uncached supremum once
+    from logharnack.cli import run
+
+    computed = []
+
+    def counted(M, ref, inner=LB._c_D_sup):
+        computed.append((repr(M.to_config()), ref.domain.center.tobytes(), ref.domain.radius))
+        return inner(M, ref)
+
+    monkeypatch.setattr(LB, "_C_D_MEMO", {})
+    monkeypatch.setattr(LB, "_c_D_sup", counted)
+    for path in workload_configs("closed-form", 1, tmp_path / "cfg"):
+        assert run(path, workers=2, out=tmp_path / "out" / path.stem) == 0
+    assert computed and sorted(computed) == sorted(set(computed))
 
 
 # ----------------------------------------------------------------------

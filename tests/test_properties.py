@@ -1,7 +1,8 @@
 """Property tests: the column kernels against numpy's broadcast forms,
 the projected noise map of the 2-sphere, the isotropic Ric_Z that the
-curvature bound K is derived from, and the identity frame of the flat
-charts."""
+curvature bound K is derived from, the identity frame of the flat
+charts, and over the catalogue: exp of log, transport as an isometry,
+symmetric distance and reflect landing inside."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -114,22 +115,35 @@ _CATALOGUE = [
 _FLAT = [M for M in _CATALOGUE if isinstance(M, G._FlatChart)]
 
 
+def _onto(M, x):
+    """A chart point x of [-3, 3]^chart_dim moved onto M: scaled to the
+    sphere, folded into the upper half-plane or the half-space, pulled
+    inside the ball."""
+    x = np.array(x)
+    if M.variant == "sphere":
+        return M.radius * x / np.linalg.norm(x) if np.linalg.norm(x) > 1e-3 else M.radius * np.eye(M.chart_dim)[-1]
+    if M.variant == "hyperbolic":
+        x[1] = abs(x[1]) + 0.1
+    elif M.variant == "half_space":
+        x[0] = abs(x[0])
+    elif M.variant == "euclidean_ball":
+        x *= min(1.0, 0.9 * M.radius / max(np.linalg.norm(x), 1e-300))
+    return x
+
+
+def _tangent(M, x, u):
+    """Rows of u made tangent at x (projected on the sphere)."""
+    return u - np.outer(u @ x, x) / M.radius**2 if M.variant == "sphere" else u
+
+
 @st.composite
 def _point_and_units(draw):
     """A catalogue variant, a point x of its chart and three unit tangent
     vectors at x, shape (3, chart_dim)."""
     M = draw(st.sampled_from(_CATALOGUE))
     x, *u = draw(hnp.arrays(np.float64, (4, M.chart_dim), elements=st.floats(-3.0, 3.0)))
-    u = np.array(u)
-    if M.variant == "sphere":
-        x = M.radius * x / np.linalg.norm(x) if np.linalg.norm(x) > 1e-3 else np.eye(M.chart_dim)[-1]
-        u -= np.outer(u @ x, x) / M.radius**2
-    elif M.variant == "hyperbolic":
-        x[1] = abs(x[1]) + 0.1
-    elif M.variant == "half_space":
-        x[0] = abs(x[0])
-    elif M.variant == "euclidean_ball":
-        x *= min(1.0, 0.9 * M.radius / max(np.linalg.norm(x), 1e-300))
+    x = _onto(M, x)
+    u = _tangent(M, x, np.array(u))
     xs = np.broadcast_to(x, u.shape)
     norm = M.norm(xs, u)
     assume(np.all(norm > 1e-3))
@@ -154,3 +168,67 @@ def test_flat_frame_components_equal_the_base_form_bitwise(M, data):
     # the identity frame's components, without the einsum over it
     x, v = data.draw(hnp.arrays(np.float64, (2, 5, M.chart_dim), elements=_FINITE))
     _same_bits(M.frame_components(x, v), G.ModelSpace.frame_components(M, x, v))
+
+
+@st.composite
+def _pair_and_vectors(draw):
+    """A catalogue variant, two points x, y of it closer than the margin
+    of its injectivity radius, and two tangent vectors at x."""
+    M = draw(st.sampled_from(_CATALOGUE))
+    x, y, *u = draw(hnp.arrays(np.float64, (4, M.chart_dim), elements=st.floats(-3.0, 3.0)))
+    x, y = _onto(M, x), _onto(M, y)
+    assume(M.distance(x, y) < G.INJ_MARGIN * M.injectivity_radius)
+    return M, x, y, _tangent(M, x, np.array(u))
+
+
+def _close(got, want, scale):
+    assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + scale)), (got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_and_vectors())
+def test_exp_of_log_returns_the_point(mxyu):
+    M, x, y, _ = mxyu
+    _close(M.exp(x, M.log(x, y)), y, np.linalg.norm(y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_and_vectors())
+def test_transport_is_an_isometry(mxyu):
+    # inner products of two vectors at x equal those of their transports
+    # at y, and a transported vector is tangent at y
+    M, x, y, u = mxyu
+    ys = np.broadcast_to(y, u.shape)
+    tu = M.transport(np.broadcast_to(x, u.shape), ys, u)
+    scale = float(M.inner(np.broadcast_to(x, u.shape), u, u).sum())
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        _close(M.inner(y, tu[i], tu[j]), M.inner(x, u[i], u[j]), scale)
+    if M.variant == "sphere":
+        _close(tu @ y, 0.0, float(np.linalg.norm(u)) * M.radius)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_and_vectors())
+def test_distance_is_symmetric(mxyu):
+    M, x, y, _ = mxyu
+    d = float(M.distance(x, y))
+    assert d >= 0.0
+    _close(M.distance(y, x), d, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_CATALOGUE), st.data())
+def test_reflect_lands_inside(M, data):
+    # a boundary variant maps any proposal inside with a nonnegative local
+    # time; the others leave their points where they are
+    q = data.draw(hnp.arrays(np.float64, (5, M.chart_dim), elements=st.floats(-10.0, 10.0)))
+    if not M.has_boundary:
+        q = np.array([_onto(M, row) for row in q])
+    pos, dl = M.reflect(q)
+    assert pos.shape == q.shape and dl.shape == q.shape[:-1]
+    assert np.all(M.contains(pos)) and np.all(dl >= 0.0)
+    if not M.has_boundary:
+        assert np.array_equal(pos, q) and not np.any(dl)
+    else:
+        inside = M.contains(q)
+        assert np.array_equal(pos[inside], q[inside]) and not np.any(dl[inside])
