@@ -1,7 +1,7 @@
 """Semigroup functionals: Monte Carlo estimators and closed-form oracles.
 
 ``mc_functional`` estimates P_T f(x) = E[f(X_T) 1_{T < lifetime}] (and the
-log / constant / square variants) by simulating the diffusion;
+log and constant variants) by simulating the diffusion;
 ``oracle_semigroup`` evaluates the same quantity by quadrature against the
 exact transition kernel on the variants that have one.  Keeping the two
 routes independent is the point: the oracle never touches the stepping
@@ -318,16 +318,14 @@ def test_function_from_config(cfg: dict, chart_dim: int) -> TestFunction:
 # Monte Carlo route
 # ----------------------------------------------------------------------
 
-_MODES = ("f", "log f", "1", "f2")
+_MODES = ("f", "log f", "1")
 
 
 def _mode_values(f, mode, positions, alive):
     if mode == "1":
         return alive.astype(float)
     vals = f(positions)
-    if mode == "f2":
-        vals = vals**2
-    elif mode == "log f":
+    if mode == "log f":
         return np.where(alive, np.log(np.where(alive, vals, 1.0)), 0.0)
     return np.where(alive, vals, 0.0)
 
@@ -369,8 +367,8 @@ def mc_functional(
     h: float = 1e-2,
     master_seed: int = 0,
 ) -> MonteCarloEstimate:
-    """Monte Carlo estimate of P_T f(x) (or the log / one / square mode)
-    at one start point x."""
+    """Monte Carlo estimate of P_T f(x) (or the log / one mode) at one
+    start point x."""
     if n_paths < 1000:
         raise ValueError("n_paths must be >= 1000")
     if np.ndim(x) > 1:
@@ -417,14 +415,16 @@ def _gauss_hermite_expectation(fn: Callable, mean: np.ndarray, sigma: float, ord
 
 
 def _gh_axes(mean: np.ndarray, sigma: float, order: int) -> list:
-    """Node positions of the tensor Gauss-Hermite rule along each axis."""
-    nodes = math.sqrt(2.0) * sigma * _rule("hermite", order)[0]
-    return [m + nodes for m in mean]
+    """(node positions, probability weights) of the tensor Gauss-Hermite
+    rule along each axis."""
+    nodes, weights = _rule("hermite", order)
+    nodes, weights = math.sqrt(2.0) * sigma * nodes, weights / math.sqrt(math.pi)
+    return [(m + nodes, weights) for m in mean]
 
 
 def _reflected_expectation(fn: Callable, x: np.ndarray, sigma: float, n_wall: int, order: int):
     """E fn of N(x, sigma^2 I) with its first coordinate reflected at 0,
-    and the rule's node positions along each axis.
+    and the rule's (node positions, probability weights) along each axis.
 
     That coordinate has the density phi(z - x_0) + phi(z + x_0) on z >= 0
     (phi the N(0, sigma^2) density), integrated by an n_wall-node
@@ -438,14 +438,14 @@ def _reflected_expectation(fn: Callable, x: np.ndarray, sigma: float, n_wall: in
     dens = np.exp(-0.5 * ((z0 - x[0]) / sigma) ** 2) + np.exp(-0.5 * ((z0 + x[0]) / sigma) ** 2)
     w0 = half * wu * dens / (sigma * math.sqrt(2.0 * math.pi))
     if len(x) == 1:
-        return float(w0 @ fn(z0[:, None])), [z0]
+        return float(w0 @ fn(z0[:, None])), [(z0, w0)]
 
     def along_normal(rest):
         pts = np.concatenate([np.broadcast_to(z0[:, None, None], (n_wall, len(rest), 1)),
                               np.broadcast_to(rest, (n_wall,) + rest.shape)], axis=-1)
         return w0 @ fn(pts)
 
-    return _gauss_hermite_expectation(along_normal, x[1:], sigma, order), [z0] + _gh_axes(x[1:], sigma, order)
+    return _gauss_hermite_expectation(along_normal, x[1:], sigma, order), [(z0, w0)] + _gh_axes(x[1:], sigma, order)
 
 
 # Gauss-Hermite orders tried in turn; a tensor grid of more than 180**3
@@ -455,39 +455,37 @@ _GH_ORDERS = (48, 96, 180, 256, 360)
 
 def _gaussian_values(fn: Callable, mean: np.ndarray, sigma: float):
     """E fn(N(mean, sigma^2 I)) at the rising Gauss-Hermite orders, each
-    with the rule's node positions along each axis."""
+    with the rule's (node positions, probability weights) along each axis."""
     return ((_gauss_hermite_expectation(fn, mean, sigma, n), _gh_axes(mean, sigma, n))
             for n in _GH_ORDERS if n ** len(mean) <= 180**3)
 
 
-def _node_gap(nodes: np.ndarray, c: float) -> float:
-    """The gap between the two sorted nodes around c; 0 outside them."""
-    k = int(np.searchsorted(nodes, c))
-    return float(nodes[k] - nodes[k - 1]) if 0 < k < len(nodes) else 0.0
-
-
-def _require_resolved(variant: str, f: Callable, axes) -> None:
-    """Refuse a catalogue bump narrower than the node gap around its
-    centre along some axis: it falls between the nodes of every order
-    alike, so their agreement says nothing."""
+def _require_resolved(variant: str, f: Callable, axes, tol: float) -> None:
+    """Refuse a catalogue bump narrower than the gap between the two
+    nodes around its centre along some axis, where the rule weighs those
+    nodes above ``tol``: it falls between the nodes of every order alike,
+    so their agreement says nothing.  Where they weigh less, the bump
+    moves the value by less than the tolerance."""
     width = getattr(f, "width", None)
     if width is None:
         return
-    gap = max(_node_gap(a, c) for a, c in zip(axes, f.params["center"]))
-    if gap > width:
-        raise OracleNotConverged(
-            f"{variant} oracle quadrature cannot resolve f: the node gap {gap:.3g} at its centre "
-            f"exceeds its width {width!r}")
+    for (nodes, weights), c in zip(axes, f.params["center"]):
+        k = int(np.searchsorted(nodes, c))  # c lies between nodes k - 1 and k
+        if 0 < k < len(nodes) and nodes[k] - nodes[k - 1] > width and weights[k - 1] + weights[k] > tol:
+            raise OracleNotConverged(
+                f"{variant} oracle quadrature cannot resolve f: the node gap {nodes[k] - nodes[k - 1]:.3g} "
+                f"at its centre exceeds its width {width!r}")
 
 
 def _converged(variant: str, values, f: Callable, tol=1e-10) -> float:
     """The first of ``values`` (one quadrature at rising orders, each
-    with its node positions along each axis) that agrees with the one
-    before to ``tol`` relative, once ``_require_resolved`` passes."""
+    with its (node positions, weights) along each axis) that agrees with
+    the one before to ``tol`` relative, once ``_require_resolved``
+    passes."""
     prev = last = None
     for val, axes in values:
         if prev is not None and abs(val - prev) < tol * (1.0 + abs(val)):
-            _require_resolved(variant, f, axes)
+            _require_resolved(variant, f, axes, tol)
             return val
         prev, last = val, prev
     raise OracleNotConverged(
@@ -552,7 +550,8 @@ def oracle_semigroup(M: ModelSpace, x, T: float, f: Callable) -> float:
     (eigenfunction series).  The Gaussian and half-space rules rise in
     order until two orders agree to 1e-10 relative, and raise
     OracleNotConverged when the highest does not, or when f is a bump
-    narrower than the node gap around its centre; the sphere rules are
+    narrower than the node gap around its centre where the rule weighs
+    those nodes above the tolerance; the sphere rules are
     fixed.  Each Gauss rule is built once per process (``_rule``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -698,13 +697,13 @@ def generator_check(
     M: ModelSpace,
     x,
     g: TestFunction,
-    s_grid: Sequence[float] = tuple(0.002 * k for k in range(1, 11)),
     n_paths: int = 200_000,
     h: float = 2e-3,
     master_seed: int = 0,
 ) -> dict:
-    """Least-squares slope of (P_s g(x) - g(x)) over the s grid, compared
-    with the closed-form generator value L g(x).
+    """Least-squares slope of (P_s g(x) - g(x)) over the s grid
+    0.002, 0.004, ..., 0.02, compared with the closed-form generator value
+    L g(x).
 
     Without an oracle, one ensemble runs to max(s) and is read once at
     each step that reaches an s (``diffusion.PathConfig.mark_steps``);
@@ -714,7 +713,7 @@ def generator_check(
     pinv([s, s^2]); ``slope_paths`` is their estimate, whose standard
     error is the slope's (None on the oracle route)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    s_grid = np.asarray(list(s_grid), dtype=float)
+    s_grid = 0.002 * np.arange(1, 11)
     g0 = float(g(x[None, :])[0])
     slope_paths = None
     try:

@@ -225,13 +225,16 @@ def _ray(M: ModelSpace, y, radius: float):
     catalogue (constant drift b; OU toward 0; x^3 along sign y); with no
     drift at y any direction does.  On a boundary variant the ray must
     also reach as far as D meets M: the inward normal on the half-space,
-    the diameter through the centre of the ball.
+    the diameter through the centre of the ball.  Any other boundary,
+    a subclass of these two included, has no ray here and is refused.
     """
-    if isinstance(M, HalfSpace):
+    if type(M) is HalfSpace:
         return np.eye(M.chart_dim)[0], radius
-    if isinstance(M, EuclideanBall):
+    if type(M) is EuclideanBall:
         n = float(np.linalg.norm(y))
         return (-y / n if n > 0 else M.frame(y)[0]), min(radius, M.radius + n)
+    if M.has_boundary:
+        raise ValueError(f"c_D has no ray for the boundary of variant {M.variant!r}")
     z = M.drift(y)
     n = float(M.norm(y, z))
     return (z / n if n > 0 else M.frame(y)[0]), radius

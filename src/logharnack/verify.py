@@ -19,9 +19,10 @@ grid keys of its CLI tag.
 
 Monte Carlo sides run one ensemble per check, its start points sharing
 the noise: log-Harnack and Harnack from y and x, the gradient check from
-the 2 dim finite-difference starts and x (for the variance).  Where a
-checker may use an oracle, it tries the oracle first and falls back to
-Monte Carlo when the variant has none.
+the 2 dim finite-difference starts and x (for the variance).  With
+``use_oracle`` a checker reads its sides from the closed-form oracle
+instead, with no band; on a variant without one, ``NoOracle`` reaches the
+caller, so an oracle request never quietly runs paths.
 
 The sharpness experiment estimates the small-time slope of the log-
 Harnack defect along y_s = exp_x(s v) and converts it into an empirical
@@ -150,10 +151,18 @@ class InequalityReport:
 # ----------------------------------------------------------------------
 
 
-def _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, seed, correction=True):
-    """P_T log f(y) - log(P_T f(x) + 1 - P_T 1(x)) with common random
-    numbers between the two start points; killed paths enter as zeros.
-    Without the correction the argument of the log is P_T f(x) alone."""
+def _lhs_log_harnack(M, x, y, T, f, use_oracle, n_paths, h, seed, correction=True):
+    """P_T log f(y) - log(P_T f(x) + 1 - P_T 1(x)) and its standard error.
+
+    By the oracle the error is 0.  By Monte Carlo the two start points
+    share the noise of one ensemble and killed paths enter as zeros;
+    without the correction the argument of the log is P_T f(x) alone (the
+    oracle route always keeps it)."""
+    if use_oracle:
+        a = oracle_semigroup(M, y, T, lambda z: np.log(f(z)))
+        b = oracle_semigroup(M, x, T, f)
+        one = oracle_semigroup(M, x, T, lambda z: np.ones(z.shape[:-1]))
+        return a - math.log(b + 1.0 - one), 0.0
     reads = [(0, "log f"), (1, "f"), (1, "1")]
     ell, fx, ax = mc_functional_values(M, np.stack([y, x]), T, f, reads, n_paths, h, seed)
     if correction:
@@ -162,19 +171,7 @@ def _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, seed, correction=True):
     else:
         g = fx
         arg = float(np.mean(fx))
-    lhs = float(np.mean(ell)) - math.log(arg)
-    se = estimate_from_values(ell - g / arg).stderr
-    return lhs, se, arg
-
-
-def _lhs_log_harnack_oracle(M, x, y, T, f):
-    def log_f(z):
-        return np.log(f(z))
-
-    a = oracle_semigroup(M, y, T, log_f)
-    b = oracle_semigroup(M, x, T, f)
-    one = oracle_semigroup(M, x, T, lambda z: np.ones(z.shape[:-1]))
-    return a - math.log(b + 1.0 - one), 0.0, b + 1.0 - one
+    return float(np.mean(ell)) - math.log(arg), estimate_from_values(ell - g / arg).stderr
 
 
 def check_log_harnack(
@@ -206,13 +203,7 @@ def check_log_harnack(
     c_phi = c_D(M, phi)
     rhs = log_harnack_rhs(rho, K_rho, T, c_phi)  # phi(y) = 1
 
-    if use_oracle:
-        try:
-            lhs, lhs_se, _ = _lhs_log_harnack_oracle(M, x, y, T, f)
-        except NoOracle:
-            use_oracle = False
-    if not use_oracle:
-        lhs, lhs_se, _ = _lhs_log_harnack_mc(M, x, y, T, f, n_paths, h, master_seed, correction)
+    lhs, lhs_se = _lhs_log_harnack(M, x, y, T, f, use_oracle, n_paths, h, master_seed, correction)
 
     consts = LocalConstants(K_D_rho=K_rho, c_D_phi=c_phi)
     cfg = {
@@ -254,13 +245,7 @@ def check_log_harnack_local(
         raise ValueError("needs injectivity radius beyond 1 + rho(x, y)")
     consts = kappa(M, y, x=x)
     rhs = log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
-    if use_oracle:
-        try:
-            lhs, lhs_se, _ = _lhs_log_harnack_oracle(M, x, y, t, f)
-        except NoOracle:
-            use_oracle = False
-    if not use_oracle:
-        lhs, lhs_se, _ = _lhs_log_harnack_mc(M, x, y, t, f, n_paths, h, master_seed)
+    lhs, lhs_se = _lhs_log_harnack(M, x, y, t, f, use_oracle, n_paths, h, master_seed)
     cfg = {
         "variant": M.variant,
         "x": list(x),
@@ -290,27 +275,25 @@ def check_gradient(
     h: float = 1e-2,
     master_seed: int = 0,
     use_oracle: bool = False,
-    eps: float = 1e-3,
 ) -> InequalityReport:
     """|grad P_T f|^2(x) against the variance times the constant of
-    D = B(x, domain_radius) with the cosine reference phi on D."""
+    D = B(x, domain_radius) with the cosine reference phi on D; the
+    gradient is a central difference of step 1e-3 along each frame
+    vector."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     phi = cosine_reference(M, x, radius=domain_radius)
     K_D = K_of_domain(M, phi.domain)
     c_phi = c_D(M, phi)
     const = log_harnack_rate(K_D, T, c_phi)  # phi(x) = 1
+    eps = 1e-3
     starts = _fd_starts(M, x, eps)
 
     if use_oracle:
-        try:
-            vals = np.array([oracle_semigroup(M, z, T, f) for z in starts])
-            lhs = float(np.sum(((vals[0::2] - vals[1::2]) / (2 * eps)) ** 2))
-            lhs_se = 0.0
-            var = oracle_semigroup(M, x, T, lambda z: f(z) ** 2) - oracle_semigroup(M, x, T, f) ** 2
-            var_se = 0.0
-        except NoOracle:
-            use_oracle = False
-    if not use_oracle:
+        vals = np.array([oracle_semigroup(M, z, T, f) for z in starts])
+        lhs = float(np.sum(((vals[0::2] - vals[1::2]) / (2 * eps)) ** 2))
+        var = oracle_semigroup(M, x, T, lambda z: f(z) ** 2) - oracle_semigroup(M, x, T, f) ** 2
+        lhs_se = var_se = 0.0
+    else:
         # x is one more start of the finite-difference ensemble
         reads = [(i, "f") for i in range(len(starts) + 1)]
         *fd, fv = mc_functional_values(M, np.vstack([starts, x]), T, f, reads, n_paths, h, master_seed)
@@ -378,15 +361,12 @@ def check_harnack(
     root_const = math.sqrt(const)
 
     if use_oracle:
-        try:
-            py = oracle_semigroup(M, y, T, f)
-            px = oracle_semigroup(M, x, T, f)
-            py2 = oracle_semigroup(M, y, T, lambda z: f(z) ** 2)
-            lhs, rhs = py, px + rho * root_const * math.sqrt(py2)
-            lhs_se = rhs_se = 0.0
-        except NoOracle:
-            use_oracle = False
-    if not use_oracle:
+        py = oracle_semigroup(M, y, T, f)
+        px = oracle_semigroup(M, x, T, f)
+        py2 = oracle_semigroup(M, y, T, lambda z: f(z) ** 2)
+        lhs, rhs = py, px + rho * root_const * math.sqrt(py2)
+        lhs_se = rhs_se = 0.0
+    else:
         fy, fx = mc_functional_values(M, np.stack([y, x]), T, f, [(0, "f"), (1, "f")], n_paths, h, master_seed)
         lhs = float(np.mean(fy))
         m2 = float(np.mean(fy**2))
@@ -474,10 +454,8 @@ def check_entropy_cost(M: ModelSpace, t: float, eps_tilt: float = 0.2) -> Inequa
 
     # quantile coupling: Y = X + shift under the comonotone pairing
     def cost(xv, yv):
-        rho = abs(shift)
-        consts = kappa(M, np.array([yv]))
-        K_xy = -lam  # constant curvature bound on every ball
-        return log_harnack_rhs(rho, K_xy, t, consts.kappa_y)
+        consts = kappa(M, np.array([yv]), x=np.array([xv]))
+        return log_harnack_rhs(abs(shift), consts.K_xy, t, consts.kappa_y)
 
     rhs = float(np.sum(w * np.array([cost(float(p[0]), float(p[0]) + shift) for p in pts])))
     cfg = {"variant": M.variant, "t": t, "eps_tilt": eps_tilt}

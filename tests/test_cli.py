@@ -470,10 +470,11 @@ def test_string_booleans_are_rejected(tmp_path, capsys, key, value):
 
 HYP = {"variant": "hyperbolic", "dim": 2}
 OU1 = {"variant": "ornstein_uhlenbeck", "dim": 1, "lam": 1.0}
+E1 = {"variant": "euclidean", "dim": 1}
 BUMP = {"tag": "one_plus_bump", "center": [0.1, 1.1], "width": 0.8, "b": 0.5}
-# no oracle on the hyperbolic plane: use_oracle=True falls back to Monte
-# Carlo, so n_paths, h and the seed all reach the numbers
-MC = {"n_paths": 1000, "h": 0.05, "use_oracle": True}
+# Monte Carlo on the hyperbolic plane, so n_paths, h and the seed all
+# reach the numbers; use_oracle is the one optional key these leave out
+MC = {"n_paths": 1000, "h": 0.05}
 XY = {"x": [0.0, 1.0], "y": [0.15, 1.1]}
 
 ROUND_TRIP = [
@@ -486,6 +487,7 @@ ROUND_TRIP = [
     ("entropy", OU1, V.check_entropy_bound, dict(y=[0.4], t=0.3)),
     ("entropy-cost", OU1, V.check_entropy_cost, dict(t=0.3, eps_tilt=0.3)),
 ]
+ROUND_TRIP_GRIDS = {tag: grid for tag, _, _, grid in ROUND_TRIP}
 
 
 def _one_job(tmp_path, model, tag, grid, seed=5):
@@ -501,17 +503,53 @@ def _csv_rows(path):
         return list(csv.DictReader(fh))
 
 
-@pytest.mark.parametrize("tag,model,check,grid", ROUND_TRIP, ids=[c[0] for c in ROUND_TRIP])
-def test_cli_row_equals_direct_call(tmp_path, tag, model, check, grid):
-    assert set(grid) == set(CHECKS[tag]["required"]) | set(CHECKS[tag]["optional"])
+def _assert_row_equals_direct_call(tmp_path, tag, model, check, grid):
     out, job_seed = _one_job(tmp_path, model, tag, grid)
     M = model_from_config(model)
     kwargs = {k: E.test_function_from_config(v, M.chart_dim) if k == "f" else v for k, v in grid.items()}
-    if "n_paths" in grid:
+    if "n_paths" in CHECKS[tag]["optional"]:  # a Monte Carlo checker gets the job seed
         kwargs["master_seed"] = job_seed
     rep = check(M, **kwargs)
     [row] = _csv_rows(out / "report.csv")
     assert {k: row[k] for k in rep.to_row()} == {k: _fmt(v) for k, v in rep.to_row().items()}
+    return rep
+
+
+@pytest.mark.parametrize("tag,model,check,grid", ROUND_TRIP, ids=[c[0] for c in ROUND_TRIP])
+def test_cli_row_equals_direct_call(tmp_path, tag, model, check, grid):
+    assert set(grid) | {"use_oracle"} >= set(CHECKS[tag]["required"]) | set(CHECKS[tag]["optional"])
+    _assert_row_equals_direct_call(tmp_path, tag, model, check, grid)
+
+
+# use_oracle on a variant with a closed form: the row is the oracle's
+ORACLE_ROUND_TRIP = [
+    ("log-harnack", E1, V.check_log_harnack,
+     {"x": [0.0], "y": [0.3], "T": 0.5, "f": {"tag": "coord_exp", "a": [1.0]}, "use_oracle": True}),
+    ("log-harnack-local", E1, V.check_log_harnack_local,
+     {"x": [0.0], "y": [0.3], "t": 0.5, "f": {"tag": "coord_exp", "a": [1.0]}, "use_oracle": True}),
+    ("gradient", OU1, V.check_gradient, {"x": [0.2], "T": 0.5, "f": {"tag": "coord", "i": 0}, "use_oracle": True}),
+    ("harnack", E1, V.check_harnack,
+     {"x": [0.0], "y": [0.3], "T": 0.5, "f": {"tag": "gauss_bump", "center": [0.3], "width": 0.5},
+      "use_oracle": True}),
+]
+
+
+@pytest.mark.parametrize("tag,model,check,grid", ORACLE_ROUND_TRIP, ids=[c[0] for c in ORACLE_ROUND_TRIP])
+def test_cli_oracle_row_equals_direct_call(tmp_path, tag, model, check, grid):
+    rep = _assert_row_equals_direct_call(tmp_path, tag, model, check, grid)
+    assert rep.band == 0.0  # no Monte Carlo side
+
+
+@pytest.mark.parametrize("tag", ["log-harnack", "log-harnack-local", "gradient", "harnack"])
+def test_oracle_request_without_an_oracle_exits_two(tmp_path, capsys, tag):
+    # no closed form on the hyperbolic plane: the job is refused, not run
+    # by Monte Carlo in the oracle's place
+    grid = {k: [v] for k, v in dict(ROUND_TRIP_GRIDS[tag], use_oracle=True).items()}
+    cfg = dict(BASE, model=HYP, output_dir=str(tmp_path / "out"), checks=[{"tag": tag, "grid": grid}])
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 2
+    assert capsys.readouterr().err == (
+        f"precondition error: job 0 ({tag}): no closed-form semigroup oracle for variant 'hyperbolic'\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_coupling_row_equals_direct_call(tmp_path):

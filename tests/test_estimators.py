@@ -8,6 +8,7 @@ from logharnack import estimators as E
 from logharnack import geometry as G
 from logharnack import verify as V
 from logharnack.rng import BLOCK_SIZE
+from logharnack.stats import estimate_from_values
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +116,7 @@ def test_mc_values_at_several_starts_equal_single_start_runs():
     M = G.ExplosiveDrift1D()
     f = E.one_plus_bump([0.2], 0.7)
     starts = [[0.2], [0.0], [0.4]]
-    reads = [(0, "log f"), (1, "f"), (1, "1"), (2, "f2")]
+    reads = [(0, "log f"), (1, "f"), (1, "1"), (2, "f")]
     ell, fx, ax, f2 = E.mc_functional_values(M, starts, 0.3, f, reads, 2000, 1e-2, 5)
 
     def alone(start, *modes):
@@ -124,10 +125,11 @@ def test_mc_values_at_several_starts_equal_single_start_runs():
     assert np.array_equal(ell, alone([0.2], "log f")[0])
     for got, want in zip((fx, ax), alone([0.0], "f", "1")):
         assert np.array_equal(got, want)
-    assert np.array_equal(f2, alone([0.4], "f2")[0])
+    assert np.array_equal(f2, alone([0.4], "f")[0])
     every = E.mc_functional_values(M, starts, 0.3, f, [(i, "f") for i in range(3)], 2000, 1e-2, 5)
     assert len(every) == 3 and np.array_equal(every[1], fx)
-    for bad_starts, reads in (([0.0], [(0, "f")]), (starts, [(3, "f")]), (starts, [(0, "g")])):
+    for bad_starts, reads in (([0.0], [(0, "f")]), (starts, [(3, "f")]), (starts, [(0, "g")]),
+                              (starts, [(0, "f2")])):
         with pytest.raises(ValueError):
             E.mc_functional_values(M, bad_starts, 0.3, f, reads, 2000, 1e-2, 5)
     with pytest.raises(ValueError):
@@ -149,8 +151,8 @@ def test_jensen_inequality_mc():
 def test_variance_nonnegative_mc():
     M = G.Sphere(2, 1.0)
     f = E.coord(2)
-    v2 = E.mc_functional(M, [0.0, 0.0, 1.0], 0.3, f, "f2", 10_000, 1e-2, 4)
-    v1 = E.mc_functional(M, [0.0, 0.0, 1.0], 0.3, f, "f", 10_000, 1e-2, 4)
+    [vals] = E.mc_functional_values(M, [[0.0, 0.0, 1.0]], 0.3, f, [(0, "f")], 10_000, 1e-2, 4)
+    v2, v1 = estimate_from_values(vals**2), estimate_from_values(vals)
     assert v2.mean - v1.mean**2 >= -3 * (v2.stderr + 2 * abs(v1.mean) * v1.stderr)
 
 
@@ -253,6 +255,19 @@ def test_oracle_refuses_a_bump_narrower_than_its_node_gap():
     s2 = 0.7**2 + 1.0
     assert E.oracle_semigroup(G.Euclidean(1), [0.1], 0.5, g) == pytest.approx(
         1.0 + 0.25 * 0.7 / math.sqrt(s2) * math.exp(-0.01 / (2.0 * s2)), rel=1e-12)
+
+
+def test_oracle_keeps_a_narrow_bump_the_rule_barely_weighs():
+    # at sigma = 1 a width-0.3 bump at 8 sits in a node gap of 0.349 at
+    # order 96, but the rule weighs the two nodes around it 1.7e-14, below
+    # the 1e-10 tolerance, so the agreed value stands: 1 + 2.55e-14
+    f = E.one_plus_bump([8.0], 0.3, b=0.5)
+    [(nodes, weights)] = E._gh_axes(np.array([0.0]), 1.0, 96)
+    k = int(np.searchsorted(nodes, 8.0))
+    assert nodes[k] - nodes[k - 1] > 0.3 and weights[k - 1] + weights[k] < 1e-13
+    s2 = 0.3**2 + 1.0
+    true = 1.0 + 0.5 * 0.3 / math.sqrt(s2) * math.exp(-64.0 / (2.0 * s2))
+    assert E.oracle_semigroup(G.Euclidean(1), [0.0], 0.5, f) == pytest.approx(true, rel=1e-12)
 
 
 # sha256 of the oracle_semigroup values at every (x, T, f) of a case, in

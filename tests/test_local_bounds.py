@@ -180,6 +180,23 @@ def test_c_D_needs_its_reference_model():
         LB.c_D(G.Euclidean(1), ref)
 
 
+class _BallExterior(G.EuclideanBall):
+    """A boundary variant c_D has no ray for (a concave wall)."""
+
+    variant = "ball_exterior"
+
+
+class _Slab(G.HalfSpace):
+    variant = "slab"
+
+
+@pytest.mark.parametrize("M, y", [(_BallExterior(2, 1.0), [1.5, 0.0]), (_Slab(1), [0.5])])
+def test_c_D_refuses_a_boundary_it_has_no_ray_for(M, y):
+    # a subclass of a catalogue boundary variant used to get its parent's ray
+    with pytest.raises(ValueError, match=f"c_D has no ray for the boundary of variant '{M.variant}'"):
+        LB.c_D(M, LB.cosine_reference(M, np.asarray(y)))
+
+
 def _bits(v):
     return np.float64(v).tobytes()
 

@@ -378,9 +378,8 @@ def test_harnack_mc_runs_two_ensembles(ensemble_starts):
 
 def test_gradient_mc_runs_two_per_dimension_plus_one(ensemble_starts):
     M = G.Euclidean(2)
-    eps = 1e-3
-    V.check_gradient(M, [0.0, 0.0], 0.25, E.gauss_bump([0.3, 0.0], 0.5), n_paths=2000,
-                     master_seed=1, eps=eps)
+    eps = 1e-3  # the checker's central-difference step
+    V.check_gradient(M, [0.0, 0.0], 0.25, E.gauss_bump([0.3, 0.0], 0.5), n_paths=2000, master_seed=1)
     # one ensemble: the 2 dim finite-difference starts x +- eps e_i, and x
     # for the variance (the name predates x joining the ensemble)
     fd = (eps, 0.0, -eps, 0.0, 0.0, eps, 0.0, -eps)
