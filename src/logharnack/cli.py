@@ -10,19 +10,11 @@ written in grid order, so the report is identical for any worker count.
 Each config value is read once, by one reader, when the file is loaded:
 the reader checks the value and converts it to what the checker gets,
 and a bad value fails there with its field named.  ``_ARGS`` holds the
-reader of each grid key, which is the keyword of the same name on its
-checker; the jobs run the values as read.  Runners:
-
-    log-harnack, log-harnack-local,   one runner: check(M, **args) plus the
-    gradient, harnack                 job seed; margin plotted against T / t
-    kernel-lower, entropy,            the same runner without a seed
-    entropy-cost
-    coupling-diagnostics              run_coupling; one diagnostics row
-    local-time, generator, sharpness  their own report assembly
-
-A key the grid leaves out takes the default of the checker signature
-(coupling-diagnostics and local-time set their step and path defaults in
-their runners).
+reader of each grid key.  A tag's grid keys are the keywords of the
+function that runs its job, as a model record's keys are its builder's
+(``geometry.read_record``): its parameters after M, but master_seed,
+which gets the job seed; those without a default are required, and a key
+the grid leaves out takes the signature default.
 
 Exit status is nonzero iff some inequality verdict is "violated" or
 "invalid".
@@ -31,6 +23,7 @@ Exit status is nonzero iff some inequality verdict is "violated" or
 from __future__ import annotations
 
 import argparse
+import inspect
 import itertools
 import json
 import sys
@@ -95,49 +88,49 @@ class JobResult:
     series: list = field(default_factory=list)  # (name, xval, yval)
 
 
-def _report_runner(check, seeded=False):
-    """Runner of a checker that returns one report: every grid key is the
-    checker keyword of the same name; Monte Carlo checkers also get the
-    job seed.  The margin is plotted against T (or t) under the tag."""
+def _one_report(M, p, seed, rep):
+    """A checker's one report, its margin plotted against T (or t)."""
+    return JobResult(reports=[rep], series=[(rep.tag, p["T"] if "T" in p else p["t"], rep.margin)])
+
+
+def _check(fn, result=_one_report):
+    """CHECKS entry of a tag whose jobs call ``fn``: fn's parameters after
+    M, but master_seed, which gets the job seed, are the grid keys, those
+    without a default required.  ``result(M, params, seed, out)`` makes
+    the JobResult of fn's return; with None fn returns it."""
+    sig = inspect.signature(fn).parameters
+    keys = [k for k in list(sig)[1:] if k != "master_seed"]
 
     def run_job(M, p, seed):
-        args = dict(p, master_seed=seed) if seeded else p
-        rep = check(M, **args)
-        return JobResult(reports=[rep], series=[(rep.tag, p.get("T", p.get("t")), rep.margin)])
+        out = fn(M, **p, master_seed=seed) if "master_seed" in sig else fn(M, **p)
+        return result(M, p, seed, out) if result else out
 
-    return run_job
+    return {"run": run_job,
+            "required": [k for k in keys if sig[k].default is sig[k].empty],
+            "optional": [k for k in keys if sig[k].default is not sig[k].empty]}
 
 
-def _run_coupling(M, p, seed):
-    a = dict(p)
-    h, n_pairs = a.pop("h", 1e-3), a.pop("n_paths", 20000)
-    diag = cp.run_coupling(M, cp.standard_coupling_config(M, h=h, **a), n_pairs, seed)
-    row = {"variant": M.variant, "x": json.dumps(p["x"].tolist()), "y": json.dumps(p["y"].tolist()),
-           "T": p["T"], "h": h}
+def _coupling(M, x, y, T, *, n_paths=20_000, h=1e-3, domain_radius=1.0, master_seed=0):
+    diag = cp.run_coupling(M, cp.standard_coupling_config(M, x, y, T, h, domain_radius=domain_radius),
+                           n_paths, master_seed)
+    row = {"variant": M.variant, "x": json.dumps(x.tolist()), "y": json.dumps(y.tolist()), "T": T, "h": h}
     row.update(diag.to_row())
-    return JobResult(diagnostics=[row], series=[("coupling-entropy", p["T"], diag.entropy_bound - diag.e_rlogr.mean)])
+    return JobResult(diagnostics=[row], series=[("coupling-entropy", T, diag.entropy_bound - diag.e_rlogr.mean)])
 
 
-def _run_local_time(M, p, seed):
-    t_grid, n_paths, h = p["t_grid"], p.get("n_paths", 100000), p.get("h", 1e-4)
-    ests, ref = local_time_profile(M, p["x"], t_grid, n_paths, h, seed, r=p.get("r", 1.0))
+def _local_time(M, x, t_grid, *, n_paths=100_000, h=1e-4, r=1.0, c2_max=5.0, master_seed=0):
+    ests, ref = local_time_profile(M, x, t_grid, n_paths, h, master_seed, r=r)
     # lhs: the C2 fitted to |E l - 2 sqrt(t/pi)| <= C2 t + 3 se
     fitted = max(max(0.0, abs(e.mean - rv) - 3.0 * e.stderr) / t for t, e, rv in zip(t_grid, ests, ref))
     series = [("local-time", t, e.mean - rv) for t, e, rv in zip(t_grid, ests, ref)]
-    rep = vf.InequalityReport(
-        "local-time",
-        {"variant": M.variant, "x": p["x"].tolist(), "t_grid": t_grid, "n_paths": n_paths, "h": h, "seed": seed},
-        lhs=fitted,
-        rhs=p.get("c2_max", 5.0),
-    )
-    return JobResult(reports=[rep], series=series)
+    cfg = vf.report_config(M, x=x, t_grid=t_grid, n_paths=n_paths, h=h, seed=master_seed)
+    return JobResult(reports=[vf.InequalityReport("local-time", cfg, lhs=fitted, rhs=c2_max)], series=series)
 
 
-def _run_generator(M, p, seed):
-    res = generator_check(M, master_seed=seed, **p)
+def _generator(M, p, seed, res):
     rep = vf.InequalityReport(
         "generator",
-        {"variant": M.variant, "x": p["x"].tolist(), "g": p["g"].to_config(), "seed": seed},
+        vf.report_config(M, x=p["x"], g=p["g"], seed=seed),
         lhs=abs(res["slope"] - res["lg"]),
         rhs=0.05 * max(abs(res["lg"]), 1e-12),
         lhs_se=0.0 if res["oracle"] else res["slope_paths"].stderr,
@@ -146,33 +139,23 @@ def _run_generator(M, p, seed):
     return JobResult(reports=[rep], series=series)
 
 
-def _run_sharpness(M, p, seed):
-    rep = vf.sharpness_experiment(M, master_seed=seed, **p)
+def _sharpness(M, p, seed, rep):
     series = [("sharpness-cbound", float(r["r"]), float(r["c_bound"])) for r in rep.rows]
     return JobResult(reports=rep.to_reports(), series=series)
 
 
 CHECKS = {
-    "log-harnack": {"run": _report_runner(vf.check_log_harnack, seeded=True),
-                    "required": ["x", "y", "T", "f"],
-                    "optional": ["n_paths", "h", "use_oracle", "correction", "domain_radius"]},
-    "log-harnack-local": {"run": _report_runner(vf.check_log_harnack_local, seeded=True),
-                          "required": ["x", "y", "t", "f"], "optional": ["n_paths", "h", "use_oracle"]},
-    "gradient": {"run": _report_runner(vf.check_gradient, seeded=True), "required": ["x", "T", "f"],
-                 "optional": ["n_paths", "h", "use_oracle", "domain_radius"]},
-    "harnack": {"run": _report_runner(vf.check_harnack, seeded=True), "required": ["x", "y", "T", "f"],
-                "optional": ["n_paths", "h", "use_oracle", "domain_radius"]},
-    "kernel-lower": {"run": _report_runner(vf.check_kernel_lower_bound),
-                     "required": ["x", "y", "t"], "optional": []},
-    "entropy": {"run": _report_runner(vf.check_entropy_bound), "required": ["y", "t"], "optional": []},
-    "entropy-cost": {"run": _report_runner(vf.check_entropy_cost), "required": ["t"],
-                     "optional": ["eps_tilt"]},
-    "coupling-diagnostics": {"run": _run_coupling, "required": ["x", "y", "T"],
-                             "optional": ["n_paths", "h", "domain_radius"]},
-    "local-time": {"run": _run_local_time, "required": ["x", "t_grid"],
-                   "optional": ["n_paths", "h", "r", "c2_max"]},
-    "generator": {"run": _run_generator, "required": ["x", "g"], "optional": ["n_paths", "h"]},
-    "sharpness": {"run": _run_sharpness, "required": ["x", "f"], "optional": ["n_paths"]},
+    "log-harnack": _check(vf.check_log_harnack),
+    "log-harnack-local": _check(vf.check_log_harnack_local),
+    "gradient": _check(vf.check_gradient),
+    "harnack": _check(vf.check_harnack),
+    "kernel-lower": _check(vf.check_kernel_lower_bound),
+    "entropy": _check(vf.check_entropy_bound),
+    "entropy-cost": _check(vf.check_entropy_cost),
+    "coupling-diagnostics": _check(_coupling, None),
+    "local-time": _check(_local_time, None),
+    "generator": _check(generator_check, _generator),
+    "sharpness": _check(vf.sharpness_experiment, _sharpness),
 }
 
 
@@ -247,6 +230,9 @@ _ARGS = {
 }
 _SEED = _reader("an integer >= 0", lambda v: _is_int(v, 0), int)
 _WORKERS = _reader("an integer >= 1", lambda v: _is_int(v, 1), int)
+_SCHEMA = _reader(f"the integer {SCHEMA_VERSION}", lambda v: _is_int(v, 0) and v == SCHEMA_VERSION, int)
+# run(out=...) may also pass a Path
+_OUTPUT_DIR = _reader("a non-empty string", lambda v: isinstance(v, (str, Path)) and str(v) != "", str)
 
 
 def _read(where, reader, v, M=None):
@@ -304,8 +290,7 @@ class ExperimentConfig:
             raise ConfigError(str(path), f"invalid YAML: {e}") from None
         if not isinstance(raw, dict):
             raise ConfigError(str(path), "config must be a mapping")
-        if raw.get("schema_version") != SCHEMA_VERSION:
-            raise ConfigError("schema_version", f"must be {SCHEMA_VERSION}")
+        _read("schema_version", _SCHEMA, raw.get("schema_version"))
         if "model" not in raw:
             raise ConfigError("model", "missing model record")
         overrides = {"master_seed": master_seed, "workers": workers, "output_dir": output_dir}
@@ -314,15 +299,15 @@ class ExperimentConfig:
             M = model_from_config(raw["model"])
         except GeometryError as e:
             raise ConfigError("model", str(e)) from None
-        checks = raw.get("checks") or []
-        if not isinstance(checks, list):
-            raise ConfigError("checks", "must be a list of checks")
+        checks = raw.get("checks")
+        if not isinstance(checks, (list, type(None))):  # null means no checks
+            raise ConfigError("checks", f"must be a list of checks, got {checks!r}")
         return cls(
             model=raw["model"],
             space=M,
-            checks=[_read_check(f"checks[{i}]", chk, M) for i, chk in enumerate(checks)],
+            checks=[_read_check(f"checks[{i}]", chk, M) for i, chk in enumerate(checks or [])],
             master_seed=_read("master_seed", _SEED, raw.get("master_seed", 0)),
-            output_dir=str(raw.get("output_dir", "out")),
+            output_dir=_read("output_dir", _OUTPUT_DIR, raw.get("output_dir", "out")),
             workers=_read("workers", _WORKERS, raw.get("workers", 1)),
         )
 

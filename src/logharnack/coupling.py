@@ -153,9 +153,12 @@ def standard_coupling_config(
 def _xi1_rate(t, cfg):
     """The deadline drift xi_1 at times t per unit of rho(x, y)."""
     K, T = cfg.K_D_rho, cfg.T
+    t = np.asarray(t, dtype=float)
     if abs(K) < K_ZERO_TOL:
-        return np.full_like(np.asarray(t, dtype=float), 1.0 / T)
-    return 2.0 * K * np.exp(-K * np.asarray(t, dtype=float)) / (1.0 - math.exp(-2.0 * K * T))
+        return np.full_like(t, 1.0 / T)
+    if -2.0 * K * T > 700.0:  # as in local_bounds.harnack_rate
+        return -2.0 * K * np.exp(K * (2.0 * T - t))
+    return 2.0 * K * np.exp(-K * t) / (1.0 - math.exp(-2.0 * K * T))
 
 
 class _Pairs(NamedTuple):

@@ -61,12 +61,16 @@ K_ZERO_TOL = 1e-8
 def harnack_rate(K: float, T: float) -> float:
     """K / (1 - exp(-2 K T)), continued by 1/(2T) through K = 0.
 
-    Positive for every real K and T > 0.
+    Positive for every real K and T > 0.  Where exp(-2 K T) would
+    overflow, 1 - exp(-2 K T) is -exp(-2 K T) to double precision, so the
+    rate is -K exp(2 K T), which may underflow to 0.
     """
     if T <= 0:
         raise ValueError("T must be > 0")
     if abs(K) < K_ZERO_TOL:
         return 1.0 / (2.0 * T)
+    if -2.0 * K * T > 700.0:
+        return -K * math.exp(2.0 * K * T)
     return K / (1.0 - math.exp(-2.0 * K * T))
 
 
@@ -91,10 +95,10 @@ def log_harnack_rate(K: float, T: float, c: float, phi: float = 1.0) -> float:
     return harnack_rate(K, T) + c**2 * entropy_gain(K, T) / phi**4
 
 
-def log_harnack_rhs(rho: float, K: float, T: float, c: float, phi: float = 1.0) -> float:
-    """The log-Harnack bound rho^2/2 log_harnack_rate(K, T, c, phi): c is
-    c_D(phi) in the theorem form, kappa(y) in the local form."""
-    return 0.5 * rho**2 * log_harnack_rate(K, T, c, phi)
+def log_harnack_rhs(rho: float, K: float, T: float, c: float) -> float:
+    """The log-Harnack bound rho^2/2 log_harnack_rate(K, T, c) at phi = 1:
+    c is c_D(phi) in the theorem form, kappa(y) in the local form."""
+    return 0.5 * rho**2 * log_harnack_rate(K, T, c)
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -146,6 +145,17 @@ class InequalityReport:
         }
 
 
+def report_config(M: ModelSpace, **values) -> dict:
+    """The config of a report on M: its variant and ``values``, a point
+    as a list and a test function as its record."""
+    def entry(v):
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        return v.to_config() if isinstance(v, TestFunction) else v
+
+    return {"variant": M.variant, **{k: entry(v) for k, v in values.items()}}
+
+
 # ----------------------------------------------------------------------
 # Log-Harnack
 # ----------------------------------------------------------------------
@@ -181,12 +191,12 @@ def check_log_harnack(
     T: float,
     f: TestFunction,
     *,
-    domain_radius: float = 1.0,
     n_paths: int = 20_000,
     h: float = 1e-2,
     master_seed: int = 0,
     use_oracle: bool = False,
     correction: bool = True,
+    domain_radius: float = 1.0,
 ) -> InequalityReport:
     """Theorem-form log-Harnack check on D = B(y, domain_radius) with the
     cosine reference phi on D.
@@ -206,19 +216,8 @@ def check_log_harnack(
     lhs, lhs_se = _lhs_log_harnack(M, x, y, T, f, use_oracle, n_paths, h, master_seed, correction)
 
     consts = LocalConstants(K_D_rho=K_rho, c_D_phi=c_phi)
-    cfg = {
-        "variant": M.variant,
-        "x": list(x),
-        "y": list(y),
-        "T": T,
-        "f": f.to_config(),
-        "domain_radius": domain_radius,
-        "phi": phi.label,
-        "n_paths": n_paths,
-        "h": h,
-        "seed": master_seed,
-        "correction": correction,
-    }
+    cfg = report_config(M, x=x, y=y, T=T, f=f, domain_radius=domain_radius, phi=phi.label, n_paths=n_paths,
+                        h=h, seed=master_seed, correction=correction)
     return InequalityReport("log-harnack", cfg, lhs=lhs, rhs=rhs, lhs_se=lhs_se, constants=consts)
 
 
@@ -246,16 +245,7 @@ def check_log_harnack_local(
     consts = kappa(M, y, x=x)
     rhs = log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
     lhs, lhs_se = _lhs_log_harnack(M, x, y, t, f, use_oracle, n_paths, h, master_seed)
-    cfg = {
-        "variant": M.variant,
-        "x": list(x),
-        "y": list(y),
-        "t": t,
-        "f": f.to_config(),
-        "n_paths": n_paths,
-        "h": h,
-        "seed": master_seed,
-    }
+    cfg = report_config(M, x=x, y=y, t=t, f=f, n_paths=n_paths, h=h, seed=master_seed)
     return InequalityReport("log-harnack-local", cfg, lhs=lhs, rhs=rhs, lhs_se=lhs_se, constants=consts)
 
 
@@ -270,11 +260,11 @@ def check_gradient(
     T: float,
     f: TestFunction,
     *,
-    domain_radius: float = 1.0,
     n_paths: int = 20_000,
     h: float = 1e-2,
     master_seed: int = 0,
     use_oracle: bool = False,
+    domain_radius: float = 1.0,
 ) -> InequalityReport:
     """|grad P_T f|^2(x) against the variance times the constant of
     D = B(x, domain_radius) with the cosine reference phi on D; the
@@ -307,17 +297,8 @@ def check_gradient(
     rhs = var * const
     rhs_se = var_se * const
     consts = LocalConstants(K_D=K_D, c_D_phi=c_phi)
-    cfg = {
-        "variant": M.variant,
-        "x": list(x),
-        "T": T,
-        "f": f.to_config(),
-        "domain_radius": domain_radius,
-        "phi": phi.label,
-        "n_paths": n_paths,
-        "h": h,
-        "seed": master_seed,
-    }
+    cfg = report_config(M, x=x, T=T, f=f, domain_radius=domain_radius, phi=phi.label, n_paths=n_paths, h=h,
+                        seed=master_seed)
     return InequalityReport("gradient", cfg, lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se, constants=consts)
 
 
@@ -333,11 +314,11 @@ def check_harnack(
     T: float,
     f: TestFunction,
     *,
-    domain_radius: float = 1.0,
     n_paths: int = 20_000,
     h: float = 1e-2,
     master_seed: int = 0,
     use_oracle: bool = False,
+    domain_radius: float = 1.0,
 ) -> InequalityReport:
     """P_T f(y) <= P_T f(x) + rho sqrt(const / inf_geodesic phi^4)
     sqrt(P_T f^2(y)) on conservative variants, with the cosine reference
@@ -378,18 +359,8 @@ def check_harnack(
         rhs_se = 0.0
 
     consts = LocalConstants(K_D=K_D, c_D_phi=c_phi)
-    cfg = {
-        "variant": M.variant,
-        "x": list(x),
-        "y": list(y),
-        "T": T,
-        "f": f.to_config(),
-        "domain_radius": domain_radius,
-        "phi": phi.label,
-        "n_paths": n_paths,
-        "h": h,
-        "seed": master_seed,
-    }
+    cfg = report_config(M, x=x, y=y, T=T, f=f, domain_radius=domain_radius, phi=phi.label, n_paths=n_paths,
+                        h=h, seed=master_seed)
     return InequalityReport("harnack", cfg, lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se, constants=consts)
 
 
@@ -407,8 +378,7 @@ def check_kernel_lower_bound(M: ModelSpace, x, y, t: float) -> InequalityReport:
     cost = log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
     lhs = math.exp(-cost)  # the bound
     rhs = float(heat_kernel(M, x, y, 2.0 * t))  # the kernel must dominate it
-    cfg = {"variant": M.variant, "x": list(x), "y": list(y), "t": t}
-    return InequalityReport("kernel-lower", cfg, lhs=lhs, rhs=rhs, constants=consts)
+    return InequalityReport("kernel-lower", report_config(M, x=x, y=y, t=t), lhs=lhs, rhs=rhs, constants=consts)
 
 
 def check_entropy_bound(M: ModelSpace, y, t: float) -> InequalityReport:
@@ -423,8 +393,7 @@ def check_entropy_bound(M: ModelSpace, y, t: float) -> InequalityReport:
     consts.K_D = K_bar
     s = math.sqrt(min(t, 1.0))
     rhs = s * log_harnack_rate(K_bar, t, consts.kappa_y) + math.log(1.0 / mu_ball(M, y, s))
-    cfg = {"variant": M.variant, "y": list(y), "t": t}
-    return InequalityReport("entropy", cfg, lhs=lhs, rhs=rhs, constants=consts)
+    return InequalityReport("entropy", report_config(M, y=y, t=t), lhs=lhs, rhs=rhs, constants=consts)
 
 
 def check_entropy_cost(M: ModelSpace, t: float, eps_tilt: float = 0.2) -> InequalityReport:
@@ -458,7 +427,7 @@ def check_entropy_cost(M: ModelSpace, t: float, eps_tilt: float = 0.2) -> Inequa
         return log_harnack_rhs(abs(shift), consts.K_xy, t, consts.kappa_y)
 
     rhs = float(np.sum(w * np.array([cost(float(p[0]), float(p[0]) + shift) for p in pts])))
-    cfg = {"variant": M.variant, "t": t, "eps_tilt": eps_tilt}
+    cfg = report_config(M, t=t, eps_tilt=eps_tilt)
     return InequalityReport("entropy-cost", cfg, lhs=lhs, rhs=rhs, constants=LocalConstants())
 
 
@@ -505,13 +474,16 @@ class SharpnessReport:
         return out
 
 
+# the multiples r of grad log f(x) and the times s of the sharpness grid
+SHARPNESS_R = (1.0, 1.5, 2.0, 3.0)
+SHARPNESS_S = (0.001, 0.002, 0.004, 0.007, 0.01)
+
+
 def sharpness_experiment(
     M: ModelSpace,
     x,
     f: TestFunction,
     *,
-    r_values: Sequence[float] = (1.0, 1.5, 2.0, 3.0),
-    s_grid: Sequence[float] = (0.001, 0.002, 0.004, 0.007, 0.01),
     n_paths: int = 1_000_000,
     master_seed: int = 0,
 ) -> SharpnessReport:
@@ -531,7 +503,7 @@ def sharpness_experiment(
     if g2 < 1e-12:
         raise ZeroGradient("need |grad log f|(x) > 0")
 
-    s_grid = np.asarray(list(s_grid), dtype=float)
+    r_values, s_grid = SHARPNESS_R, np.array(SHARPNESS_S)
     q_vals = np.empty((len(r_values), len(s_grid)))
     q_ses = np.empty_like(q_vals)
     for i, s in enumerate(s_grid):
@@ -572,12 +544,5 @@ def sharpness_experiment(
         if 2.0 * limit_mc / v2 > best_c:
             best_c = 2.0 * limit_mc / v2
             best_c_se = 2.0 * limit_se / v2
-    cfg = {
-        "variant": M.variant,
-        "x": list(x),
-        "f": f.to_config(),
-        "n_paths": n_paths,
-        "seed": master_seed,
-        "s_grid": list(s_grid),
-    }
+    cfg = report_config(M, x=x, f=f, n_paths=n_paths, seed=master_seed, s_grid=s_grid)
     return SharpnessReport(rows=rows, c_min=best_c, c_min_se=best_c_se, config=cfg)

@@ -15,6 +15,7 @@ from logharnack import coupling as C
 from logharnack import estimators as E
 from logharnack import verify as V
 from logharnack.cli import CHECKS, ConfigError, ExperimentConfig, _YAML_LOADER, _fmt, list_checks, main, run
+from logharnack.diffusion import local_time_profile
 from logharnack.geometry import model_from_config
 from logharnack.rng import derive_seed
 
@@ -564,6 +565,42 @@ def test_cli_coupling_row_equals_direct_call(tmp_path):
     assert (row["T"], row["h"]) == ("0.29999999999999999", "0.01")
 
 
+def test_left_out_optional_keys_take_the_signature_defaults(tmp_path):
+    # coupling-diagnostics: h 1e-3, 20,000 pairs, domain_radius 1
+    out, job_seed = _one_job(tmp_path, HYP, "coupling-diagnostics", dict(XY, T=0.005))
+    M = model_from_config(HYP)
+    cfg = C.standard_coupling_config(M, XY["x"], XY["y"], T=0.005, h=1e-3, domain_radius=1.0)
+    diag = C.run_coupling(M, cfg, 20_000, job_seed)
+    [row] = _csv_rows(out / "diagnostics.csv")
+    assert {k: row[k] for k in diag.to_row()} == {k: _fmt(v) for k, v in diag.to_row().items()}
+    assert row["h"] == "0.001"
+
+    # local-time: 100,000 paths, h 1e-4, r 1, c2_max 5
+    t_grid = [0.001, 0.002]
+    out, job_seed = _one_job(tmp_path, HALF1_MODEL, "local-time", {"x": [0.0], "t_grid": t_grid})
+    ests, ref = local_time_profile(model_from_config(HALF1_MODEL), [0.0], t_grid, 100_000, 1e-4, job_seed, r=1.0)
+    [row] = _csv_rows(out / "report.csv")
+    fitted = max(max(0.0, abs(e.mean - rv) - 3.0 * e.stderr) / t for t, e, rv in zip(t_grid, ests, ref))
+    assert (row["lhs"], row["rhs"]) == (_fmt(fitted), _fmt(5.0))
+    assert json.loads(row["config"]) == {"variant": "half_space", "x": [0.0], "t_grid": t_grid,
+                                         "n_paths": 100_000, "h": 1e-4, "seed": job_seed}
+    assert (out / "plotdata" / "local-time.tsv").read_text() == "".join(
+        f"{_fmt(t)}\t{_fmt(e.mean - rv)}\n" for t, e, rv in zip(t_grid, ests, ref))
+
+
+def test_strongly_negative_K_job_holds(tmp_path):
+    # OU at lam T = 400: exp(-2 K T) overflowed in the log-Harnack rate,
+    # and the run ended in a traceback with exit 1
+    grid = {"x": [[0.0]], "y": [[0.1]], "T": [400.0], "f": [{"tag": "coord_exp", "a": [0.5]}],
+            "use_oracle": [True]}
+    cfg = dict(BASE, model=OU1, output_dir=str(tmp_path / "out"), checks=[{"tag": "log-harnack", "grid": grid}])
+    assert main(["run", str(write_config(tmp_path, cfg))]) == 0
+    [row] = _csv_rows(tmp_path / "out" / "report.csv")
+    assert row["verdict"] == "holds"
+    assert float(row["lhs"]) == pytest.approx(-0.125)  # 0 - log E e^{Z/2}, Z ~ N(0, 1)
+    assert float(row["rhs"]) == pytest.approx(0.3805, abs=1e-4)
+
+
 # ----------------------------------------------------------------------
 # Numeric grid values: booleans, NaN and empty time grids are refused at
 # load time with the field named
@@ -655,9 +692,14 @@ def test_bad_model_record_names_the_model(tmp_path, capsys, model):
 
 
 @pytest.mark.parametrize("key,value", [("master_seed", "abc"), ("master_seed", -5), ("master_seed", 1.9),
-                                       ("workers", "two"), ("workers", True), ("workers", 0)])
-def test_bad_top_level_value_names_the_key(tmp_path, capsys, key, value):
-    # these raised at run time or ran as another integer
+                                       ("workers", "two"), ("workers", True), ("workers", 0),
+                                       ("schema_version", True), ("output_dir", None),
+                                       pytest.param("checks", {}, id="checks-mapping")])
+def test_bad_top_level_value_names_the_key(tmp_path, capsys, monkeypatch, key, value):
+    # these raised at run time or ran as another integer; schema_version
+    # true equals 1, a null output_dir wrote ./None, and checks {} ran no
+    # job and exited 0
+    monkeypatch.chdir(tmp_path)
     cfg = dict(BASE, output_dir=str(tmp_path / "out"), checks=[{"tag": "entropy-cost", "grid": {"t": [0.5]}}])
     cfg[key] = value
     path = write_config(tmp_path, cfg)
@@ -666,7 +708,13 @@ def test_bad_top_level_value_names_the_key(tmp_path, capsys, key, value):
     assert err.value.where == key
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: ")
-    assert not (tmp_path / "out").exists()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # nothing written
+
+
+def test_null_or_missing_checks_run_no_job(tmp_path):
+    for checks in ({"checks": None}, {}):
+        cfg = {k: v for k, v in BASE.items() if k != "checks"}
+        assert ExperimentConfig.from_file(write_config(tmp_path, dict(cfg, **checks))).jobs() == []
 
 
 def test_failed_precondition_exits_two(tmp_path, capsys):

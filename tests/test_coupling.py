@@ -56,6 +56,18 @@ def test_xi1_negative_curvature_positive_and_backloaded():
     assert vals[0] < vals[1] < vals[2]
 
 
+def test_xi1_strongly_negative_curvature_stays_finite():
+    # OU has K = -lam; at lam T = 400, exp(-2 K T) overflowed
+    cfg = C.standard_coupling_config(G.OrnsteinUhlenbeck(1, 1.0), [0.0], [0.1], 400.0, 0.01)
+    assert cfg.K_D_rho == -1.0
+    t = np.array([0.0, 399.0, 400.0])
+    assert list(C._xi1_rate(t, cfg)) == pytest.approx(list(2.0 * np.exp(t - 800.0)), rel=1e-14)
+    # at -2 K T = 708 the plain form still evaluates, and agrees
+    cfg.T = 354.0
+    t = np.array([0.0, 354.0])
+    assert list(C._xi1_rate(t, cfg)) == pytest.approx(list(-2.0 * np.exp(t) / (1.0 - math.exp(708.0))), rel=1e-14)
+
+
 def test_xi2_values_and_errors():
     # with xi_1 = 0 the step moves Y toward X by xi_2 h, xi_2 = 2 c rho / phi(Y)^2
     M, cfg = euclid_config()

@@ -26,6 +26,14 @@ def test_harnack_rate_positive_for_negative_K():
         assert LB.harnack_rate(K, 1.0) > 0
 
 
+def test_harnack_rate_finite_for_strongly_negative_K():
+    # exp(-2 K T) overflows beyond -2 K T ~ 709.8; at 708 both forms
+    # evaluate, and beyond 709.8 the rate underflows instead of raising
+    assert LB.harnack_rate(-1.0, 354.0) == pytest.approx(-1.0 / (1.0 - math.exp(708.0)), rel=1e-15)
+    assert LB.harnack_rate(-1.0, 400.0) == 0.0
+    assert LB.log_harnack_rate(-1.0, 400.0, 2.0) == 2.0  # c^2 (1 - e^{2KT}) / (-2K)
+
+
 def test_entropy_gain_limit():
     assert LB.entropy_gain(0.0, 0.7) == pytest.approx(0.7)
     assert LB.entropy_gain(1.0, 1.0) == pytest.approx((math.e**2 - 1) / 2)

@@ -57,11 +57,11 @@ def test_log_harnack_rhs_monotone_in_rho_and_c():
     vals = []
     for rho in (0.1, 0.3, 0.6):
         K = LB.K_of_domain(M, D.enlarged(rho))
-        vals.append(LB.log_harnack_rhs(rho, K, 0.5, 3.0, 1.0))
+        vals.append(LB.log_harnack_rhs(rho, K, 0.5, 3.0))
     assert vals[0] < vals[1] < vals[2]
-    cs = [LB.log_harnack_rhs(0.3, 1.0, 0.5, c, 1.0) for c in (0.0, 1.0, 2.0)]
+    cs = [LB.log_harnack_rhs(0.3, 1.0, 0.5, c) for c in (0.0, 1.0, 2.0)]
     assert cs[0] < cs[1] < cs[2]
-    ks = [LB.log_harnack_rhs(0.3, k, 0.5, 1.0, 1.0) for k in (-1.0, 0.0, 1.0)]
+    ks = [LB.log_harnack_rhs(0.3, k, 0.5, 1.0) for k in (-1.0, 0.0, 1.0)]
     assert ks[0] < ks[1] < ks[2]
 
 
@@ -349,8 +349,9 @@ def test_sharpness_zero_gradient_rejected():
 def test_sharpness_report_rows():
     M = G.Euclidean(1)
     f = E.log_bump([0.5], 1.0, amp=1.0)
-    rep = V.sharpness_experiment(M, [0.0], f, r_values=(2.0,), n_paths=50_000, master_seed=2)
+    rep = V.sharpness_experiment(M, [0.0], f, n_paths=50_000, master_seed=2)
     reports = rep.to_reports()
+    assert [r.config["r"] for r in reports[:-1]] == list(V.SHARPNESS_R)
     assert reports[-1].tag == "sharpness-cmin"
     assert reports[-1].rhs == rep.c_min
 
@@ -403,9 +404,7 @@ def test_gradient_mc_sides_match_separate_ensembles(M, x, T, f, pinned):
 
 
 def test_sharpness_runs_one_x_ensemble_per_s(ensemble_starts):
-    s_grid, r_values = (0.001, 0.004, 0.01), (1.0, 2.0)
-    V.sharpness_experiment(G.Euclidean(1), [0.0], E.log_bump([0.5], 1.0), r_values=r_values,
-                           s_grid=s_grid, n_paths=2000, master_seed=1)
+    V.sharpness_experiment(G.Euclidean(1), [0.0], E.log_bump([0.5], 1.0), n_paths=2000, master_seed=1)
     # one ensemble per s, starting at x and at every y_s
-    assert [c[-1] for c in ensemble_starts] == list(s_grid)
-    assert all(len(c) == len(r_values) + 2 and c[0] == 0.0 for c in ensemble_starts)
+    assert [c[-1] for c in ensemble_starts] == list(V.SHARPNESS_S)
+    assert all(len(c) == len(V.SHARPNESS_R) + 2 and c[0] == 0.0 for c in ensemble_starts)
