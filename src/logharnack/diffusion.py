@@ -26,6 +26,13 @@ passes, so one run serves every time on a grid and no (marks x paths)
 array is stored.  Exit times and stopped functionals mark every step
 (``local_time_profile`` stops its local time so).  The clock steps
 h_eff = T / ceil(T / h), so it ends exactly at T.
+
+On ``euclidean`` and ``half_space`` one step of any size has the law of
+the diffusion at that time (``ModelSpace.euler_exact``), so a check that
+reads only X_T takes one step to T (``estimators.mc_functional_values``):
+there h picks only which noise is drawn, not the law.  Marked reads
+(the local time, the generator slope), a direct ``simulate_ensemble``
+call and the coupled run still step at h.
 """
 
 from __future__ import annotations

@@ -9,10 +9,12 @@ code.
 
 ``mc_functional_values`` simulates one ensemble from a batch of start
 points that share its noise and reads it at the (start, mode) pairs the
-caller names.  Gradients use central finite differences at 2 dim starts
-of one such ensemble (common random numbers), and the short-time
-generator identity is checked by a least-squares slope of (P_s g - g)
-against s, from one marked ensemble when there is no oracle.
+caller names; on ``euclidean`` and ``half_space``, where the Euler step
+is exact in law, it takes one step to T.  Gradients use central finite
+differences at 2 dim starts of one such ensemble (common random
+numbers), and the short-time generator identity is checked by a
+least-squares slope of (P_s g - g) against s, from one marked ensemble
+(stepping at h) when there is no oracle.
 """
 
 from __future__ import annotations
@@ -344,7 +346,12 @@ def mc_functional_values(
     from one ensemble simulated from ``starts``, shape (n_starts,
     chart_dim), whose start points share its noise.  ``reads`` lists
     (start index, mode) pairs; the values are one array per pair, in that
-    order."""
+    order.
+
+    Only X_T is read, so on a variant whose Euler step is exact in law at
+    any size (``ModelSpace.euler_exact``: ``euclidean`` and
+    ``half_space``) the ensemble takes one step to T: there h would pick
+    only which noise is drawn, not the law, and is not used."""
     starts = np.asarray(starts, dtype=float)
     if starts.ndim != 2:
         raise ValueError("starts must have shape (n_starts, chart_dim)")
@@ -353,7 +360,7 @@ def mc_functional_values(
             raise ValueError(f"need a start index below {len(starts)} and a mode among {_MODES}")
         if m == "log f" and (f is None or not f.strictly_positive):
             raise NonpositiveF("mode 'log f' needs a strictly positive f")
-    res = simulate_ensemble(M, starts, T, h, n_paths, master_seed)
+    res = simulate_ensemble(M, starts, T, T if M.euler_exact else h, n_paths, master_seed)
     return [_mode_values(f, m, res["positions"][i], res["alive"][i]) for i, m in reads]
 
 

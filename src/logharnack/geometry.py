@@ -113,7 +113,9 @@ class ModelSpace:
     """Base class for the fixed catalogue of model manifolds.
 
     Subclasses define the chart, its geometry and the drift field Z of
-    the generator  L = Laplace-Beltrami + Z.
+    the generator  L = Laplace-Beltrami + Z.  ``euler_exact`` says that
+    one geodesic Euler step of any size h has the law of X_h, so a read
+    of X_T alone may take one step to T.
     """
 
     variant = "abstract"
@@ -121,6 +123,7 @@ class ModelSpace:
     chart_dim: int
     has_boundary = False
     conservative = True
+    euler_exact = False
     injectivity_radius = np.inf
 
     # -- drift ---------------------------------------------------------
@@ -337,6 +340,8 @@ class Euclidean(_FlatChart):
     """R^d, optionally with a constant drift vector."""
 
     variant = "euclidean"
+    # x + h b + sqrt(2h) xi is the Gaussian law of X_h
+    euler_exact = True
 
     def __init__(self, dim: int, drift_vec=None):
         self.dim = self.chart_dim = int(dim)
@@ -414,6 +419,9 @@ class HalfSpace(_FlatChart):
 
     variant = "half_space"
     has_boundary = True
+    # reflecting x_1 + sqrt(2h) xi_1 gives the law of reflected Brownian
+    # motion at h (its position, not its local time)
+    euler_exact = True
 
     def __init__(self, dim: int):
         self.dim = self.chart_dim = int(dim)
@@ -689,7 +697,9 @@ class Hyperbolic(ModelSpace):
 
     def _transport_logs(self, x, y, v, rho, lxy, lyx):
         small = rho < 1e-14
-        rho_safe = np.maximum(rho, 1e-300)
+        # the small rows return v; dividing their logs (a rounding
+        # residue at x = y) by 1 keeps that discarded branch finite
+        rho_safe = np.where(small, 1.0, rho)
         t0 = self._c(lxy) / rho_safe
         t1 = -self._c(lyx) / rho_safe
         vz = self._c(v)

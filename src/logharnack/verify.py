@@ -507,8 +507,9 @@ def sharpness_experiment(
     q_vals = np.empty((len(r_values), len(s_grid)))
     q_ses = np.empty_like(q_vals)
     for i, s in enumerate(s_grid):
-        # one exact Gaussian step (the flat-chart scheme with h = s) from x
-        # and from every y_s of this s, in one ensemble
+        # one ensemble from x and from every y_s of this s: the variant is
+        # Euclidean, so it takes one exact Gaussian step to s
+        # (``mc_functional_values`` on an ``euler_exact`` variant)
         starts = [x] + [M.exp(x, s * (r * g)) for r in r_values]
         reads = [(0, "f")] + [(k, "log f") for k in range(1, len(starts))]
         fx, *ells = mc_functional_values(M, np.stack(starts), s, f, reads, n_paths, s, master_seed)

@@ -78,7 +78,10 @@ def test_criterion_01_oracle_agreement():
         oracle = E.oracle_semigroup(M, x, T, f)
         e1 = E.mc_functional(M, x, T, f, "f", n, 1e-2, SEED + i)
         e2 = E.mc_functional(M, x, T, f, "f", n, 5e-3, SEED + i)
-        Ch = 2.0 * abs(e1.mean - e2.mean)  # (C measured by halving h) * h
+        # (C measured by halving h) * h; on the Euclidean and half-space
+        # cases both runs take the one exact step to T, so e1 and e2 are
+        # one ensemble, Ch = 0 and the case is a bare 3-se test
+        Ch = 2.0 * abs(e1.mean - e2.mean)
         err = abs(e1.mean - oracle)
         allow = 3.0 * e1.stderr + Ch
         if e1.stderr > 0:

@@ -193,6 +193,14 @@ def test_local_time_profile_stopped_at_small_radius_matches_pinned_digest():
     assert h.hexdigest() == LOCAL_TIME_STOP_DIGEST
 
 
+def test_local_time_profile_on_the_half_space_steps_at_h(ensemble_steps):
+    # its marks read the paths along the way, so the one exact step to T
+    # that a read of X_T takes there does not apply
+    assert G.HalfSpace(1).euler_exact
+    local_time_profile(G.HalfSpace(1), [0.0], [0.01, 0.04], 2000, 1e-3, master_seed=5)
+    assert ensemble_steps == [(0.04, 40)]
+
+
 def test_local_time_needs_boundary():
     with pytest.raises(ValueError):
         local_time_profile(G.Euclidean(1), [0.0], [0.1], 5000, 1e-3, 0)

@@ -136,6 +136,32 @@ def test_mc_values_at_several_starts_equal_single_start_runs():
         E.mc_functional(M, starts, 0.3, f, "f", 2000, 1e-2, 5)
 
 
+_EULER_EXACT = [G.Euclidean(1), G.Euclidean(2, drift_vec=[0.5, -1.0]), G.HalfSpace(1), G.HalfSpace(2)]
+
+
+@pytest.mark.parametrize("M", _EULER_EXACT, ids=["euclidean-1", "euclidean-2-drift", "half_space-1",
+                                                 "half_space-2"])
+def test_exact_step_variants_read_X_T_after_one_step(M, ensemble_steps):
+    # the Euler step is exact in law there, so h does not enter a read of X_T
+    assert M.euler_exact
+    starts = np.array([[0.05] + [0.1] * (M.chart_dim - 1), [0.3] * M.chart_dim])
+    f = E.one_plus_bump([0.2] * M.chart_dim, 0.6)
+    reads = [(0, "f"), (0, "log f"), (1, "f")]
+    fine = E.mc_functional_values(M, starts, 0.5, f, reads, 3000, 1e-2, 7)
+    exact = E.mc_functional_values(M, starts, 0.5, f, reads, 3000, 0.5, 7)
+    for a, b in zip(fine, exact):
+        assert a.tobytes() == b.tobytes()
+    assert ensemble_steps == [(0.5, 1), (0.5, 1)]
+
+
+def test_one_step_half_line_ensemble_matches_oracle():
+    # reflected Brownian motion at T is |x + sqrt(2T) xi|: one step, near
+    # the wall, with a non-even f
+    M, x, T, f = G.HalfSpace(1), [0.05], 0.5, E.one_plus_bump([0.4], 0.7, b=0.5)
+    est = E.mc_functional(M, x, T, f, "f", 100_000, T, 11)
+    assert abs(est.mean - E.oracle_semigroup(M, x, T, f)) < 3 * est.stderr
+
+
 def test_jensen_inequality_mc():
     # P_T log f <= log P_T f on conservative variants (CRN pairing)
     M = G.Euclidean(1)

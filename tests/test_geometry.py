@@ -214,6 +214,19 @@ def test_transport_hyperbolic_against_ode():
         assert np.allclose(M.transport(x, y, w), w_ode, atol=1e-7)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_transport_hyperbolic_at_coincident_points_is_the_identity_without_overflow():
+    # log(x, x) comes back with rounding residue: divided by a 1e-300
+    # floor it overflowed in the branch that coincident rows discard
+    M = G.Hyperbolic()
+    x = np.array([[2.625, 2.725], [0.3, 2.0]])
+    y = np.array([[2.625, 2.725], [0.1, 1.5]])
+    v = np.array([[2.625, 2.625], [0.5, 0.2]])
+    tv = M.transport(x, y, v)
+    assert np.array_equal(tv[0], v[0])
+    assert np.array_equal(tv[1], M.transport(x[1], y[1], v[1]))
+
+
 # ----------------------------------------------------------------------
 # grad_distance
 # ----------------------------------------------------------------------
