@@ -14,7 +14,11 @@ reader of each grid key.  A tag's grid keys are the keywords of the
 function that runs its job, as a model record's keys are its builder's
 (``geometry.read_record``): its parameters after M, but master_seed,
 which gets the job seed; those without a default are required, and a key
-the grid leaves out takes the signature default.
+the grid leaves out takes the signature default.  The keywords of that
+call are the job's config: each ``report.csv`` row writes them, with the
+model variant, master_seed as ``seed`` and the row's own keys, as its
+``config`` and hashes them as its ``config_hash``, so a row names every
+input behind it.
 
 Exit status is nonzero iff some inequality verdict is "violated" or
 "invalid".
@@ -23,6 +27,8 @@ Exit status is nonzero iff some inequality verdict is "violated" or
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
 import inspect
 import itertools
 import json
@@ -86,24 +92,32 @@ class JobResult:
     reports: list = field(default_factory=list)
     diagnostics: list = field(default_factory=list)
     series: list = field(default_factory=list)  # (name, xval, yval)
+    config: dict = field(default_factory=dict)  # the job's inputs
 
 
-def _one_report(M, p, seed, rep):
+def _one_report(kw, rep):
     """A checker's one report, its margin plotted against T (or t)."""
-    return JobResult(reports=[rep], series=[(rep.tag, p["T"] if "T" in p else p["t"], rep.margin)])
+    return JobResult(reports=[rep], series=[(rep.tag, kw["T"] if "T" in kw else kw["t"], rep.margin)])
 
 
 def _check(fn, result=_one_report):
     """CHECKS entry of a tag whose jobs call ``fn``: fn's parameters after
     M, but master_seed, which gets the job seed, are the grid keys, those
-    without a default required.  ``result(M, params, seed, out)`` makes
-    the JobResult of fn's return; with None fn returns it."""
+    without a default required.  ``result(keywords, out)`` makes the
+    JobResult of fn's return; with None fn returns it.  The JobResult's
+    config is the keywords of the call, defaults included, master_seed as
+    seed."""
     sig = inspect.signature(fn).parameters
     keys = [k for k in list(sig)[1:] if k != "master_seed"]
+    defaults = {k: sig[k].default for k in keys if sig[k].default is not sig[k].empty}
 
     def run_job(M, p, seed):
-        out = fn(M, **p, master_seed=seed) if "master_seed" in sig else fn(M, **p)
-        return result(M, p, seed, out) if result else out
+        kw = {**defaults, **p}
+        if "master_seed" in sig:
+            kw["master_seed"] = seed
+        res = result(kw, fn(M, **kw)) if result else fn(M, **kw)
+        res.config = vf.report_config(M, **{"seed" if k == "master_seed" else k: v for k, v in kw.items()})
+        return res
 
     return {"run": run_job,
             "required": [k for k in keys if sig[k].default is sig[k].empty],
@@ -123,14 +137,12 @@ def _local_time(M, x, t_grid, *, n_paths=100_000, h=1e-4, r=1.0, c2_max=5.0, mas
     # lhs: the C2 fitted to |E l - 2 sqrt(t/pi)| <= C2 t + 3 se
     fitted = max(max(0.0, abs(e.mean - rv) - 3.0 * e.stderr) / t for t, e, rv in zip(t_grid, ests, ref))
     series = [("local-time", t, e.mean - rv) for t, e, rv in zip(t_grid, ests, ref)]
-    cfg = vf.report_config(M, x=x, t_grid=t_grid, n_paths=n_paths, h=h, seed=master_seed)
-    return JobResult(reports=[vf.InequalityReport("local-time", cfg, lhs=fitted, rhs=c2_max)], series=series)
+    return JobResult(reports=[vf.InequalityReport("local-time", lhs=fitted, rhs=c2_max)], series=series)
 
 
-def _generator(M, p, seed, res):
+def _generator(kw, res):
     rep = vf.InequalityReport(
         "generator",
-        vf.report_config(M, x=p["x"], g=p["g"], seed=seed),
         lhs=abs(res["slope"] - res["lg"]),
         rhs=0.05 * max(abs(res["lg"]), 1e-12),
         lhs_se=0.0 if res["oracle"] else res["slope_paths"].stderr,
@@ -139,7 +151,7 @@ def _generator(M, p, seed, res):
     return JobResult(reports=[rep], series=series)
 
 
-def _sharpness(M, p, seed, rep):
+def _sharpness(kw, rep):
     series = [("sharpness-cbound", float(r["r"]), float(r["c_bound"])) for r in rep.rows]
     return JobResult(reports=rep.to_reports(), series=series)
 
@@ -363,14 +375,13 @@ DIAG_COLUMNS = [
 ]
 
 
-def _csv_line(values) -> str:
-    def quote(s):
-        s = _fmt(s)
-        if "," in s or '"' in s:
-            s = '"' + s.replace('"', '""') + '"'
-        return s
-
-    return ",".join(quote(v) for v in values) + "\n"
+def _write_csv(path, columns, rows):
+    """A header of ``columns`` and one line per row mapping, a column the
+    row leaves out written empty."""
+    with path.open("w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(columns)
+        out.writerows([_fmt(row.get(c, "")) for c in columns] for row in rows)
 
 
 def run(config_path, *, workers=None, seed=None, out=None) -> int:
@@ -398,32 +409,26 @@ def run(config_path, *, workers=None, seed=None, out=None) -> int:
     (outdir / "plotdata").mkdir(exist_ok=True)
 
     violated = invalid = 0
-    report_lines = [",".join(REPORT_COLUMNS) + "\n"]
-    diag_lines = [",".join(DIAG_COLUMNS) + "\n"]
+    report_rows, diag_rows = [], []
     series_acc = {}
     summary = {}
     for idx, tag, params in jobs:
         res = results[idx]
         for rep in res.reports:
-            row = rep.to_row()
-            row["job_index"] = idx
-            row["master_seed"] = cfg.master_seed
-            report_lines.append(_csv_line([row[c] for c in REPORT_COLUMNS]))
+            config = json.dumps({**res.config, **rep.config}, sort_keys=True)
+            report_rows.append(dict(rep.to_row(), job_index=idx, master_seed=cfg.master_seed, config=config,
+                                    config_hash=hashlib.sha1(config.encode()).hexdigest()[:12]))
             summary.setdefault(rep.tag, {}).setdefault(rep.verdict, 0)
             summary[rep.tag][rep.verdict] += 1
             violated += rep.verdict == vf.VERDICT_VIOLATED
             invalid += rep.verdict == vf.VERDICT_INVALID
-        for drow in res.diagnostics:
-            drow = dict(drow)
-            drow["job_index"] = idx
-            drow["master_seed"] = cfg.master_seed
-            diag_lines.append(_csv_line([drow.get(c, "") for c in DIAG_COLUMNS]))
+        diag_rows += [dict(drow, job_index=idx, master_seed=cfg.master_seed) for drow in res.diagnostics]
         for name, xv, yv in res.series:
             series_acc.setdefault(name, []).append((xv, yv))
 
-    (outdir / "report.csv").write_text("".join(report_lines))
-    if len(diag_lines) > 1:
-        (outdir / "diagnostics.csv").write_text("".join(diag_lines))
+    _write_csv(outdir / "report.csv", REPORT_COLUMNS, report_rows)
+    if diag_rows:
+        _write_csv(outdir / "diagnostics.csv", DIAG_COLUMNS, diag_rows)
     for name, pairs in series_acc.items():
         lines = [f"{_fmt(a)}\t{_fmt(b)}\n" for a, b in pairs]
         (outdir / "plotdata" / f"{name}.tsv").write_text("".join(lines))

@@ -46,6 +46,7 @@ __all__ = [
     "NoOracle",
     "OracleNotConverged",
     "TestFunction",
+    "Derived",
     "const",
     "coord",
     "coord_sq",
@@ -248,6 +249,18 @@ class TestFunction:
         cfg = {"tag": self.tag}
         cfg.update({k: (list(v) if isinstance(v, (list, tuple, np.ndarray)) else v) for k, v in self.params.items()})
         return cfg
+
+
+@dataclass(frozen=True)
+class Derived:
+    """The integrand z -> op(f(z)) of a catalogue f (log f, f^2), which
+    the oracle refuses exactly when it refuses f."""
+
+    f: TestFunction
+    op: Callable
+
+    def __call__(self, z):
+        return self.op(self.f(z))
 
 
 def const(c: float) -> TestFunction:
@@ -473,6 +486,7 @@ def _require_resolved(variant: str, f: Callable, axes, tol: float) -> None:
     nodes above ``tol``: it falls between the nodes of every order alike,
     so their agreement says nothing.  Where they weigh less, the bump
     moves the value by less than the tolerance."""
+    f = f.f if isinstance(f, Derived) else f  # a derived integrand has f's bump
     width = getattr(f, "width", None)
     if width is None:
         return
@@ -557,9 +571,10 @@ def oracle_semigroup(M: ModelSpace, x, T: float, f: Callable) -> float:
     (eigenfunction series).  The Gaussian and half-space rules rise in
     order until two orders agree to 1e-10 relative, and raise
     OracleNotConverged when the highest does not, or when f is a bump
-    narrower than the node gap around its centre where the rule weighs
-    those nodes above the tolerance; the sphere rules are
-    fixed.  Each Gauss rule is built once per process (``_rule``).
+    (or a ``Derived`` integrand of one) narrower than the node gap around
+    its centre where the rule weighs those nodes above the tolerance; the
+    sphere rules are fixed.  Each Gauss rule is built once per process
+    (``_rule``).
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if isinstance(M, OrnsteinUhlenbeck):

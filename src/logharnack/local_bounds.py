@@ -177,11 +177,6 @@ class ReferenceFunction:
         if self.M.injectivity_radius <= self.domain.radius / INJ_MARGIN:
             raise GeometryError("cosine reference needs injectivity radius beyond the ball")
 
-    @property
-    def label(self) -> str:
-        r = self.domain.radius
-        return f"cosine(r={r})" if r != 1.0 else "cosine"
-
     def phi(self, z):
         return _cosine(self.M.distance(self.domain.center, z), self.domain.radius)
 

@@ -32,7 +32,6 @@ one ensemble per s, from x and every y_s of that s.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import (
+    Derived,
     NoOracle,
     TestFunction,
     _fd_gradient,
@@ -97,15 +97,17 @@ VERDICT_INVALID = "invalid"
 
 @dataclass
 class InequalityReport:
-    """LHS / RHS of one inequality instance with provenance."""
+    """LHS / RHS of one inequality instance.  ``config`` holds only the
+    keys of this instance that its checker's inputs do not name (the
+    sharpness rows' r); the runner writes the job's inputs with them."""
 
     tag: str
-    config: dict
     lhs: float
     rhs: float
     lhs_se: float = 0.0
     rhs_se: float = 0.0
     constants: LocalConstants = field(default_factory=LocalConstants)
+    config: dict = field(default_factory=dict)
 
     @property
     def margin(self) -> float:
@@ -127,27 +129,22 @@ class InequalityReport:
             return VERDICT_HOLDS
         return VERDICT_BAND
 
-    def config_hash(self) -> str:
-        payload = json.dumps(self.config, sort_keys=True, default=str)
-        return hashlib.sha1(payload.encode()).hexdigest()[:12]
-
     def to_row(self) -> dict:
         return {
             "tag": self.tag,
-            "config_hash": self.config_hash(),
             "lhs": self.lhs,
             "rhs": self.rhs,
             "margin": self.margin,
             "band": self.band,
             "verdict": self.verdict,
             "constants": json.dumps(self.constants.to_dict(), sort_keys=True),
-            "config": json.dumps(self.config, sort_keys=True, default=str),
         }
 
 
 def report_config(M: ModelSpace, **values) -> dict:
-    """The config of a report on M: its variant and ``values``, a point
-    as a list and a test function as its record."""
+    """The config of a job on M: its variant and ``values``, the
+    keywords of the job's call, a point as a list and a test function as
+    its record."""
     def entry(v):
         if isinstance(v, np.ndarray):
             return v.tolist()
@@ -169,7 +166,7 @@ def _lhs_log_harnack(M, x, y, T, f, use_oracle, n_paths, h, seed, correction=Tru
     without the correction the argument of the log is P_T f(x) alone (the
     oracle route always keeps it)."""
     if use_oracle:
-        a = oracle_semigroup(M, y, T, lambda z: np.log(f(z)))
+        a = oracle_semigroup(M, y, T, Derived(f, np.log))
         b = oracle_semigroup(M, x, T, f)
         one = oracle_semigroup(M, x, T, lambda z: np.ones(z.shape[:-1]))
         return a - math.log(b + 1.0 - one), 0.0
@@ -216,9 +213,7 @@ def check_log_harnack(
     lhs, lhs_se = _lhs_log_harnack(M, x, y, T, f, use_oracle, n_paths, h, master_seed, correction)
 
     consts = LocalConstants(K_D_rho=K_rho, c_D_phi=c_phi)
-    cfg = report_config(M, x=x, y=y, T=T, f=f, domain_radius=domain_radius, phi=phi.label, n_paths=n_paths,
-                        h=h, seed=master_seed, correction=correction)
-    return InequalityReport("log-harnack", cfg, lhs=lhs, rhs=rhs, lhs_se=lhs_se, constants=consts)
+    return InequalityReport("log-harnack", lhs=lhs, rhs=rhs, lhs_se=lhs_se, constants=consts)
 
 
 def check_log_harnack_local(
@@ -245,8 +240,7 @@ def check_log_harnack_local(
     consts = kappa(M, y, x=x)
     rhs = log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
     lhs, lhs_se = _lhs_log_harnack(M, x, y, t, f, use_oracle, n_paths, h, master_seed)
-    cfg = report_config(M, x=x, y=y, t=t, f=f, n_paths=n_paths, h=h, seed=master_seed)
-    return InequalityReport("log-harnack-local", cfg, lhs=lhs, rhs=rhs, lhs_se=lhs_se, constants=consts)
+    return InequalityReport("log-harnack-local", lhs=lhs, rhs=rhs, lhs_se=lhs_se, constants=consts)
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +275,7 @@ def check_gradient(
     if use_oracle:
         vals = np.array([oracle_semigroup(M, z, T, f) for z in starts])
         lhs = float(np.sum(((vals[0::2] - vals[1::2]) / (2 * eps)) ** 2))
-        var = oracle_semigroup(M, x, T, lambda z: f(z) ** 2) - oracle_semigroup(M, x, T, f) ** 2
+        var = oracle_semigroup(M, x, T, Derived(f, np.square)) - oracle_semigroup(M, x, T, f) ** 2
         lhs_se = var_se = 0.0
     else:
         # x is one more start of the finite-difference ensemble
@@ -297,9 +291,7 @@ def check_gradient(
     rhs = var * const
     rhs_se = var_se * const
     consts = LocalConstants(K_D=K_D, c_D_phi=c_phi)
-    cfg = report_config(M, x=x, T=T, f=f, domain_radius=domain_radius, phi=phi.label, n_paths=n_paths, h=h,
-                        seed=master_seed)
-    return InequalityReport("gradient", cfg, lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se, constants=consts)
+    return InequalityReport("gradient", lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se, constants=consts)
 
 
 # ----------------------------------------------------------------------
@@ -344,7 +336,7 @@ def check_harnack(
     if use_oracle:
         py = oracle_semigroup(M, y, T, f)
         px = oracle_semigroup(M, x, T, f)
-        py2 = oracle_semigroup(M, y, T, lambda z: f(z) ** 2)
+        py2 = oracle_semigroup(M, y, T, Derived(f, np.square))
         lhs, rhs = py, px + rho * root_const * math.sqrt(py2)
         lhs_se = rhs_se = 0.0
     else:
@@ -359,9 +351,7 @@ def check_harnack(
         rhs_se = 0.0
 
     consts = LocalConstants(K_D=K_D, c_D_phi=c_phi)
-    cfg = report_config(M, x=x, y=y, T=T, f=f, domain_radius=domain_radius, phi=phi.label, n_paths=n_paths,
-                        h=h, seed=master_seed)
-    return InequalityReport("harnack", cfg, lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se, constants=consts)
+    return InequalityReport("harnack", lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se, constants=consts)
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +368,7 @@ def check_kernel_lower_bound(M: ModelSpace, x, y, t: float) -> InequalityReport:
     cost = log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
     lhs = math.exp(-cost)  # the bound
     rhs = float(heat_kernel(M, x, y, 2.0 * t))  # the kernel must dominate it
-    return InequalityReport("kernel-lower", report_config(M, x=x, y=y, t=t), lhs=lhs, rhs=rhs, constants=consts)
+    return InequalityReport("kernel-lower", lhs=lhs, rhs=rhs, constants=consts)
 
 
 def check_entropy_bound(M: ModelSpace, y, t: float) -> InequalityReport:
@@ -393,7 +383,7 @@ def check_entropy_bound(M: ModelSpace, y, t: float) -> InequalityReport:
     consts.K_D = K_bar
     s = math.sqrt(min(t, 1.0))
     rhs = s * log_harnack_rate(K_bar, t, consts.kappa_y) + math.log(1.0 / mu_ball(M, y, s))
-    return InequalityReport("entropy", report_config(M, y=y, t=t), lhs=lhs, rhs=rhs, constants=consts)
+    return InequalityReport("entropy", lhs=lhs, rhs=rhs, constants=consts)
 
 
 def check_entropy_cost(M: ModelSpace, t: float, eps_tilt: float = 0.2) -> InequalityReport:
@@ -427,8 +417,7 @@ def check_entropy_cost(M: ModelSpace, t: float, eps_tilt: float = 0.2) -> Inequa
         return log_harnack_rhs(abs(shift), consts.K_xy, t, consts.kappa_y)
 
     rhs = float(np.sum(w * np.array([cost(float(p[0]), float(p[0]) + shift) for p in pts])))
-    cfg = report_config(M, t=t, eps_tilt=eps_tilt)
-    return InequalityReport("entropy-cost", cfg, lhs=lhs, rhs=rhs, constants=LocalConstants())
+    return InequalityReport("entropy-cost", lhs=lhs, rhs=rhs)
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +433,6 @@ class SharpnessReport:
     rows: list
     c_min: float
     c_min_se: float
-    config: dict
 
     def to_reports(self) -> list:
         out = []
@@ -456,21 +444,13 @@ class SharpnessReport:
             out.append(
                 InequalityReport(
                     "sharpness",
-                    {**self.config, "r": r["r"]},
                     lhs=abs(r["limit_mc"] - r["limit_exact"]),
                     rhs=0.05 * scale,
                     lhs_se=r["limit_se"],
+                    config={"r": r["r"]},
                 )
             )
-        out.append(
-            InequalityReport(
-                "sharpness-cmin",
-                self.config,
-                lhs=0.45,
-                rhs=self.c_min,
-                rhs_se=self.c_min_se,
-            )
-        )
+        out.append(InequalityReport("sharpness-cmin", lhs=0.45, rhs=self.c_min, rhs_se=self.c_min_se))
         return out
 
 
@@ -545,5 +525,4 @@ def sharpness_experiment(
         if 2.0 * limit_mc / v2 > best_c:
             best_c = 2.0 * limit_mc / v2
             best_c_se = 2.0 * limit_se / v2
-    cfg = report_config(M, x=x, f=f, n_paths=n_paths, seed=master_seed, s_grid=s_grid)
-    return SharpnessReport(rows=rows, c_min=best_c, c_min_se=best_c_se, config=cfg)
+    return SharpnessReport(rows=rows, c_min=best_c, c_min_se=best_c_se)

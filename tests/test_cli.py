@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -204,7 +205,7 @@ def test_invalid_verdict_gives_nonzero_exit(tmp_path, monkeypatch):
     from logharnack.verify import InequalityReport
 
     def nan_check(M, p, seed):
-        return JobResult(reports=[InequalityReport("entropy-cost", {}, lhs=float("nan"), rhs=1.0)])
+        return JobResult(reports=[InequalityReport("entropy-cost", lhs=float("nan"), rhs=1.0)])
 
     monkeypatch.setitem(CHECKS["entropy-cost"], "run", nan_check)
     out = tmp_path / "out"
@@ -583,7 +584,7 @@ def test_left_out_optional_keys_take_the_signature_defaults(tmp_path):
     fitted = max(max(0.0, abs(e.mean - rv) - 3.0 * e.stderr) / t for t, e, rv in zip(t_grid, ests, ref))
     assert (row["lhs"], row["rhs"]) == (_fmt(fitted), _fmt(5.0))
     assert json.loads(row["config"]) == {"variant": "half_space", "x": [0.0], "t_grid": t_grid,
-                                         "n_paths": 100_000, "h": 1e-4, "seed": job_seed}
+                                         "n_paths": 100_000, "h": 1e-4, "r": 1.0, "c2_max": 5.0, "seed": job_seed}
     assert (out / "plotdata" / "local-time.tsv").read_text() == "".join(
         f"{_fmt(t)}\t{_fmt(e.mean - rv)}\n" for t, e, rv in zip(t_grid, ests, ref))
 
@@ -737,3 +738,74 @@ def test_unconverged_oracle_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "precondition error: job 0 (gradient): euclidean oracle quadrature did not converge: ")
     assert not (tmp_path / "out").exists()
+
+
+# ----------------------------------------------------------------------
+# Row configs: a row's config is the call its job made
+# ----------------------------------------------------------------------
+
+EXP1 = {"tag": "coord_exp", "a": [1.0]}
+COORD0 = {"tag": "coord", "i": 0}
+MC_DEFAULTS = {"n_paths": 20_000, "h": 0.01, "use_oracle": False, "domain_radius": 1.0}
+
+# (tag, model, the required keys as read, every optional key at its
+# signature default)
+LEFT_OUT = [
+    ("log-harnack", OU1, dict(x=[0.0], y=[0.3], T=0.5, f=EXP1), dict(MC_DEFAULTS, correction=True)),
+    ("log-harnack-local", OU1, dict(x=[0.0], y=[0.3], t=0.5, f=EXP1),
+     {k: MC_DEFAULTS[k] for k in ("n_paths", "h", "use_oracle")}),
+    ("gradient", OU1, dict(x=[0.2], T=0.5, f=COORD0), MC_DEFAULTS),
+    ("harnack", OU1, dict(x=[0.0], y=[0.3], T=0.5, f={"tag": "gauss_bump", "center": [0.3], "width": 0.5, "amp": 1.0}),
+     MC_DEFAULTS),
+    ("kernel-lower", OU1, dict(x=[0.0], y=[0.4], t=0.3), {}),
+    ("entropy", OU1, dict(y=[0.4], t=0.3), {}),
+    ("entropy-cost", OU1, dict(t=0.3), {"eps_tilt": 0.2}),
+    ("coupling-diagnostics", E1, dict(x=[0.0], y=[0.2], T=0.005), {"n_paths": 20_000, "h": 1e-3, "domain_radius": 1.0}),
+    ("local-time", HALF1_MODEL, dict(x=[0.0], t_grid=[0.001, 0.002]),
+     {"n_paths": 100_000, "h": 1e-4, "r": 1.0, "c2_max": 5.0}),
+    ("generator", OU1, dict(x=[1.0], g=COORD0), {"n_paths": 200_000, "h": 2e-3}),
+    ("sharpness", E1, dict(x=[0.0], f={"tag": "log_bump", "center": [0.5], "width": 1.0, "amp": 1.0}),
+     {"n_paths": 1_000_000}),
+]
+
+
+def test_left_out_covers_every_tag():
+    assert sorted(c[0] for c in LEFT_OUT) == sorted(CHECKS)
+
+
+@pytest.mark.parametrize("tag,model,grid,defaults", LEFT_OUT, ids=[c[0] for c in LEFT_OUT])
+def test_row_config_is_the_call_of_its_job(tmp_path, tag, model, grid, defaults):
+    assert (set(grid), set(defaults)) == (set(CHECKS[tag]["required"]), set(CHECKS[tag]["optional"]))
+    out, job_seed = _one_job(tmp_path, model, tag, grid)
+    expected = {"variant": model["variant"], **grid, **defaults}
+    if "n_paths" in defaults:  # a Monte Carlo job: master_seed is the job seed
+        expected["seed"] = job_seed
+    rows = _csv_rows(out / "report.csv")
+    configs = [json.loads(row["config"]) for row in rows]
+    assert [row["config_hash"] for row in rows] == [
+        hashlib.sha1(row["config"].encode()).hexdigest()[:12] for row in rows]
+    # the sharpness rows add their own r
+    assert [c.pop("r") for c, row in zip(configs, rows) if row["tag"] == "sharpness"] == (
+        list(V.SHARPNESS_R) if tag == "sharpness" else [])
+    if tag == "coupling-diagnostics":  # no report row: the config its job built
+        exp = ExperimentConfig.from_file(tmp_path / "exp.yaml")
+        [(_, _, params)] = exp.jobs()
+        configs = [CHECKS[tag]["run"](exp.space, params, job_seed).config]
+    assert configs and all(c == expected for c in configs)
+
+
+# a row's config names every input behind it: rows that differ in one
+# input get two config_hash values
+@pytest.mark.parametrize("tag,model,grid,key,values", [
+    ("log-harnack", E1, dict(x=[0.0], y=[0.3], T=0.5, f=EXP1, n_paths=2000), "use_oracle", (False, True)),
+    ("generator", OU1, dict(x=[1.0], g=COORD0), "n_paths", (1000, 2000)),
+    ("local-time", HALF1_MODEL, dict(x=[0.0], t_grid=[0.001, 0.002], n_paths=1000), "r", (1.0, 0.5)),
+], ids=["log-harnack-use_oracle", "generator-n_paths", "local-time-r"])
+def test_rows_that_differ_in_one_input_differ_in_config_hash(tmp_path, tag, model, grid, key, values):
+    rows = []
+    for value in values:
+        out, _ = _one_job(tmp_path, model, tag, dict(grid, **{key: value}))
+        rows += _csv_rows(out / "report.csv")
+    configs = [json.loads(row["config"]) for row in rows]
+    assert [c.pop(key) for c in configs] == list(values) and configs[0] == configs[1]
+    assert rows[0]["config_hash"] != rows[1]["config_hash"]

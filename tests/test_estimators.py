@@ -283,6 +283,29 @@ def test_oracle_refuses_a_bump_narrower_than_its_node_gap():
         1.0 + 0.25 * 0.7 / math.sqrt(s2) * math.exp(-0.01 / (2.0 * s2)), rel=1e-12)
 
 
+@pytest.mark.parametrize("check", [V.check_log_harnack, V.check_log_harnack_local])
+def test_oracle_refuses_the_log_of_a_narrow_bump(check):
+    # the log f side of the oracle log-Harnack checks at y = 0: every order
+    # reads 0 to 1e-15 between the nodes around the width-0.02 bump, while
+    # the true P_T log f(0) is 0.0086; it is refused like f itself
+    f = E.one_plus_bump([0.0], 0.02, b=0.5)
+    with pytest.raises(E.OracleNotConverged, match="node gap .* exceeds its width 0.02"):
+        E.oracle_semigroup(G.Euclidean(1), [0.0], 0.5, f)
+    kw = {"domain_radius": 9.0} if check is V.check_log_harnack else {}
+    with pytest.raises(E.OracleNotConverged, match="node gap .* exceeds its width 0.02"):
+        check(G.Euclidean(1), [8.0], [0.0], 0.5, f, use_oracle=True, **kw)
+
+
+@pytest.mark.parametrize("op", [np.log, np.square], ids=["log f", "f^2"])
+def test_oracle_refuses_a_derived_integrand_exactly_when_it_refuses_f(op):
+    M = G.Euclidean(1)
+    narrow, wide = E.one_plus_bump([0.0], 0.02, b=0.5), E.one_plus_bump([0.0], 0.7, b=0.5)
+    with pytest.raises(E.OracleNotConverged, match="exceeds its width 0.02"):
+        E.oracle_semigroup(M, [0.0], 0.5, E.Derived(narrow, op))
+    assert E.oracle_semigroup(M, [0.0], 0.5, E.Derived(wide, op)) == E.oracle_semigroup(
+        M, [0.0], 0.5, lambda z: op(wide(z)))
+
+
 def test_oracle_keeps_a_narrow_bump_the_rule_barely_weighs():
     # at sigma = 1 a width-0.3 bump at 8 sits in a node gap of 0.349 at
     # order 96, but the rule weighs the two nodes around it 1.7e-14, below

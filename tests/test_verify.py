@@ -15,14 +15,14 @@ from logharnack import verify as V
 
 
 def test_verdict_logic():
-    rep = V.InequalityReport("t", {}, lhs=0.0, rhs=1.0)
+    rep = V.InequalityReport("t", lhs=0.0, rhs=1.0)
     assert rep.verdict == "holds"
-    rep = V.InequalityReport("t", {}, lhs=1.0, rhs=0.0, lhs_se=0.5)
+    rep = V.InequalityReport("t", lhs=1.0, rhs=0.0, lhs_se=0.5)
     assert rep.verdict == "holds-within-band"
-    rep = V.InequalityReport("t", {}, lhs=1.0, rhs=0.0, lhs_se=0.01)
+    rep = V.InequalityReport("t", lhs=1.0, rhs=0.0, lhs_se=0.01)
     assert rep.verdict == "violated"
     # violated only when margin < -band
-    rep = V.InequalityReport("t", {}, lhs=1.0, rhs=0.98, lhs_se=0.01)
+    rep = V.InequalityReport("t", lhs=1.0, rhs=0.98, lhs_se=0.01)
     assert rep.verdict != "violated"
 
 
@@ -33,16 +33,16 @@ def test_verdict_logic():
     (0.0, 1.0, math.inf),          # infinite band
 ])
 def test_non_finite_report_is_invalid(lhs, rhs, lhs_se):
-    rep = V.InequalityReport("t", {}, lhs=lhs, rhs=rhs, lhs_se=lhs_se)
+    rep = V.InequalityReport("t", lhs=lhs, rhs=rhs, lhs_se=lhs_se)
     assert rep.verdict == V.VERDICT_INVALID == "invalid"
     assert rep.to_row()["verdict"] == "invalid"
 
 
 def test_report_row_serialisation():
-    rep = V.InequalityReport("t", {"a": 1}, lhs=0.0, rhs=1.0)
-    row = rep.to_row()
-    assert set(row) >= {"tag", "config_hash", "lhs", "rhs", "margin", "band", "verdict"}
-    assert rep.config_hash() == rep.config_hash()
+    # config and config_hash are runner columns (cli.run): it writes the
+    # job's inputs merged with the report's own keys
+    rep = V.InequalityReport("t", lhs=0.0, rhs=1.0, config={"r": 1.5})
+    assert set(rep.to_row()) == {"tag", "lhs", "rhs", "margin", "band", "verdict", "constants"}
 
 
 # ----------------------------------------------------------------------
