@@ -15,7 +15,7 @@ from .geometry import (
     Sphere,
     model_from_config,
 )
-from .local_bounds import DomainSpec, LocalConstants, ReferenceFunction, cosine_reference
+from .local_bounds import DomainSpec, ReferenceFunction, cosine_reference
 from .stats import MonteCarloEstimate
 
 # glibc malloc maps blocks above its mmap threshold (128 KiB at start)
@@ -46,7 +46,6 @@ __all__ = [
     "model_from_config",
     "DomainSpec",
     "ReferenceFunction",
-    "LocalConstants",
     "cosine_reference",
     "MonteCarloEstimate",
     "__version__",

@@ -49,7 +49,7 @@ from .local_bounds import (
     _cosine,
     c_D,
     cosine_reference,
-    enlarged_K,
+    K_of_domain,
     log_harnack_rhs,
     K_ZERO_TOL,
 )
@@ -138,7 +138,7 @@ def standard_coupling_config(
         x=x,
         y=y,
         domain_radius=domain_radius,
-        K_D_rho=enlarged_K(M, x, y, phi.domain),
+        K_D_rho=K_of_domain(M, y, domain_radius + rho0),
         c_D_phi=c_D(M, phi),
         eps_couple=eps_couple,
         rho0=rho0,

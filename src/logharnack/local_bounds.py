@@ -1,11 +1,13 @@
 """Local geometry constants over bounded domains.
 
-Provides the pointwise curvature bound K, its supremum over a domain and
-over enlarged domains, the cosine reference function phi = cos(pi rho(y,
-.) / 2r) on the ball D = B(y, r), the constant c_D(phi) = sup_D
+Provides the supremum ``K_of_domain(M, y, r)`` of the pointwise
+curvature bound K over a ball B(y, r) (its rho-enlargement is the ball
+B(y, r + rho)), the cosine reference function phi = cos(pi rho(y, .) /
+2r) on the ball D = B(y, r), the constant c_D(phi) = sup_D
 {5|grad phi|^2 - phi L phi}, the assembled constant kappa(y) that
-dominates c_D, and the log-Harnack bound ``log_harnack_rhs`` built from
-them, which the checkers and the coupling share.
+dominates c_D, returned with its ingredients as a dict by name, and the
+log-Harnack bound ``log_harnack_rhs`` built from them, which the
+checkers and the coupling share.
 
 phi is the only reference function: it is positive inside D and vanishes
 on the boundary of D by construction, and N phi >= 0 holds on the convex
@@ -32,19 +34,16 @@ from .geometry import (
     GeometryError,
     HalfSpace,
     ModelSpace,
-    _arr,
 )
 
 __all__ = [
     "DomainSpec",
     "ReferenceFunction",
-    "LocalConstants",
     "harnack_rate",
     "entropy_gain",
     "log_harnack_rate",
     "log_harnack_rhs",
     "K_of_domain",
-    "enlarged_K",
     "c_D",
     "cosine_reference",
     "kappa",
@@ -102,8 +101,29 @@ def log_harnack_rhs(rho: float, K: float, T: float, c: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Domains
+# The curvature bound over a ball
 # ----------------------------------------------------------------------
+
+
+def K_of_domain(M: ModelSpace, y, r: float) -> float:
+    """sup of pointwise_K over the ball B(y, r), in the closed form every
+    variant has; r must be positive and below the injectivity radius."""
+    if not r > 0:  # NaN too: checkers rely on y in B(y, r)
+        raise ValueError("radius must be > 0")
+    if r >= M.injectivity_radius:
+        raise GeometryError("domain radius must stay below the injectivity radius")
+    return float(M.sup_pointwise_K_ball(y, r))
+
+
+# ----------------------------------------------------------------------
+# The cosine reference function and c_D
+# ----------------------------------------------------------------------
+
+
+def _cosine(rho, radius: float):
+    """The cosine profile cos(pi rho / (2 radius)) at distances rho."""
+    a = 0.5 * np.pi / radius
+    return np.cos(a * rho)
 
 
 @dataclass(frozen=True)
@@ -117,45 +137,6 @@ class DomainSpec:
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
         if not self.radius > 0:  # NaN too: checkers rely on c in B(c, r)
             raise ValueError("radius must be > 0")
-
-    def validate(self, M: ModelSpace):
-        if self.radius >= M.injectivity_radius:
-            raise GeometryError("domain radius must stay below the injectivity radius")
-
-    def contains(self, M: ModelSpace, pts) -> np.ndarray:
-        return M.distance(self.center, pts) < self.radius
-
-    def enlarged(self, r: float) -> "DomainSpec":
-        """The r-enlargement; for a metric ball this is radius + r."""
-        return DomainSpec(self.center, self.radius + r)
-
-
-# ----------------------------------------------------------------------
-# Pointwise and domain-level curvature bounds
-# ----------------------------------------------------------------------
-
-
-def K_of_domain(M: ModelSpace, D: DomainSpec) -> float:
-    """sup of pointwise_K over D, in the closed form every variant has."""
-    D.validate(M)
-    return float(M.sup_pointwise_K_ball(D.center, D.radius))
-
-
-def enlarged_K(M: ModelSpace, x, y, D: DomainSpec) -> float:
-    """K over the enlargement of D by the distance between x and y."""
-    rho = float(M.distance(_arr(x), _arr(y)))
-    return K_of_domain(M, D.enlarged(rho))
-
-
-# ----------------------------------------------------------------------
-# The cosine reference function and c_D
-# ----------------------------------------------------------------------
-
-
-def _cosine(rho, radius: float):
-    """The cosine profile cos(pi rho / (2 radius)) at distances rho."""
-    a = 0.5 * np.pi / radius
-    return np.cos(a * rho)
 
 
 @dataclass(frozen=True)
@@ -294,39 +275,22 @@ def _c_D_sup(M: ModelSpace, ref: ReferenceFunction) -> float:
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class LocalConstants:
-    """Constants attached to an inequality check for provenance."""
-
-    K_D: float = math.nan
-    K_D_rho: float = math.nan
-    c_D_phi: float = math.nan
-    kappa_y: float = math.nan
-    K_y: float = math.nan
-    K_y0: float = math.nan
-    b_y: float = math.nan
-    K_xy: float = math.nan
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if not math.isnan(v)}
-
-
-def kappa(M: ModelSpace, y, x=None) -> LocalConstants:
+def kappa(M: ModelSpace, y, x=None) -> dict:
     """kappa(y) = K_y + pi^2 (d+3)/4 + pi (b_y + sqrt(K_y^0 (d-1)) / 2)
-    together with its ingredients; K_xy is filled when x is given."""
+    with its ingredients, by name: kappa_y, K_y, K_y0, b_y, and, when x
+    is given, K_xy = K over B(y, 1 + rho(x, y))."""
     if M.injectivity_radius <= 1.0 / INJ_MARGIN:
         raise GeometryError("kappa needs injectivity radius > 1")
     y = np.asarray(y, dtype=float)
-    unit_ball = DomainSpec(y, 1.0)
-    K_y = max(0.0, K_of_domain(M, unit_ball))
+    K_y = max(0.0, K_of_domain(M, y, 1.0))
     # -Ric is constant on every catalogue variant, so the sup over the
     # unit ball is the pointwise value.
     K_y0 = max(0.0, float(M.max_neg_ricci(y)))
     b_y = float(M.sup_drift_norm_ball(y, 1.0))
     d = M.dim
     kap = K_y + np.pi**2 * (d + 3) / 4 + np.pi * (b_y + 0.5 * math.sqrt(K_y0 * (d - 1)))
-    out = LocalConstants(kappa_y=float(kap), K_y=K_y, K_y0=K_y0, b_y=b_y)
+    out = {"kappa_y": float(kap), "K_y": K_y, "K_y0": K_y0, "b_y": b_y}
     if x is not None:
         rho = float(M.distance(np.asarray(x, dtype=float), y))
-        out.K_xy = K_of_domain(M, DomainSpec(y, 1.0 + rho))
+        out["K_xy"] = K_of_domain(M, y, 1.0 + rho)
     return out

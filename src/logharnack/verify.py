@@ -14,8 +14,11 @@ or x for the gradient check), with the cosine reference phi on D, so the
 start lies in D by construction and phi(c) = cos 0 = 1.  Every right-hand
 side takes its bound from ``local_bounds.log_harnack_rhs``, with c =
 c_D(phi) or kappa(y), or, without the rho^2/2 factor (gradient, Harnack,
-entropy), its rate ``log_harnack_rate``.  A checker's keywords are the
-grid keys of its CLI tag.
+entropy), its rate ``log_harnack_rate``.  A report's ``constants`` is
+the dict of what built its right side, by name: K over D (``K_D``), or
+over its rho-enlargement B(y, r + rho) (``K_D_rho``), and ``c_D_phi``
+for the domain checkers; ``kappa``'s dict for the local ones.  A
+checker's keywords are the grid keys of its CLI tag.
 
 Monte Carlo sides run one ensemble per check, its start points sharing
 the noise: log-Harnack and Harnack from y and x, the gradient check from
@@ -53,11 +56,8 @@ from .estimators import (
 )
 from .geometry import INJ_MARGIN, ModelSpace, OrnsteinUhlenbeck
 from .local_bounds import (
-    DomainSpec,
-    LocalConstants,
     c_D,
     cosine_reference,
-    enlarged_K,
     kappa,
     K_of_domain,
     log_harnack_rate,
@@ -106,7 +106,7 @@ class InequalityReport:
     rhs: float
     lhs_se: float = 0.0
     rhs_se: float = 0.0
-    constants: LocalConstants = field(default_factory=LocalConstants)
+    constants: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
 
     @property
@@ -137,7 +137,7 @@ class InequalityReport:
             "margin": self.margin,
             "band": self.band,
             "verdict": self.verdict,
-            "constants": json.dumps(self.constants.to_dict(), sort_keys=True),
+            "constants": json.dumps(self.constants, sort_keys=True),
         }
 
 
@@ -206,13 +206,13 @@ def check_log_harnack(
     y = np.atleast_1d(np.asarray(y, dtype=float))
     phi = cosine_reference(M, y, radius=domain_radius)
     rho = float(M.distance(x, y))
-    K_rho = enlarged_K(M, x, y, phi.domain)
+    K_rho = K_of_domain(M, y, domain_radius + rho)
     c_phi = c_D(M, phi)
     rhs = log_harnack_rhs(rho, K_rho, T, c_phi)  # phi(y) = 1
 
     lhs, lhs_se = _lhs_log_harnack(M, x, y, T, f, use_oracle, n_paths, h, master_seed, correction)
 
-    consts = LocalConstants(K_D_rho=K_rho, c_D_phi=c_phi)
+    consts = {"K_D_rho": K_rho, "c_D_phi": c_phi}
     return InequalityReport("log-harnack", lhs=lhs, rhs=rhs, lhs_se=lhs_se, constants=consts)
 
 
@@ -238,7 +238,7 @@ def check_log_harnack_local(
     if M.injectivity_radius <= (1.0 + rho) / INJ_MARGIN:
         raise ValueError("needs injectivity radius beyond 1 + rho(x, y)")
     consts = kappa(M, y, x=x)
-    rhs = log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
+    rhs = log_harnack_rhs(rho, consts["K_xy"], t, consts["kappa_y"])
     lhs, lhs_se = _lhs_log_harnack(M, x, y, t, f, use_oracle, n_paths, h, master_seed)
     return InequalityReport("log-harnack-local", lhs=lhs, rhs=rhs, lhs_se=lhs_se, constants=consts)
 
@@ -266,7 +266,7 @@ def check_gradient(
     vector."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     phi = cosine_reference(M, x, radius=domain_radius)
-    K_D = K_of_domain(M, phi.domain)
+    K_D = K_of_domain(M, x, domain_radius)
     c_phi = c_D(M, phi)
     const = log_harnack_rate(K_D, T, c_phi)  # phi(x) = 1
     eps = 1e-3
@@ -290,7 +290,7 @@ def check_gradient(
 
     rhs = var * const
     rhs_se = var_se * const
-    consts = LocalConstants(K_D=K_D, c_D_phi=c_phi)
+    consts = {"K_D": K_D, "c_D_phi": c_phi}
     return InequalityReport("gradient", lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se, constants=consts)
 
 
@@ -326,9 +326,9 @@ def check_harnack(
     # rho(y, .) falls linearly from rho(x, y) to 0 along the minimal
     # geodesic, so it stays in D = B(y, r) iff x does, and the infimum of
     # the decreasing profile phi over it is phi(x)
-    if not phi.domain.contains(M, x):
+    if not M.distance(y, x) < domain_radius:
         raise GeodesicLeavesDomain("minimal geodesic must stay inside D")
-    K_D = K_of_domain(M, phi.domain)
+    K_D = K_of_domain(M, y, domain_radius)
     c_phi = c_D(M, phi)
     const = log_harnack_rate(K_D, T, c_phi, float(phi.phi(x)))
     root_const = math.sqrt(const)
@@ -345,12 +345,15 @@ def check_harnack(
         m2 = float(np.mean(fy**2))
         rhs = float(np.mean(fx)) + rho * root_const * math.sqrt(m2)
         # the starts share noise; fold the correlated-margin
-        # stderr into the lhs slot so the band reflects the pairing
-        margin_lin = fx - fy + rho * root_const * fy**2 / (2.0 * math.sqrt(m2))
+        # stderr into the lhs slot so the band reflects the pairing.  With
+        # m2 = 0 every f(X_T) at y is 0, and so is the term of sqrt(m2)
+        margin_lin = fx - fy
+        if m2 > 0:
+            margin_lin = margin_lin + rho * root_const * fy**2 / (2.0 * math.sqrt(m2))
         lhs_se = estimate_from_values(margin_lin).stderr
         rhs_se = 0.0
 
-    consts = LocalConstants(K_D=K_D, c_D_phi=c_phi)
+    consts = {"K_D": K_D, "c_D_phi": c_phi}
     return InequalityReport("harnack", lhs=lhs, rhs=rhs, lhs_se=lhs_se, rhs_se=rhs_se, constants=consts)
 
 
@@ -365,7 +368,7 @@ def check_kernel_lower_bound(M: ModelSpace, x, y, t: float) -> InequalityReport:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     rho = float(M.distance(x, y))
     consts = kappa(M, y, x=x)
-    cost = log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
+    cost = log_harnack_rhs(rho, consts["K_xy"], t, consts["kappa_y"])
     lhs = math.exp(-cost)  # the bound
     rhs = float(heat_kernel(M, x, y, 2.0 * t))  # the kernel must dominate it
     return InequalityReport("kernel-lower", lhs=lhs, rhs=rhs, constants=consts)
@@ -379,10 +382,9 @@ def check_entropy_bound(M: ModelSpace, y, t: float) -> InequalityReport:
         raise ValueError("entropy bound checker covers conservative variants")
     lhs = kernel_entropy(M, y, t)
     consts = kappa(M, y)
-    K_bar = K_of_domain(M, DomainSpec(y, 2.0))
-    consts.K_D = K_bar
+    K_bar = consts["K_D"] = K_of_domain(M, y, 2.0)
     s = math.sqrt(min(t, 1.0))
-    rhs = s * log_harnack_rate(K_bar, t, consts.kappa_y) + math.log(1.0 / mu_ball(M, y, s))
+    rhs = s * log_harnack_rate(K_bar, t, consts["kappa_y"]) + math.log(1.0 / mu_ball(M, y, s))
     return InequalityReport("entropy", lhs=lhs, rhs=rhs, constants=consts)
 
 
@@ -414,7 +416,7 @@ def check_entropy_cost(M: ModelSpace, t: float, eps_tilt: float = 0.2) -> Inequa
     # quantile coupling: Y = X + shift under the comonotone pairing
     def cost(xv, yv):
         consts = kappa(M, np.array([yv]), x=np.array([xv]))
-        return log_harnack_rhs(abs(shift), consts.K_xy, t, consts.kappa_y)
+        return log_harnack_rhs(abs(shift), consts["K_xy"], t, consts["kappa_y"])
 
     rhs = float(np.sum(w * np.array([cost(float(p[0]), float(p[0]) + shift) for p in pts])))
     return InequalityReport("entropy-cost", lhs=lhs, rhs=rhs)

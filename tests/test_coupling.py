@@ -197,7 +197,7 @@ def test_sphere_coupled_step_geometry_budget(monkeypatch):
 ], ids=["sphere-2", "hyperbolic-2", "euclidean_ball-2"])
 def test_coupled_step_phi_and_stops_equal_reference_and_domain(M, y):
     # phi(Y') and Y' in D come from one distance in the step; they must
-    # be the cosine reference's phi and DomainSpec.contains bit for bit
+    # be the cosine reference's phi and rho(y, Y') < r bit for bit
     y, r, n = np.asarray(y), 0.5, 400
     rng = np.random.default_rng(5)
 
@@ -212,12 +212,12 @@ def test_coupled_step_phi_and_stops_equal_reference_and_domain(M, y):
     # stepped point the checks saw
     cfg = C.CouplingConfig(h=1e-3, T=1.0, x=X[0], y=y, domain_radius=r, K_D_rho=0.0,
                            c_D_phi=0.0, eps_couple=0.01, rho0=0.1)
-    ref, D = LB.cosine_reference(M, y, r), LB.DomainSpec(y, r)
+    ref = LB.cosine_reference(M, y, r)
     pairs = C._Pairs(X, Y, M.distance(X, Y), ref.phi(Y), np.zeros(n), np.zeros(n, dtype=bool))
     p, theta = C._coupled_step(M, cfg, cfg.h_eff, 0.0, pairs, rng.standard_normal((n, M.noise_width)))
     phi = ref.phi(p.Y)
     expected = np.select(
-        [(phi <= cfg.phi_floor) | ~D.contains(M, p.Y), ~D.enlarged(cfg.rho0).contains(M, p.X),
+        [(phi <= cfg.phi_floor) | ~(M.distance(y, p.Y) < r), ~(M.distance(y, p.X) < r + cfg.rho0),
          p.rho <= cfg.eps_couple],
         [C.THETA_BOUNDARY_Y, C.THETA_EXIT_X, C.THETA_COUPLED], C.THETA_NONE,
     )

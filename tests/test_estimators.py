@@ -261,6 +261,18 @@ def test_catalogue_bumps_expose_their_width():
     assert all(f.width is None for f in (E.const(1.0), E.coord(0), E.coord_sq(0), E.coord_exp([1.0])))
 
 
+def test_log_f_is_closed_form_for_a_gauss_bump_only():
+    # 60 widths out f underflows to 0; log f = log amp - d^2 / (2 w^2)
+    z = np.array([[0.0, 6.0], [0.3, 0.4]])
+    g = E.gauss_bump([0.0, 0.0], 0.1, amp=2.0)
+    assert g(z)[0] == 0.0
+    assert g.log(z) == pytest.approx(math.log(2.0) - np.array([1800.0, 12.5]), rel=1e-14)
+    assert np.array_equal(E.Derived(g, np.log)(z), g.log(z))
+    for f in (E.const(2.0), E.coord_exp([1.0, -0.5]), E.one_plus_bump([0.1, 0.0], 0.3), E.log_bump([0.0, 0.2], 0.8)):
+        assert np.array_equal(f.log(z), np.log(f(z)))
+        assert np.array_equal(E.Derived(f, np.log)(z), np.log(f(z)))
+
+
 def test_oracle_refuses_a_bump_narrower_than_its_node_gap():
     # sigma = 10: every Gauss-Hermite order leaves a gap of about 3 around
     # the centre, so all of them read 1.0 to 1e-15 and agree; the true value is

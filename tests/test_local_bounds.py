@@ -58,41 +58,42 @@ def test_pointwise_K_values():
 
 def test_K_of_domain_constant_curvature():
     M = G.Sphere(2, 1.0)
-    D = LB.DomainSpec(np.array([0.0, 0.0, 1.0]), 0.7)
-    assert LB.K_of_domain(M, D) == pytest.approx(-1.0)
+    assert LB.K_of_domain(M, np.array([0.0, 0.0, 1.0]), 0.7) == pytest.approx(-1.0)
 
 
 def test_K_of_domain_explosive():
     M = G.ExplosiveDrift1D()
-    D = LB.DomainSpec(np.array([0.0]), 2.0)
-    assert LB.K_of_domain(M, D) == pytest.approx(12.0)
+    assert LB.K_of_domain(M, np.array([0.0]), 2.0) == pytest.approx(12.0)
 
 
 def test_K_of_domain_euclidean_zero():
-    assert LB.K_of_domain(G.Euclidean(1), LB.DomainSpec(np.array([0.0]), 1.0)) == 0.0
+    assert LB.K_of_domain(G.Euclidean(1), np.array([0.0]), 1.0) == 0.0
 
 
 def test_enlarged_K_monotone_and_value():
+    # the rho-enlargement of B(y, r) is B(y, r + rho)
     M = G.ExplosiveDrift1D()
-    D = LB.DomainSpec(np.array([0.0]), 1.0)
-    base = LB.K_of_domain(M, D)
-    val = LB.enlarged_K(M, [0.0], [1.0], D)
+    base = LB.K_of_domain(M, [0.0], 1.0)
+    val = LB.K_of_domain(M, [0.0], 1.0 + float(M.distance(np.array([1.0]), np.array([0.0]))))
     assert val == pytest.approx(12.0)  # sup of 3 x^2 over (-2, 2)
     assert val >= base
     # constant-curvature model: enlargement changes nothing
     Ms = G.Sphere(2, 1.0)
-    Ds = LB.DomainSpec(np.array([0.0, 0.0, 1.0]), 0.5)
-    y = Ms.exp(np.array([0.0, 0.0, 1.0]), 0.3 * Ms.frame(np.array([0.0, 0.0, 1.0]))[0])
-    assert LB.enlarged_K(Ms, [0.0, 0.0, 1.0], y, Ds) == pytest.approx(-1.0)
+    c = np.array([0.0, 0.0, 1.0])
+    y = Ms.exp(c, 0.3 * Ms.frame(c)[0])
+    assert LB.K_of_domain(Ms, c, 0.5 + float(Ms.distance(y, c))) == pytest.approx(-1.0)
 
 
 def test_domain_spec_validation():
-    with pytest.raises(ValueError):
-        LB.DomainSpec(np.array([0.0]), -1.0)
-    with pytest.raises(ValueError):
-        LB.DomainSpec(np.array([0.0]), float("nan"))
+    for r in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError):
+            LB.K_of_domain(G.Euclidean(1), np.array([0.0]), r)
+        with pytest.raises(ValueError):
+            LB.DomainSpec(np.array([0.0]), r)
     with pytest.raises(G.GeometryError):
-        LB.DomainSpec(np.array([0.0, 0.0, 1.0]), 4.0).validate(G.Sphere(2, 1.0))
+        LB.K_of_domain(G.Sphere(2, 1.0), np.array([0.0, 0.0, 1.0]), 4.0)
+    with pytest.raises(G.GeometryError):
+        LB.K_of_domain(G.Sphere(2, 1.0), np.array([0.0, 0.0, 1.0]), G.Sphere(2, 1.0).injectivity_radius)
 
 
 # ----------------------------------------------------------------------
@@ -346,33 +347,33 @@ def test_cosine_reference_scaled_radius():
 
 def test_kappa_euclidean():
     out = LB.kappa(G.Euclidean(2), np.array([0.0, 0.0]))
-    assert out.K_y == 0.0
-    assert out.K_y0 == 0.0
-    assert out.b_y == 0.0
-    assert out.kappa_y == pytest.approx(np.pi**2 * 5 / 4)
+    assert out["K_y"] == 0.0
+    assert out["K_y0"] == 0.0
+    assert out["b_y"] == 0.0
+    assert out["kappa_y"] == pytest.approx(np.pi**2 * 5 / 4)
 
 
 def test_kappa_sphere_matches_euclidean_value():
     out = LB.kappa(G.Sphere(2, 1.0), np.array([0.0, 0.0, 1.0]))
-    assert out.K_y == 0.0  # 0 v (-1)
-    assert out.K_y0 == 0.0
-    assert out.kappa_y == pytest.approx(np.pi**2 * 5 / 4)
+    assert out["K_y"] == 0.0  # 0 v (-1)
+    assert out["K_y0"] == 0.0
+    assert out["kappa_y"] == pytest.approx(np.pi**2 * 5 / 4)
 
 
 def test_kappa_hyperbolic_components():
     out = LB.kappa(G.Hyperbolic(), np.array([0.0, 1.0]))
-    assert out.K_y == pytest.approx(1.0)
-    assert out.K_y0 == pytest.approx(1.0)
-    assert out.b_y == 0.0
+    assert out["K_y"] == pytest.approx(1.0)
+    assert out["K_y0"] == pytest.approx(1.0)
+    assert out["b_y"] == 0.0
     expect = 1.0 + np.pi**2 * 5 / 4 + np.pi * 0.5 * math.sqrt(1.0)
-    assert out.kappa_y == pytest.approx(expect)
+    assert out["kappa_y"] == pytest.approx(expect)
 
 
 def test_kappa_ou_drift_sup():
     out = LB.kappa(G.OrnsteinUhlenbeck(1, 2.0), np.array([0.5]))
-    assert out.b_y == pytest.approx(2.0 * 1.5)
-    assert out.K_y == 0.0
-    assert out.kappa_y == pytest.approx(np.pi**2 + np.pi * 3.0)
+    assert out["b_y"] == pytest.approx(2.0 * 1.5)
+    assert out["K_y"] == 0.0
+    assert out["kappa_y"] == pytest.approx(np.pi**2 + np.pi * 3.0)
 
 
 BOUNDARYLESS = [
@@ -392,7 +393,7 @@ def test_kappa_dominates_four_coefficient_supremum():
     for M, y in BOUNDARYLESS:
         consts = LB.kappa(M, y)
         c4 = polar_grid_sup(M, LB.cosine_reference(M, y), coef=4.0)
-        assert consts.kappa_y >= c4 - 1e-6, (M.variant, consts.kappa_y, c4)
+        assert consts["kappa_y"] >= c4 - 1e-6, (M.variant, consts["kappa_y"], c4)
 
 
 def test_kappa_vs_c_D_measured_relationship():
@@ -405,26 +406,26 @@ def test_kappa_vs_c_D_measured_relationship():
     for M, y in BOUNDARYLESS:
         consts = LB.kappa(M, y)
         c5 = LB.c_D(M, LB.cosine_reference(M, y))
-        assert consts.kappa_y + np.pi**2 / 4 >= c5 - 1e-6, (M.variant, consts.kappa_y, c5)
+        assert consts["kappa_y"] + np.pi**2 / 4 >= c5 - 1e-6, (M.variant, consts["kappa_y"], c5)
         if M.variant in plain_holds:
-            assert consts.kappa_y >= c5 - 1e-6, (M.variant, consts.kappa_y, c5)
+            assert consts["kappa_y"] >= c5 - 1e-6, (M.variant, consts["kappa_y"], c5)
         else:
-            assert c5 > consts.kappa_y  # the documented defect of the claim
+            assert c5 > consts["kappa_y"]  # the documented defect of the claim
 
 
 def test_kappa_fills_K_xy():
     M = G.ExplosiveDrift1D()
     out = LB.kappa(M, np.array([0.0]), x=np.array([0.5]))
-    assert out.K_xy == pytest.approx(3.0 * 1.5**2)
+    assert out["K_xy"] == pytest.approx(3.0 * 1.5**2)
 
 
 def test_local_constants_serialization():
-    out = LB.kappa(G.Euclidean(2), np.array([0.0, 0.0]))
-    d = out.to_dict()
-    assert "kappa_y" in d and "K_xy" not in d
+    y = np.array([0.0, 0.0])
+    assert set(LB.kappa(G.Euclidean(2), y)) == {"kappa_y", "K_y", "K_y0", "b_y"}
+    assert set(LB.kappa(G.Euclidean(2), y, x=np.array([0.5, 0.0]))) == {"kappa_y", "K_y", "K_y0", "b_y", "K_xy"}
 
 
 def test_K_of_domain_monotone_under_inclusion():
     M = G.ExplosiveDrift1D()
-    vals = [LB.K_of_domain(M, LB.DomainSpec(np.array([0.5]), r)) for r in (0.5, 1.0, 2.0)]
+    vals = [LB.K_of_domain(M, np.array([0.5]), r) for r in (0.5, 1.0, 2.0)]
     assert vals[0] <= vals[1] <= vals[2]

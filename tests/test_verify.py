@@ -53,10 +53,9 @@ def test_report_row_serialisation():
 def test_log_harnack_rhs_monotone_in_rho_and_c():
     # increasing in rho both directly and through K(D_rho)
     M = G.ExplosiveDrift1D()
-    D = LB.DomainSpec(np.array([0.0]), 1.0)
     vals = []
     for rho in (0.1, 0.3, 0.6):
-        K = LB.K_of_domain(M, D.enlarged(rho))
+        K = LB.K_of_domain(M, np.array([0.0]), 1.0 + rho)
         vals.append(LB.log_harnack_rhs(rho, K, 0.5, 3.0))
     assert vals[0] < vals[1] < vals[2]
     cs = [LB.log_harnack_rhs(0.3, 1.0, 0.5, c) for c in (0.0, 1.0, 2.0)]
@@ -79,9 +78,9 @@ def test_local_rhs_dominates_domain_rhs_when_kappa_dominates():
         x = M.exp(y, rho * M.frame(y)[0])
         consts = LB.kappa(M, y, x=x)
         c_phi = LB.c_D(M, LB.cosine_reference(M, y))
-        rhs_local = LB.log_harnack_rhs(rho, consts.K_xy, t, consts.kappa_y)
-        rhs_domain = LB.log_harnack_rhs(rho, consts.K_xy, t, c_phi)
-        if consts.kappa_y >= c_phi:
+        rhs_local = LB.log_harnack_rhs(rho, consts["K_xy"], t, consts["kappa_y"])
+        rhs_domain = LB.log_harnack_rhs(rho, consts["K_xy"], t, c_phi)
+        if consts["kappa_y"] >= c_phi:
             assert rhs_local >= rhs_domain - 1e-12, M.variant
 
 
@@ -120,6 +119,22 @@ def test_log_harnack_mc_matches_oracle_fixture():
     assert rep.verdict == "holds"
 
 
+def test_log_harnack_reads_log_f_of_a_gauss_bump_where_f_underflows():
+    # width 0.1: f(z) = exp(-50 z^2) is 0 in double precision beyond 3.86,
+    # about 2.6 sd of X_T from y, while log f = -50 z^2 stays finite.  Exact
+    # lhs: -50 E (y + sqrt(2T) N)^2 - log(w / sqrt(w^2 + 2T)) = -99.35
+    f = E.gauss_bump([0.0], 0.1)
+    exact = -50.0 * (0.2**2 + 2.0) - math.log(0.1 / math.sqrt(0.1**2 + 2.0))
+    assert exact == pytest.approx(-99.35, abs=5e-3)
+    rep = V.check_log_harnack(G.Euclidean(1), [0.0], [0.2], 1.0, f, n_paths=20_000, master_seed=7)
+    assert rep.verdict == "holds"
+    assert abs(rep.lhs - exact) <= rep.band
+    # the oracle integrates the same closed-form log f, and refuses the
+    # width-0.1 bump as f itself: it falls between its nodes
+    with pytest.raises(E.OracleNotConverged, match="node gap .* exceeds its width 0.1"):
+        V.check_log_harnack(G.Euclidean(1), [0.0], [0.2], 1.0, f, use_oracle=True)
+
+
 def test_log_harnack_explosive_correction_is_essential():
     # f = const e on the explosive variant: with the mass correction the
     # inequality holds with margin 0 at x = y; dropping it must flip the
@@ -147,8 +162,8 @@ def test_log_harnack_local_sphere():
     f = E.one_plus_bump([0.0, 0.0, 1.0], 1.0, b=0.7)
     rep = V.check_log_harnack_local(M, x, y, 0.5, f, n_paths=10_000, master_seed=3)
     assert rep.verdict != "violated"
-    assert not math.isnan(rep.constants.kappa_y)
-    assert rep.constants.K_xy == pytest.approx(-1.0)
+    assert not math.isnan(rep.constants["kappa_y"])
+    assert rep.constants["K_xy"] == pytest.approx(-1.0)
 
 
 def test_log_harnack_local_shrinking_distance():
@@ -237,6 +252,15 @@ def test_harnack_oracle_grid():
         for rho in (0.1, 0.5):
             rep = V.check_harnack(M, [0.0, 0.0], [rho, 0.0], T, f, use_oracle=True)
             assert rep.verdict != "violated", (T, rho)
+
+
+@pytest.mark.parametrize("f", [E.gauss_bump([5.0], 0.05), E.const(0.0)], ids=["far bump", "zero"])
+def test_harnack_mc_where_f_is_zero_on_every_path_from_y(f):
+    # P_T f^2(y) reads 0, so the sqrt(m2) term of the linearised margin is
+    # 0 (not 0 / 0) and the band is that of fx - fy
+    rep = V.check_harnack(G.Euclidean(1), [0.0], [0.2], 0.05, f, n_paths=2_000, master_seed=7)
+    assert rep.lhs == 0.0 and rep.band == 0.0
+    assert rep.verdict != "invalid"
 
 
 def test_harnack_requires_conservative():
