@@ -20,6 +20,12 @@ model variant, master_seed as ``seed`` and the row's own keys, as its
 ``config`` and hashes them as its ``config_hash``, so a row names every
 input behind it.
 
+A Monte Carlo log-harnack, log-harnack-local, gradient or harnack job
+of at least 8 x 2,500 paths first makes its call on one eighth of them
+with its own seed; when that pilot's margin is more than two bands from
+zero its row is the job's, and its config is the pilot's call.
+Otherwise the job makes its full call, as without a pilot.
+
 Exit status is nonzero iff some inequality verdict is "violated" or
 "invalid".
 """
@@ -100,24 +106,44 @@ def _one_report(kw, rep):
     return JobResult(reports=[rep], series=[(rep.tag, kw["T"] if "T" in kw else kw["t"], rep.margin)])
 
 
-def _check(fn, result=_one_report):
+# A Monte Carlo check of n paths first runs a pilot of n // PILOT_SHARE
+# paths, when that is at least PILOT_FLOOR (the standard error of log f
+# and of Girsanov weights is unreliable on fewer paths), and keeps the
+# pilot's row when it is valid and its margin is more than PILOT_FACTOR
+# bands (six standard errors) from zero; otherwise it runs all n.
+PILOT_SHARE = 8
+PILOT_FLOOR = 2_500
+PILOT_FACTOR = 2.0
+
+
+def _check(fn, result=_one_report, pilot=False):
     """CHECKS entry of a tag whose jobs call ``fn``: fn's parameters after
     M, but master_seed, which gets the job seed, are the grid keys, those
     without a default required.  ``result(keywords, out)`` makes the
     JobResult of fn's return; with None fn returns it.  The JobResult's
     config is the keywords of the call, defaults included, master_seed as
-    seed."""
+    seed.  With ``pilot`` a Monte Carlo job first makes the same call on
+    n_paths // PILOT_SHARE paths with master_seed derive_seed(job seed, 1),
+    and keeps its result when its one report is settled."""
     sig = inspect.signature(fn).parameters
     keys = [k for k in list(sig)[1:] if k != "master_seed"]
     defaults = {k: sig[k].default for k in keys if sig[k].default is not sig[k].empty}
+
+    def call(M, kw):
+        res = result(kw, fn(M, **kw)) if result else fn(M, **kw)
+        res.config = vf.report_config(M, **{"seed" if k == "master_seed" else k: v for k, v in kw.items()})
+        return res
 
     def run_job(M, p, seed):
         kw = {**defaults, **p}
         if "master_seed" in sig:
             kw["master_seed"] = seed
-        res = result(kw, fn(M, **kw)) if result else fn(M, **kw)
-        res.config = vf.report_config(M, **{"seed" if k == "master_seed" else k: v for k, v in kw.items()})
-        return res
+        if pilot and not kw["use_oracle"] and kw["n_paths"] // PILOT_SHARE >= PILOT_FLOOR:
+            res = call(M, dict(kw, n_paths=kw["n_paths"] // PILOT_SHARE, master_seed=derive_seed(seed, 1)))
+            [rep] = res.reports
+            if rep.verdict != vf.VERDICT_INVALID and abs(rep.margin) > PILOT_FACTOR * rep.band:
+                return res
+        return call(M, kw)
 
     return {"run": run_job,
             "required": [k for k in keys if sig[k].default is sig[k].empty],
@@ -157,10 +183,10 @@ def _sharpness(kw, rep):
 
 
 CHECKS = {
-    "log-harnack": _check(vf.check_log_harnack),
-    "log-harnack-local": _check(vf.check_log_harnack_local),
-    "gradient": _check(vf.check_gradient),
-    "harnack": _check(vf.check_harnack),
+    "log-harnack": _check(vf.check_log_harnack, pilot=True),
+    "log-harnack-local": _check(vf.check_log_harnack_local, pilot=True),
+    "gradient": _check(vf.check_gradient, pilot=True),
+    "harnack": _check(vf.check_harnack, pilot=True),
     "kernel-lower": _check(vf.check_kernel_lower_bound),
     "entropy": _check(vf.check_entropy_bound),
     "entropy-cost": _check(vf.check_entropy_cost),

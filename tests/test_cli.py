@@ -15,7 +15,8 @@ import logharnack
 from logharnack import coupling as C
 from logharnack import estimators as E
 from logharnack import verify as V
-from logharnack.cli import CHECKS, ConfigError, ExperimentConfig, _YAML_LOADER, _fmt, list_checks, main, run
+from logharnack.cli import (CHECKS, PILOT_SHARE, ConfigError, ExperimentConfig, _YAML_LOADER, _check, _fmt, list_checks,
+                            main, run)
 from logharnack.diffusion import local_time_profile
 from logharnack.geometry import model_from_config
 from logharnack.rng import derive_seed
@@ -747,6 +748,9 @@ def test_unconverged_oracle_exits_two(tmp_path, capsys):
 EXP1 = {"tag": "coord_exp", "a": [1.0]}
 COORD0 = {"tag": "coord", "i": 0}
 MC_DEFAULTS = {"n_paths": 20_000, "h": 0.01, "use_oracle": False, "domain_radius": 1.0}
+# the tags whose Monte Carlo jobs run a pilot first, and their checkers
+PILOTED = {"log-harnack": V.check_log_harnack, "log-harnack-local": V.check_log_harnack_local,
+           "gradient": V.check_gradient, "harnack": V.check_harnack}
 
 # (tag, model, the required keys as read, every optional key at its
 # signature default)
@@ -780,6 +784,8 @@ def test_row_config_is_the_call_of_its_job(tmp_path, tag, model, grid, defaults)
     expected = {"variant": model["variant"], **grid, **defaults}
     if "n_paths" in defaults:  # a Monte Carlo job: master_seed is the job seed
         expected["seed"] = job_seed
+    if tag in PILOTED:  # each of these settles on its pilot, whose call made the row
+        expected.update(n_paths=20_000 // PILOT_SHARE, seed=derive_seed(job_seed, 1))
     rows = _csv_rows(out / "report.csv")
     configs = [json.loads(row["config"]) for row in rows]
     assert [row["config_hash"] for row in rows] == [
@@ -809,3 +815,92 @@ def test_rows_that_differ_in_one_input_differ_in_config_hash(tmp_path, tag, mode
     configs = [json.loads(row["config"]) for row in rows]
     assert [c.pop(key) for c in configs] == list(values) and configs[0] == configs[1]
     assert rows[0]["config_hash"] != rows[1]["config_hash"]
+
+
+# ----------------------------------------------------------------------
+# Pilot: a Monte Carlo job of n paths first calls its checker with n // 8
+# paths on its own seed and keeps that row when it is settled
+# ----------------------------------------------------------------------
+
+# the example config's gradient job; its pilot at master seed 4 reads
+# margin/band 1.36, so the full call makes the row
+GRAD_E1 = dict(x=[0.0], T=0.5, f=EXP1, n_paths=20_000, h=0.01)
+
+
+def _direct_call(model, tag, grid, **kwargs):
+    M = model_from_config(model)
+    args = {k: E.test_function_from_config(v, M.chart_dim) if k == "f" else v for k, v in grid.items()}
+    return PILOTED[tag](M, **dict(args, **kwargs))
+
+
+def _assert_row_is(row, rep, n_paths, seed):
+    assert {k: row[k] for k in rep.to_row()} == {k: _fmt(v) for k, v in rep.to_row().items()}
+    config = json.loads(row["config"])
+    assert (config["n_paths"], config["seed"]) == (n_paths, seed)
+
+
+@pytest.mark.parametrize("tag,model,grid", [c[:3] for c in LEFT_OUT if c[0] in PILOTED],
+                         ids=[c[0] for c in LEFT_OUT if c[0] in PILOTED])
+def test_settled_pilot_writes_the_pilot_call(tmp_path, tag, model, grid):
+    grid = dict(grid, n_paths=20_000)
+    out, job_seed = _one_job(tmp_path, model, tag, grid)
+    pilot_seed = derive_seed(job_seed, 1)
+    rep = _direct_call(model, tag, grid, n_paths=2_500, master_seed=pilot_seed)
+    assert abs(rep.margin) > 2 * rep.band
+    [row] = _csv_rows(out / "report.csv")
+    _assert_row_is(row, rep, 2_500, pilot_seed)
+    assert row["config_hash"] == hashlib.sha1(row["config"].encode()).hexdigest()[:12]
+
+
+def test_unsettled_pilot_writes_the_full_call(tmp_path):
+    out, job_seed = _one_job(tmp_path, E1, "gradient", GRAD_E1, seed=4)
+    pilot = _direct_call(E1, "gradient", GRAD_E1, n_paths=2_500, master_seed=derive_seed(job_seed, 1))
+    assert abs(pilot.margin) <= 2 * pilot.band
+    [row] = _csv_rows(out / "report.csv")
+    _assert_row_is(row, _direct_call(E1, "gradient", GRAD_E1, master_seed=job_seed), 20_000, job_seed)
+
+
+def test_invalid_pilot_runs_the_full_call():
+    # a pilot row with an infinite side is invalid, however far its margin
+    # is from zero
+    def check(M, x, T, *, n_paths=20_000, use_oracle=False, master_seed=0):
+        return V.InequalityReport("fake", lhs=0.0, rhs=float("inf") if n_paths < 20_000 else 1.0, lhs_se=0.01)
+
+    res = _check(check, pilot=True)["run"](model_from_config(E1), {"x": np.zeros(1), "T": 0.5}, 5)
+    assert (res.reports[0].verdict, res.config["n_paths"], res.config["seed"]) == (V.VERDICT_HOLDS, 20_000, 5)
+
+
+@pytest.mark.parametrize("tag,model,grid", [
+    ("log-harnack", OU1, dict(x=[0.0], y=[0.3], T=0.5, f=EXP1, n_paths=20_000, use_oracle=True)),
+    ("log-harnack", OU1, dict(x=[0.0], y=[0.3], T=0.5, f=EXP1, n_paths=19_999)),
+    ("gradient", E1, dict(GRAD_E1, n_paths=19_999)),
+    ("coupling-diagnostics", E1, dict(x=[0.0], y=[0.2], T=0.005, n_paths=20_000)),
+    ("local-time", HALF1_MODEL, dict(x=[0.0], t_grid=[0.001, 0.002], n_paths=20_000)),
+    ("generator", OU1, dict(x=[1.0], g=COORD0, n_paths=20_000)),
+    ("sharpness", E1, dict(x=[0.0], f={"tag": "log_bump", "center": [0.5], "width": 1.0, "amp": 1.0},
+                           n_paths=20_000)),
+], ids=["use_oracle", "log-harnack-19999", "gradient-19999", "coupling-diagnostics", "local-time",
+        "generator", "sharpness"])
+def test_jobs_that_never_pilot(tmp_path, monkeypatch, tag, model, grid):
+    seeds = []  # a pilot derives its seed from the job seed
+    monkeypatch.setattr("logharnack.cli.derive_seed", lambda *key: seeds.append(key) or derive_seed(*key))
+    out, job_seed = _one_job(tmp_path, model, tag, grid)
+    assert seeds == [(5, 0)]
+    for row in _csv_rows(out / "report.csv"):
+        assert json.loads(row["config"])["n_paths"] == grid["n_paths"]
+
+
+def test_piloted_rows_are_the_same_for_any_worker_count(tmp_path):
+    # job 0 runs full, the log-harnack jobs keep their pilots, the
+    # 2,000-path job runs no pilot
+    lh = {"x": [[0.0]], "y": [[0.2], [0.4]], "T": [0.25, 1.0], "f": [EXP1], "n_paths": [20_000, 2_000]}
+    cfg = dict(BASE, master_seed=4, checks=[{"tag": "gradient", "grid": {k: [v] for k, v in GRAD_E1.items()}},
+                                            {"tag": "log-harnack", "grid": lh}])
+    path = write_config(tmp_path, cfg)
+    reports = []
+    for workers in (1, 2):
+        assert run(path, workers=workers, out=tmp_path / f"w{workers}") == 0
+        reports.append((tmp_path / f"w{workers}" / "report.csv").read_bytes())
+    assert reports[0] == reports[1]
+    n_paths = [json.loads(row["config"])["n_paths"] for row in _csv_rows(tmp_path / "w1" / "report.csv")]
+    assert n_paths == [20_000] + [2_500, 2_500, 2_000, 2_000] * 2
