@@ -23,14 +23,16 @@ D = B(y, domain_radius) with the cosine reference on D.
 ``run_coupling`` is the one way to step pairs; its batch step
 (``_coupled_step``) has this pair-geometry budget per step:
 rho(X, Y) and phi(Y) carry over from the previous step's stopping
-checks; log_X(Y) and log_Y(X) are computed once each and feed the
-transported noise and both unit directions (on the sphere from one
-angle and its cosine); the noise map at X and its adjoint, which the
+checks; the pair's two unit directions, at X away from Y and at Y away
+from X, come once each in closed form and no log is taken (on the
+sphere from y - x and |y - x|, on the hyperbolic plane from one
+complex product each), and on the sphere the transported noise is
+built from them; the noise map at X and its adjoint, which the
 Girsanov increment dots with the normals, need no frame on the
 2-sphere; the stopping checks then take rho(X', Y') and the distances
 of Y' and of X' to the domain centre y, phi(Y') and Y' in D both being
-read from the distance of Y'.  On the 2-sphere that is four angle
-evaluations and no frame per step.
+read from the distance of Y'.  On the 2-sphere that is three angle
+evaluations, all in the stopping checks, and no frame per step.
 ``run_coupling`` keeps the running pairs of a block in compacted arrays,
 in index order, and writes a pair back only when it stops.
 """

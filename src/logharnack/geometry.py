@@ -164,9 +164,21 @@ class ModelSpace:
         x, y = _arr(x), _arr(y)
         rho = self.distance(x, y)
         _require_apart(rho)
-        return -self.log(y, x) / np.expand_dims(rho, -1)
+        return self._units(x, y, rho)[1]
 
     # -- fused pair geometry of the coupled step ------------------------
+
+    def _units(self, x, y, rho):
+        """(u_x, u_y) = (grad_distance(y, x), grad_distance(x, y)) given
+        rho = distance(x, y): the unit at x pointing away from y and the
+        unit at y pointing away from x, in closed form, with no log.
+        Swapping x and y swaps them, up to the sign of zero."""
+        raise NotImplementedError
+
+    def _transport(self, x, y, v, u_x, u_y):
+        """transport(x, y, v) given (u_x, u_y) = _units(x, y, rho);
+        variants whose transport needs them override this."""
+        return self.transport(x, y, v)
 
     def _pair_geometry(self, x, y, rho, xi):
         """Pair geometry of one coupled step, each quantity computed once.
@@ -176,19 +188,13 @@ class ModelSpace:
         G = tangent_from_frame(x, xi), GY = transport(x, y, G),
         u_y = grad_distance(x, y) and
         c_x = frame_components(x, grad_distance(y, x)).
-        log_x(y) and log_y(x) are computed once each.
+        The two unit directions come once each from ``_units``, and
+        ``_transport`` may build on them.
         """
         _require_apart(rho)
-        lxy, lyx = self.log(x, y), self.log(y, x)
+        u_x, u_y = self._units(x, y, rho)
         G = self.tangent_from_frame(x, xi)
-        GY = self._transport_logs(x, y, G, rho, lxy, lyx)
-        return G, GY, _divide(-lyx, rho), self.frame_components(x, _divide(-lxy, rho))
-
-    def _transport_logs(self, x, y, v, rho, lxy, lyx):
-        """transport(x, y, v) given rho = distance(x, y), lxy = log(x, y)
-        and lyx = log(y, x); variants whose transport needs them override
-        this."""
-        return self.transport(x, y, v)
+        return G, self._transport(x, y, G, u_x, u_y), u_y, self.frame_components(x, u_x)
 
     # -- frames and noise ----------------------------------------------
 
@@ -311,6 +317,10 @@ class _FlatChart(ModelSpace):
 
     def transport(self, x, y, v):
         return np.array(_arr(v), copy=True)
+
+    def _units(self, x, y, rho):
+        u_y = _divide(y - x, rho)
+        return -u_y, u_y
 
     def frame(self, x):
         x = _arr(x)
@@ -530,19 +540,11 @@ class Sphere(ModelSpace):
         # renormalise to kill accumulated rounding
         return _scale(self.radius / _norm(out), out)
 
-    def _angle_inside(self, x, y):
-        alpha = self._angle(x, y)
-        self._require_inside_injectivity(self.radius * alpha)
-        return alpha
-
     def log(self, x, y):
         x, y = _arr(x), _arr(y)
-        alpha = self._angle_inside(x, y)
-        return self._log(x, y, alpha, np.cos(alpha))
-
-    def _log(self, x, y, alpha, cos_alpha):
-        """log_x(y) given alpha = _angle(x, y) and its cosine."""
-        u = y - _scale(cos_alpha, x)
+        alpha = self._angle(x, y)
+        self._require_inside_injectivity(self.radius * alpha)
+        u = y - _scale(np.cos(alpha), x)
         nu = _norm(u)
         with np.errstate(invalid="ignore", divide="ignore"):
             direction = _divide(u, np.maximum(nu, 1e-300))
@@ -551,19 +553,26 @@ class Sphere(ModelSpace):
 
     def transport(self, x, y, v):
         x, y, v = _arr(x), _arr(y), _arr(v)
-        alpha = self._angle_inside(x, y)
-        c = np.cos(alpha)
-        return self._transport(x, v, alpha, c, self._log(x, y, alpha, c))
+        return self._transport(x, y, v, *self._units(x, y, self.distance(x, y)))
 
-    def _pair_geometry(self, x, y, rho, xi):
-        # one angle and one cosine for both logs and the transport
-        _require_apart(rho)
-        alpha = self._angle_inside(x, y)
-        c = np.cos(alpha)
-        lxy, lyx = self._log(x, y, alpha, c), self._log(y, x, alpha, c)
-        G = self.tangent_from_frame(x, xi)
-        GY = self._transport(x, G, alpha, c, lxy)
-        return G, GY, _divide(-lyx, rho), self.frame_components(x, _divide(-lxy, rho))
+    def _units(self, x, y, rho):
+        # with d = y - x and k = 1 - cos(rho / R) = |d|^2 / 2 R^2, the
+        # projections of d onto the tangent planes are d + k x =
+        # y - cos(rho / R) x at x and d - k y at y; x = y gives d = 0
+        # and zero units
+        self._require_inside_injectivity(rho)
+        d = y - x
+        k = _sum_products(d, d) / (2.0 * self.radius**2)
+        at_x, at_y = d + _scale(k, x), d - _scale(k, y)
+        return (_divide(at_x, -np.maximum(_norm(at_x), 1e-300)),
+                _divide(at_y, np.maximum(_norm(at_y), 1e-300)))
+
+    def _transport(self, x, y, v, u_x, u_y):
+        # the geodesic's unit tangent goes from -u_x at x to u_y at y and
+        # the part of v normal to the plane of x and y is kept (on the
+        # circle there is none), so v -> v - <v, u_x> (u_x + u_y); at
+        # x = y the units are zero and v comes back as it is
+        return v - _scale(_sum_products(v, u_x), u_x + u_y)
 
     @property
     def noise_width(self):
@@ -588,24 +597,6 @@ class Sphere(ModelSpace):
         if self.dim == 1:
             return np.einsum("...ik,...k->...i", self.frame(x), _arr(v))
         return _arr(v)
-
-    def _transport(self, x, v, alpha, cos_alpha, lg):
-        """transport(x, y, v) given alpha = _angle(x, y), its cosine and
-        lg = log(x, y)."""
-        s = _norm(lg)
-        small = s < 1e-14
-        with np.errstate(invalid="ignore", divide="ignore"):
-            e = _divide(lg, np.maximum(s, 1e-300))
-        e[small] = 0.0
-        u1 = x / self.radius
-        a = _dot(v, e)
-        w = v - _scale(a, e)
-        e_t = _scale(-np.sin(alpha), u1) + _scale(cos_alpha, e)
-        out = _scale(a, e_t) + w
-        if np.any(small):
-            small = np.broadcast_to(small, out.shape[:-1])
-            out[small] = np.broadcast_to(v, out.shape)[small]
-        return out
 
     def frame(self, x):
         x = _arr(x)
@@ -692,25 +683,29 @@ class Hyperbolic(ModelSpace):
         return self._r(out)
 
     def transport(self, x, y, v):
-        x, y, v = _arr(x), _arr(y), _arr(v)
-        return self._transport_logs(x, y, v, self.distance(x, y), self.log(x, y), self.log(y, x))
+        # the chart is conformal: v turns by t1 conj(t0), the unit chart
+        # tangent of the geodesic at y over that at x, and is scaled by
+        # Im y / Im x, which keeps its metric length.  With s = zx -
+        # conj(zy), t1 conj(t0) = -conj(s)^2 / |s|^2, and Im s > 0, so
+        # x = y turns by exactly 1 (real divisions: numpy's complex one
+        # multiplies by a reciprocal)
+        zx, zy = self._c(x), self._c(y)
+        sr, si = zx.real - zy.real, zx.imag + zy.imag
+        n, scale = sr * sr + si * si, zy.imag / zx.imag
+        re, im = (si * si - sr * sr) / n * scale, 2.0 * sr * si / n * scale
+        return self._r(self._c(v) * (re + 1j * im))
 
-    def _transport_logs(self, x, y, v, rho, lxy, lyx):
-        small = rho < 1e-14
-        # the small rows return v; dividing their logs (a rounding
-        # residue at x = y) by 1 keeps that discarded branch finite
-        rho_safe = np.where(small, 1.0, rho)
-        t0 = self._c(lxy) / rho_safe
-        t1 = -self._c(lyx) / rho_safe
-        vz = self._c(v)
-        im_x2 = _arr(x)[..., 1] ** 2
-        # components in the orthonormal frame (T0, i T0) at x; the chart
-        # is conformal so multiplication by i is the metric rotation.
-        a = (vz * np.conj(t0)).real / im_x2
-        b = (vz * np.conj(1j * t0)).real / im_x2
-        out = a * t1 + b * (1j * t1)
-        out = np.where(small, vz, out)
-        return self._r(out)
+    def _units(self, x, y, rho):
+        zx, zy = self._c(x), self._c(y)
+        return self._r(self._away(zy, zx)), self._r(self._away(zx, zy))
+
+    @staticmethod
+    def _away(zx, zy):
+        """The unit at y pointing away from x, as a complex chart vector:
+        the direction -i (zy - zx) (zy - conj zx) with metric length 1,
+        i.e. chart length Im y."""
+        w = -1j * (zy - zx) * (zy - zx.conj())
+        return w * (zy.imag / np.abs(w))
 
     def frame(self, x):
         x = _arr(x)
@@ -719,10 +714,10 @@ class Hyperbolic(ModelSpace):
         return sc[..., None, None] * np.broadcast_to(eye, x.shape[:-1] + eye.shape)
 
     def tangent_from_frame(self, x, xi):
-        return _arr(x)[..., 1:2] * _arr(xi)
+        return _scale(_arr(x)[..., 1], _arr(xi))
 
     def frame_components(self, x, v):
-        return _arr(v) / _arr(x)[..., 1:2]
+        return _divide(_arr(v), _arr(x)[..., 1])
 
     def norm(self, x, v):
         return _norm(_arr(v)) / _arr(x)[..., 1]

@@ -168,9 +168,10 @@ def test_pair_geometry_is_bit_identical_to_public_calls(M):
 
 
 def test_sphere_coupled_step_geometry_budget(monkeypatch):
-    # one angle for the step's pair geometry plus three for the stopping
-    # checks (phi(Y') and Y' in D share the distance of Y' to y), and no
-    # frame: the noise is projected and the Girsanov term dots with it
+    # three angles, all for the stopping checks (phi(Y') and Y' in D
+    # share the distance of Y' to y): the pair geometry takes its units
+    # from y - x in closed form; and no frame: the noise is projected and
+    # the Girsanov term dots with it
     M = G.Sphere(2)
     y = np.array([0.0, 0.0, 1.0])
     x = M.exp(y, 0.3 * M.frame(y)[0])
@@ -189,7 +190,24 @@ def test_sphere_coupled_step_geometry_budget(monkeypatch):
         monkeypatch.setattr(G.Sphere, name, counted)
     xi = np.random.default_rng(0).standard_normal((n, M.noise_width))
     C._coupled_step(M, cfg, cfg.h_eff, 0.0, pairs, xi)
-    assert calls == {"_angle": 4, "frame": 0}
+    assert calls == {"_angle": 3, "frame": 0}
+
+
+def test_hyperbolic_coupled_step_takes_no_log(monkeypatch):
+    # the pair's units and the transport are closed forms of the chart
+    # points
+    M = G.Hyperbolic()
+    x, y = [0.0, math.exp(0.3)], [0.0, 1.0]
+    cfg = C.standard_coupling_config(M, x, y, T=0.5, h=1e-3)
+    n = 50
+    X, Y = np.tile(x, (n, 1)), np.tile(y, (n, 1))  # phi(Y) = phi(y) = 1
+    pairs = C._Pairs(X, Y, M.distance(X, Y), np.ones(n), np.zeros(n), np.zeros(n, dtype=bool))
+    calls = []
+    orig = G.Hyperbolic.log
+    monkeypatch.setattr(G.Hyperbolic, "log", lambda self, *a: calls.append(a) or orig(self, *a))
+    xi = np.random.default_rng(0).standard_normal((n, M.noise_width))
+    C._coupled_step(M, cfg, cfg.h_eff, 0.0, pairs, xi)
+    assert calls == []
 
 
 @pytest.mark.parametrize("M,y", [
@@ -358,17 +376,17 @@ def test_run_coupling_pinned_diagnostics():
     cfg = C.standard_coupling_config(Ms, x, [0.0, 0.0, 1.0], T=0.5, h=2e-3)
     d = C.run_coupling(Ms, cfg, 300, master_seed=3)
     assert (d.e_r.mean, d.e_r.stderr) == (1.0334934942462073, 0.03666267561569859)
-    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.18366616388593218, 0.059747659099782184)
+    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.18366616388593224, 0.059747659099782205)
     assert d.max_rho_excess == -0.009904621589657714
     assert d.theta_counts["coupled"] == 300
 
     Mh = G.Hyperbolic()
     cfg = C.standard_coupling_config(Mh, [0.0, math.exp(0.2)], [0.0, 1.0], T=0.5, h=2e-3)
     d = C.run_coupling(Mh, cfg, 300, master_seed=3)
-    assert (d.e_r.mean, d.e_r.stderr) == (0.9523358973471033, 0.029668678263785116)
-    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.07970540525099082, 0.03626180268607217)
+    assert (d.e_r.mean, d.e_r.stderr) == (0.9523358973471033, 0.029668678263785102)
+    assert (d.e_rlogr.mean, d.e_rlogr.stderr) == (0.07970540525099074, 0.036261802686072125)
     assert (d.coupling_weighted.mean, d.coupled_fraction) == (0.9522515769682612, 299 / 300)
-    assert d.max_rho_excess == -0.005067080974475696
+    assert d.max_rho_excess == -0.005067080974475446
     assert (d.theta_counts["coupled"], d.theta_counts["tau_D_y"]) == (299, 1)
 
 
@@ -383,10 +401,10 @@ PINNED_PAIRS = {
                          "e56207e2d7d78688676cf534bde4d2fdef1633b2377673d501d246c8b0335e10",
                          "68730b6bd6333ba7a1dec9f6d129b270022c93403f65d9c4fb2d44eef5ef5b32"),
     "sphere-2": (G.Sphere(2, 1.0), [0.0, math.sin(0.3), math.cos(0.3)], [0.0, 0.0, 1.0],
-                 "5a43f548ec52cacce96e65181a9f9371c6096af66a74bd3a3293a617eec1fc60",
+                 "b46d9b3852b475723eff350ac2be3072572b54202f9bbe3822b499fb54a1709a",
                  "2ae5edf639b13952dcfbc04e92f6818f2b5cba70a916bec74bcf6ae17bc71417"),
     "hyperbolic": (G.Hyperbolic(), [0.0, math.exp(0.3)], [0.0, 1.0],
-                   "81f221d8974880c583cf37c01cd01eb640e090c8db957ef5d4d7c3cb00c02a0d",
+                   "ca27713ebd73b8ed51aa76501ca5622f9f50368f841d173d012a6705e31e6d7c",
                    "1ecfdae3fdbe8f6ce8209476766bb1cffd163aad8a3a6e24ea557a1c6329ad0b"),
 }
 

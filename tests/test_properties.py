@@ -2,7 +2,10 @@
 the projected noise map of the 2-sphere, the isotropic Ric_Z that the
 curvature bound K is derived from, the identity frame of the flat
 charts, and over the catalogue: exp of log, transport as an isometry,
-symmetric distance and reflect landing inside."""
+symmetric distance and reflect landing inside; on the curved variants,
+the closed-form units and transport against the log and at x = y."""
+
+import warnings
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -214,6 +217,54 @@ def test_distance_is_symmetric(mxyu):
     d = float(M.distance(x, y))
     assert d >= 0.0
     _close(M.distance(y, x), d, d)
+
+
+# the curved variants, whose pair units and transport are closed forms of
+# the two points
+_CURVED = [G.Sphere(1, 1.0), G.Sphere(2, 1.0), G.Sphere(2, 1.7), G.Hyperbolic()]
+
+
+@st.composite
+def _curved_pair(draw):
+    """A curved variant and two of its points at least 0.05 apart (where
+    a unit from the log is good to 1e-12) and inside the margin of its
+    injectivity radius."""
+    M = draw(st.sampled_from(_CURVED))
+    x, y = draw(hnp.arrays(np.float64, (2, M.chart_dim), elements=st.floats(-3.0, 3.0)))
+    x, y = _onto(M, x), _onto(M, y)
+    rho = float(M.distance(x, y))
+    assume(0.05 <= rho < G.INJ_MARGIN * M.injectivity_radius)
+    return M, x, y, rho
+
+
+def _relative(got, want, tol=1e-12):
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want)), (got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_curved_pair())
+def test_grad_distance_is_the_log_over_rho(mxy):
+    M, x, y, rho = mxy
+    _relative(M.grad_distance(x, y), -M.log(y, x) / rho)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_curved_pair())
+def test_transport_carries_the_unit_away_from_y_to_the_unit_away_from_x(mxy):
+    # along the geodesic from x to y the tangent goes from
+    # -grad_distance(y, x) at x to grad_distance(x, y) at y
+    M, x, y, _ = mxy
+    _relative(M.transport(x, y, -M.grad_distance(y, x)), M.grad_distance(x, y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_CURVED), st.data())
+def test_transport_at_one_point_returns_v_without_warning(M, data):
+    x, v = data.draw(hnp.arrays(np.float64, (2, M.chart_dim), elements=st.floats(-3.0, 3.0)))
+    x = _onto(M, x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(M.transport(x, x, v), v)
 
 
 @settings(max_examples=300, deadline=None)
