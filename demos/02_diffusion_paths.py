@@ -2,7 +2,8 @@
 
 The geodesic Euler scheme drives sqrt(2)-scaled Brownian noise through
 the exponential map, reflects at boundaries while accumulating local
-time, and kills paths of the explosive variant at their finite lifetime.
+time (on the half-line drawn from its exact law given each step's ends),
+and kills paths of the explosive variant at their finite lifetime.
 Each block of paths draws from its own counter-based stream, so every
 number printed here is reproducible bit for bit.
 """
@@ -40,6 +41,17 @@ t_grid = [0.01, 0.04, 0.09]
 ests, ref = local_time_profile(M, [0.0], t_grid, 50_000, 1e-4, master_seed=SEED)
 for t, e, r in zip(t_grid, ests, ref):
     print(f"t = {t:<5}  estimate {e.mean:.5f} +- {e.stderr:.5f}   2 sqrt(t/pi) = {r:.5f}")
+print("Stopped at the first exit from [0, 0.3), E l_{t ^ sigma} against the")
+print("eigen-series sum_n (2/r)(1 - e^{-lam_n t}) / lam_n, lam_n = ((n + 1/2) pi / r)^2;")
+print("the step draws its local time exactly and reads the exit inside each step.")
+r = 0.3
+ests, _ = local_time_profile(M, [0.0], t_grid, 50_000, 1e-4, master_seed=SEED, r=r)
+for t, e in zip(t_grid, ests):
+    # summed as r - (2/r) sum_n e^{-lam_n t} / lam_n, since sum_n 1 / lam_n = r^2 / 2
+    lam = ((np.arange(40) + 0.5) * np.pi / r) ** 2
+    series = r - 2.0 / r * float(np.sum(np.exp(-lam * t) / lam))
+    z = (e.mean - series) / e.stderr
+    print(f"t = {t:<5}  estimate {e.mean:.5f} +- {e.stderr:.5f}   series {series:.5f}   ({z:+.2f} se)")
 
 print()
 print("=" * 70)

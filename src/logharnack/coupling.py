@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .diffusion import PathConfig, _advance
+from .diffusion import PathConfig
 from .geometry import ModelSpace, _dot, _scale
 from .local_bounds import (
     _cosine,
@@ -336,7 +336,7 @@ def run_coupling(
                     run, pairs = run.take(keep), pairs.take(keep)
             if terminal_fn is not None and merged.size:
                 xim = rng.standard_normal((merged.size, M.noise_width))
-                X[merged] = _advance(M, X[merged], h, xim, np.ones(merged.size, dtype=bool))[0]
+                X[merged] = M.step(X[merged], h, xim, np.ones(merged.size, dtype=bool))[0]
         X[run], logR[run], flagged[run] = pairs.X, pairs.log_R, pairs.flagged
 
         all_logR[lo:hi] = logR

@@ -15,6 +15,7 @@ and safe to call concurrently.
 from __future__ import annotations
 
 import inspect
+import math
 import sys
 
 import numpy as np
@@ -113,9 +114,10 @@ class ModelSpace:
     """Base class for the fixed catalogue of model manifolds.
 
     Subclasses define the chart, its geometry and the drift field Z of
-    the generator  L = Laplace-Beltrami + Z.  ``euler_exact`` says that
-    one geodesic Euler step of any size h has the law of X_h, so a read
-    of X_T alone may take one step to T.
+    the generator  L = Laplace-Beltrami + Z, and ``step`` its step law.
+    ``euler_exact`` says that one step of any size h has the law of X_h,
+    so a read of X_T alone may take one step to T; ``step_uniform`` that
+    the step reads one uniform per path besides its normals.
     """
 
     variant = "abstract"
@@ -124,7 +126,26 @@ class ModelSpace:
     has_boundary = False
     conservative = True
     euler_exact = False
+    step_uniform = False
     injectivity_radius = np.inf
+
+    # -- step law ------------------------------------------------------
+
+    def step(self, x, h, xi, alive, u=None):
+        """One step of size h for a batch: (positions, local-time
+        increments, alive).  The geodesic Euler step exp_x(sqrt(2h)
+        tangent_from_frame(x, xi) + h Z(x)), a proposal that leaves the
+        chart mirrored back with its overshoot feeding the local time.
+        ``u``, one uniform in (0, 1] per path, is read where
+        ``step_uniform`` is set; only the explosive variant ends lifetimes.
+        """
+        v = math.sqrt(2.0 * h) * self.tangent_from_frame(x, xi) + h * self.drift(x)
+        new = self.exp(x, v)
+        if self.has_boundary:
+            new, dl = self.reflect(new)
+        else:
+            dl = np.zeros(x.shape[:-1])
+        return new, dl, alive
 
     # -- drift ---------------------------------------------------------
 
@@ -407,6 +428,28 @@ class ExplosiveDrift1D(_FlatChart):
     def __init__(self):
         self.dim = self.chart_dim = 1
 
+    def step(self, x, h, xi, alive, u=None):
+        """Splitting step for the cubic drift: exact drift flow, then noise.
+
+        The drift ODE dx = x^3 dt integrates in closed form to
+        x / sqrt(1 - 2 h x^2), which blows up within the step exactly when
+        2 h x^2 >= 1; that event (or crossing the explosion threshold)
+        flips the lifetime flag, and dead paths stay where they are.  Near
+        the origin the flow agrees with the Euler increment to O(h^2), and
+        unlike Euler it has no stability cap on the drift displacement.
+        """
+        x0 = x[..., 0]
+        noise = math.sqrt(2.0 * h) * xi[..., 0]
+        thr = self.explosion_threshold
+        disc = 1.0 - 2.0 * h * x0**2
+        explodes = disc <= 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            flowed = x0 / np.sqrt(np.maximum(disc, 1e-300))
+        prop = np.where(explodes, x0, np.clip(flowed, -thr, thr) + noise)
+        live = alive & ~explodes & (np.abs(prop) < thr)
+        out = np.where(live, prop, x0)[..., None]
+        return out, np.zeros(x.shape[:-1]), live
+
     def drift(self, x):
         x = _arr(x)
         return x**3
@@ -430,11 +473,31 @@ class HalfSpace(_FlatChart):
     variant = "half_space"
     has_boundary = True
     # reflecting x_1 + sqrt(2h) xi_1 gives the law of reflected Brownian
-    # motion at h (its position, not its local time)
+    # motion at h, and the local time is drawn given the step's two ends
     euler_exact = True
+    step_uniform = True
 
     def __init__(self, dim: int):
         self.dim = self.chart_dim = int(dim)
+
+    def step(self, x, h, xi, alive, u=None):
+        """The Euler step, y = |a + sqrt(2h) xi_1| on the first coordinate,
+        with the local time dl drawn from its exact law given a and y: the
+        path touched the wall with probability q = 2 e^{-ay/h} /
+        (1 + e^{-ay/h}), and dl = sqrt((a + y)^2 - 4h log(u / q)) - (a + y)
+        for u < q, else 0.  Without u (positions only) dl is None.
+        """
+        new = super().step(x, h, xi, alive)[0]
+        if u is None:
+            return new, None, alive
+        a, y = x[..., 0], new[..., 0]
+        e = np.exp(-a * y / h)  # a, y >= 0: e <= 1, never an overflow
+        q = 2.0 * e / (1.0 + e)
+        hit = u < q
+        s = (a + y)[hit]
+        dl = np.zeros(a.shape)
+        dl[hit] = np.sqrt(s * s - 4.0 * h * np.log(u[hit] / q[hit])) - s
+        return new, dl, alive
 
     def contains(self, x):
         return _arr(x)[..., 0] >= 0
@@ -673,10 +736,12 @@ class Hyperbolic(ModelSpace):
         return self._r(v)
 
     def exp(self, x, v):
+        # real arithmetic where numpy's complex division would do: v / Im x
+        # with its rounding v (1 / Im x), and a turn by -i
         zx = self._c(x)
-        vz = self._c(np.asarray(v, dtype=float)) / zx.imag
+        vz = self._c(_scale(1.0 / zx.imag, _arr(v)))
         s = np.abs(vz)
-        d = np.where(s > 0, vz / np.maximum(s, 1e-300) / 1j, 0.0)
+        d = np.where(s > 0, vz / np.maximum(s, 1e-300) * -1j, 0.0)
         zeta = np.tanh(s / 2.0) * d
         w = 1j * (1.0 + zeta) / (1.0 - zeta)
         out = w * zx.imag + zx.real

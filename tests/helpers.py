@@ -3,8 +3,8 @@
 These deliberately avoid the library's closed-form code paths: geodesics
 and parallel transport are integrated from the Christoffel symbols of the
 upper half-plane metric, curvature is recovered from geodesic deviation,
-boundary-exit probabilities come from the classical reflection series,
-and domain suprema are maxima over polar grids in every direction.
+boundary-exit probabilities and the stopped local time come from the
+classical eigen-series, and domain suprema are maxima over polar grids in every direction.
 First-exit times and stopped local times are read from ensembles through
 mark reducers that mark every step.
 """
@@ -86,6 +86,29 @@ def bm_two_sided_exit_prob(t, r=1.0, terms=40):
     for k in range(terms):
         s += ((-1) ** k / (2 * k + 1)) * math.exp(-((2 * k + 1) ** 2) * math.pi**2 * tau / (8.0 * r**2))
     return 1.0 - 4.0 / math.pi * s
+
+
+def reflected_stopped_local_time(t, r):
+    """(E l_{t ^ sigma_r}, bound on the truncation error) for reflected
+    Brownian motion of generator d^2/dx^2 on x >= 0 from x = 0, sigma_r
+    its first hitting time of r.
+
+    The eigen-series sum_{n>=0} (2/r)(1 - e^{-lam_n t}) / lam_n, lam_n =
+    ((n + 1/2) pi / r)^2, summed as r - (2/r) sum_n e^{-lam_n t} / lam_n
+    (sum_n 1 / lam_n = r^2 / 2), whose terms fall off like Gaussians.
+    The terms from n = N on are below (2/r) e^{-lam_N t} / lam_N times
+    sum_k e^{-k (pi/r)^2 t} (lam_{N+k} - lam_N >= k (pi/r)^2), and the
+    sum stops once that tail is below 1e-15.
+    """
+    ratio = math.exp(-((math.pi / r) ** 2) * t)
+    total, n = 0.0, 0
+    while True:
+        lam = ((n + 0.5) * math.pi / r) ** 2
+        tail = 2.0 / r * math.exp(-lam * t) / lam / (1.0 - ratio)
+        if tail < 1e-15:
+            return r - 2.0 / r * total, tail
+        total += math.exp(-lam * t) / lam
+        n += 1
 
 
 def simulate_with_exits(M, x0, T, h, n_paths, master_seed, *, domains=(), stop=None,

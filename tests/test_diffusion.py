@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from logharnack import geometry as G
-from logharnack.diffusion import PathConfig, _advance, local_time_profile, simulate_ensemble
+from logharnack.diffusion import PathConfig, local_time_profile, simulate_ensemble
 from logharnack.rng import BLOCK_SIZE, stream
 
-from helpers import bm_two_sided_exit_prob, simulate_with_exits
+from helpers import bm_two_sided_exit_prob, reflected_stopped_local_time, simulate_with_exits
 
 
 # ----------------------------------------------------------------------
@@ -16,11 +17,11 @@ from helpers import bm_two_sided_exit_prob, simulate_with_exits
 # ----------------------------------------------------------------------
 
 
-def _one_step(M, x, h, xi):
+def _one_step(M, x, h, xi, u=None):
     """(position, local-time increment, alive) after one step of a live path."""
-    new, dl, alive = _advance(M, np.array([x], dtype=float), h, np.array([xi], dtype=float),
-                              np.array([True]))
-    return new[0], float(dl[0]), bool(alive[0])
+    new, dl, alive = M.step(np.array([x], dtype=float), h, np.array([xi], dtype=float),
+                            np.array([True]), None if u is None else np.array([u]))
+    return new[0], None if dl is None else float(dl[0]), bool(alive[0])
 
 
 def test_step_euclidean_is_exact_gaussian_increment():
@@ -41,13 +42,44 @@ def test_step_ou_mean_contraction():
 def test_step_reflection_keeps_half_space():
     M = G.HalfSpace(1)
     h = 1e-2
-    pos, dl, _ = _one_step(M, [0.01], h, [-5.0])  # large inward-crossing noise
-    assert pos[0] >= 0
-    assert dl > 0
-    # mirrored position |x + dx| and regulator 2 * overshoot
-    q = 0.01 + math.sqrt(2 * h) * (-5.0)
-    assert pos[0] == pytest.approx(-q)
-    assert dl == pytest.approx(2.0 * (-q))
+    q = 0.01 + math.sqrt(2 * h) * (-5.0)  # large inward-crossing noise
+    # touched the wall with probability p = 2 e^{-ay/h} / (1 + e^{-ay/h})
+    e = math.exp(-0.01 * -q / h)
+    p, s = 2 * e / (1 + e), 0.01 - q
+    for u, dl_exact in [(0.01, math.sqrt(s * s - 4 * h * math.log(0.01 / p)) - s),
+                        (0.3, math.sqrt(s * s - 4 * h * math.log(0.3 / p)) - s), (0.9, 0.0)]:
+        pos, dl, _ = _one_step(M, [0.01], h, [-5.0], u)
+        # the mirrored position |x + dx|, and the local time drawn given
+        # both ends
+        assert pos[0] == -q
+        assert dl == pytest.approx(dl_exact, rel=1e-12, abs=0.0)
+    assert 0.3 < p < 0.9
+    # far from the wall at both ends, no local time
+    assert _one_step(M, [0.5], h, [0.1], 1e-3)[1] == 0.0
+    # without uniforms only the position is stepped
+    assert _one_step(M, [0.01], h, [-5.0])[1] is None
+
+
+@pytest.mark.parametrize("a", [0.0, 0.05, 0.2])
+def test_half_space_step_local_time_completes_a_gaussian_increment(a):
+    # y = a + W + dl (the Skorokhod map of the step), so W = y - a - dl is
+    # the driving N(0, 2h) increment when dl has its exact law given (a, y)
+    M, h, n = G.HalfSpace(1), 0.01, 400_000
+    rng = np.random.default_rng(1)
+    x = np.full((n, 1), a)
+    y, dl, _ = M.step(x, h, rng.standard_normal((n, 1)), np.ones(n, dtype=bool),
+                      1.0 - rng.random(n))
+    w = (y[:, 0] - a - dl) / math.sqrt(2 * h)
+    assert abs(w.mean()) < 4 / math.sqrt(n)
+    assert abs(w.var() - 1.0) < 4 * math.sqrt(2 / n)
+    assert abs(np.mean(w**4) / 3.0 - 1.0) < 4 * math.sqrt(96 / n) / 3.0
+    se = dl.std() / math.sqrt(n)
+    assert abs(dl.mean() - (y[:, 0].mean() - a)) < 4 * math.sqrt(se**2 + y.var() / n)
+    # the Euler overshoot 2 max(0, -(a + W)) passes the checks above; its
+    # second moment does not (4h against 2h from the wall): P(l_h > z) =
+    # P(min of a + W over the step < -z) = erfc((a + z) / (2 sqrt h))
+    m2 = quad(lambda z: 2 * z * math.erfc((a + z) / (2 * math.sqrt(h))), 0, np.inf)[0]
+    assert abs(np.mean(dl**2) - m2) < 4 * np.std(dl**2) / math.sqrt(n)
 
 
 def test_path_config_validation():
@@ -178,27 +210,89 @@ def test_local_time_profile_matches_flat_boundary_value():
 
 
 # sha256 of (means, standard errors) of local_time_profile at r = 0.1,
-# where most paths stop before the last grid time, recorded while the
-# stop was an option of simulate_ensemble
-LOCAL_TIME_STOP_DIGEST = "693d18f1686e0b2df2a756236484465e8d31e7df5f8655b9b046ce9d32df4b76"
+# where most paths stop before the last grid time, per variant: the
+# ball's recorded while the stop was an option of simulate_ensemble, the
+# half-space's when their local time was drawn from the exact law (the
+# half-line also reading its exit inside each step, on 160 steps)
+LOCAL_TIME_STOP_DIGESTS = {
+    "half_space-1": (G.HalfSpace(1), [0.0],
+                     "18774d7091922a593df54299cd4f428a89a430d588eef72eb0af10d9cdd4855b"),
+    "half_space-2": (G.HalfSpace(2), [0.02, 0.1],
+                     "08f3a6722304d29dd344a1442987b6283924f9b8ec3f525f442fa32dc745b0fc"),
+    "euclidean_ball-2": (G.EuclideanBall(2, 1.0), [0.97, 0.0],
+                         "e5026032b40aebc0e0317337d1c7fe497cc615e792d88d14e41c0445cd41e462"),
+}
 
 
 def test_local_time_profile_stopped_at_small_radius_matches_pinned_digest():
-    h = hashlib.sha256()
-    for M, x in [(G.HalfSpace(1), [0.0]), (G.HalfSpace(2), [0.02, 0.1]),
-                 (G.EuclideanBall(2, 1.0), [0.97, 0.0])]:
+    got = {}
+    for name, (M, x, _) in LOCAL_TIME_STOP_DIGESTS.items():
         ests, _ = local_time_profile(M, x, [0.0025, 0.01, 0.04], 20_000, 1e-4, master_seed=5, r=0.1)
-        for a in ([e.mean for e in ests], [e.stderr for e in ests]):
-            h.update(np.array(a).tobytes())
-    assert h.hexdigest() == LOCAL_TIME_STOP_DIGEST
+        got[name] = _sha256([e.mean for e in ests], [e.stderr for e in ests])
+    assert got == {name: digest for name, (_, _, digest) in LOCAL_TIME_STOP_DIGESTS.items()}
 
 
 def test_local_time_profile_on_the_half_space_steps_at_h(ensemble_steps):
-    # its marks read the paths along the way, so the one exact step to T
-    # that a read of X_T takes there does not apply
-    assert G.HalfSpace(1).euler_exact
+    # on the half-line the clock is the least number of uniform steps of
+    # at most r^2 / 40 that puts every grid time on a step: 4 of 0.01,
+    # not 40 of h; HalfSpace(2) reads its exit at step times, so steps at h
     local_time_profile(G.HalfSpace(1), [0.0], [0.01, 0.04], 2000, 1e-3, master_seed=5)
-    assert ensemble_steps == [(0.04, 40)]
+    local_time_profile(G.HalfSpace(2), [0.0, 0.0], [0.01, 0.04], 2000, 1e-3, master_seed=5)
+    assert ensemble_steps == [(0.04, 4), (0.04, 40)]
+    # with no such clock at most T / h steps (r^2 / 40 = 1e-3 needs 40
+    # steps at r = 0.2), the clock is h
+    local_time_profile(G.HalfSpace(1), [0.0], [0.01, 0.04], 2000, 2e-3, master_seed=5, r=0.2)
+    assert ensemble_steps[-1] == (0.04, 20)
+    # however large r, the grid needs its 4 steps
+    local_time_profile(G.HalfSpace(1), [0.0], [0.01, 0.04], 2000, 1e-3, master_seed=5, r=1e7)
+    assert ensemble_steps[-1] == (0.04, 4)
+
+
+def test_half_space_positions_are_the_euler_ones():
+    # the exact local time draws its uniforms from a stream of its own, so
+    # every position is bitwise the Euler one on the block's normals,
+    # |a + sqrt(2h) xi| on the first coordinate
+    h = 0.01
+    res = simulate_ensemble(G.HalfSpace(2), [0.05, 0.2], 0.05, h, 300, master_seed=4, block_size=200)
+    for b, lo, hi in [(0, 0, 200), (1, 200, 300)]:
+        rng = stream(4, 0, b)
+        pos = np.tile([0.05, 0.2], (hi - lo, 1))
+        for _ in range(5):
+            pos = pos + (math.sqrt(2 * h) * rng.standard_normal((hi - lo, 2)) + 0.0)
+            pos[:, 0] = np.abs(pos[:, 0])
+        assert np.array_equal(pos, res["positions"][lo:hi])
+    assert np.any(res["local_time"] > 0)
+
+
+def test_stopped_local_time_series_values():
+    assert reflected_stopped_local_time(0.04, 0.3)[0] == pytest.approx(0.21878, abs=1e-5)
+    assert reflected_stopped_local_time(0.04, 0.1)[0] == pytest.approx(0.099996, abs=1e-6)
+    # long before the exit it is the unstopped 2 sqrt(t / pi); at length r
+    assert reflected_stopped_local_time(0.0025, 1.0)[0] == pytest.approx(
+        2 * math.sqrt(0.0025 / math.pi), rel=1e-12)
+    assert reflected_stopped_local_time(50.0, 0.3)[0] == pytest.approx(0.3, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.3])
+def test_local_time_profile_stopped_on_the_half_line_matches_the_eigen_series(r):
+    # the exact step and the in-step exit; with exits read at step times
+    # alone, the same clock and paths read +10 se (r = 0.3) and +52 se
+    # (r = 0.1) at t = 0.04
+    t_grid = [0.0025, 0.01, 0.04]
+    ests, _ = local_time_profile(G.HalfSpace(1), [0.0], t_grid, 200_000, 1e-4, master_seed=11, r=r)
+    for t, e in zip(t_grid, ests):
+        exact, tail = reflected_stopped_local_time(t, r)
+        assert abs(e.mean - exact) <= 3 * e.stderr + tail, (t, e.mean, exact, e.stderr)
+
+
+def test_local_time_profile_above_the_wall_stops_before_any_local_time():
+    # from x = 0.15 at r = 0.1 a path must cross 0.05 before it touches
+    # the wall, so every stopped local time is 0; on this clock of h (the
+    # grid clock would need 160 steps of r^2 / 40) many steps go from
+    # inside the ball to the wall
+    ests, _ = local_time_profile(G.HalfSpace(1), [0.15], [0.01, 0.04], 20_000, 1e-3, master_seed=3,
+                                 r=0.1)
+    assert [e.mean for e in ests] == [0.0, 0.0]
 
 
 def test_local_time_needs_boundary():
@@ -222,15 +316,17 @@ def test_ensemble_bitwise_reproducible():
 
 # sha256 of simulate_ensemble outputs recorded before the block loop
 # stepped all blocks in lockstep (sphere-2: re-recorded when its noise
-# became the tangent projection of three normals), and before the stop
+# became the tangent projection of three normals; half_space: when its
+# local time was drawn from the exact law, positions, alive flags and
+# exit times keeping their bytes), and before the stop
 # and the exit times moved from the stepping loop into a reducer that
 # marks every step: three blocks (2500 paths, block size 1000), a stop
 # ball, two exit balls and three marks; the mark digest covers (local
 # time, alive) at each mark, stacked in mark order
 PINNED_ENSEMBLES = {
     "half_space": (G.HalfSpace(1), [0.05], 0.05, 1e-3,
-                   "80b2758d20e9a094d6690bdfc0daa6cec2ffb290d25801cc337b89067701cdc2",
-                   "20aa6cfb58358327b9b8f2074f2cb57a697a54f4e8423269c64f2da7c6d06040"),
+                   "d7df1242446269fa57deb8ac329c10be2ced97eef83168eb3dfb8c90db1ab6b0",
+                   "e868e0a3c3f8acd7d1521612edc8cc341473f8cc1c2db80d6492fa52962ba9fd"),
     "sphere-2": (G.Sphere(2, 1.0), [0.0, 0.0, 1.0], 0.2, 1e-2,
                  "b9f2ea8bd39dbc33ca719d38a601531be4e42a935e1934b8bc3bb76cf66d5e47",
                  "496a0f9111dc9cc4bb2574a6ab85d4cd90b59ff838663518b47623dbc256f4be"),
@@ -278,7 +374,8 @@ MULTI_START = {
 
 # sha256 of (terminal state, mark states) of each start run on its own,
 # recorded before starts could share an ensemble (sphere-2: re-recorded,
-# each start on its own, for the projected noise): BLOCK_SIZE + 100 paths
+# each start on its own, for the projected noise; half_space: for the
+# exact local time, all else keeping its bytes): BLOCK_SIZE + 100 paths
 # (two blocks), seed 29, a stop ball and two exit balls about the first
 # start (read at every step), marks at T/4, T/2 and T; the digest covers
 # (positions, alive, local time) at each mark, stacked in mark order
@@ -328,16 +425,16 @@ PER_START_DIGESTS = {
          "72c989bf9990a586d1fd40930680ffd376999db9fa86ac5b296c0b9b67c0116a"),
     ],
     "half_space-1": [
-        ("6669774cbe82ee9c0a8c342f3e95db444296255d22d8b7dad8080a49cdb2193f",
-         "67afab617c237fdfde5998887cdd3e7edb61515e71f60e9c44642ee439d70997"),
-        ("e7c0a108fb0b351547cdc7be6ccf509a2467887bb9b4cd15842962b0dc28205c",
-         "14e4d08cf513a47424935a5eb676351f8164ebf54055d38f6c75947b19bae72f"),
+        ("48f2a6fb07976ca5e7234b1c8c2f38a885f2bf3084a8e0d20d0dacfe57c30206",
+         "c6ebcb727ce53d28830662fde262b18bee2bfb7c79a83c7f2e6813eec4e027d2"),
+        ("3e7565c567c60f911c5898093fbbfb26ce40bb2af7ddb8f738cefb389dde6a69",
+         "a28daec31686c59ff9c74453771b8b684c8a007c34e6b5665d187f28c374b857"),
     ],
     "half_space-2": [
-        ("b5a929dfa588ebb8546e985fc575873365c227374434229b42125ebf2e97edb0",
-         "1fbb0282118b1b5f7c9cdb2dae1b38a38a9dae7ebf7c9f87ad1d15586322f331"),
-        ("987bde94b8fdfaab6545db2bd698a652c67735572f9e7773a23498fa60e96070",
-         "10e2c69eb5e1e4ba6e80bb07553eee91c6ec5232a7daa5831045247dd7757024"),
+        ("e96ddad868b49c8d17b8ff1495c1014cbaff5001be4c146cb4ed4b588e34e7ef",
+         "0243ff6e0be283463e6ba325f31bd32efdf3d94f16f6e0c39a6e877e8a8cb1d3"),
+        ("3c94b8a551704183a40b311ebdd3a0b6308bf72a90010643ecfe0cd950dda190",
+         "0fe1fa8a3a1e8a15977a5488554ac66de9ef55f13baeebde242b548d11b2ba34"),
     ],
     "explosive_drift_1d-1": [
         ("813a83a7d6c9048a287de20ce7a5e0ba714879d00972719e0080ac46d691c073",
@@ -391,7 +488,7 @@ def test_simulate_ensemble_ends_exactly_at_the_horizon():
     rng = stream(2, 0, 0)
     pos, alive = np.zeros((n, 1)), np.ones(n, dtype=bool)
     for _ in range(4):
-        pos, _, alive = _advance(M, pos, 0.25, rng.standard_normal((n, M.noise_width)), alive)
+        pos, _, alive = M.step(pos, 0.25, rng.standard_normal((n, M.noise_width)), alive)
     assert np.array_equal(pos, res["positions"])
 
 

@@ -420,7 +420,6 @@ def test_path_and_pair_steps_take_no_linalg_norm(monkeypatch):
     # the per-step kernels use the explicit sums; np.linalg.norm costs a
     # strided reduce per call
     from logharnack import coupling as C
-    from logharnack.diffusion import _advance
 
     S = G.Sphere(2)
     y = np.array([0.0, 0.0, 1.0])
@@ -439,4 +438,4 @@ def test_path_and_pair_steps_take_no_linalg_norm(monkeypatch):
     monkeypatch.setattr(G.np.linalg, "norm", boom)
     C._coupled_step(S, cfg, cfg.h_eff, 0.0, pairs, rng.standard_normal((n, S.noise_width)))
     for M, x0 in zip(models, starts):
-        _advance(M, x0, 0.01, rng.standard_normal((n, M.noise_width)), np.ones(n, dtype=bool))
+        M.step(x0, 0.01, rng.standard_normal((n, M.noise_width)), np.ones(n, dtype=bool))
