@@ -618,6 +618,11 @@ def test_generator_mc_fits_the_reached_times():
     A = np.stack([res["s_grid"], res["s_grid"] ** 2], axis=-1)
     coef, *_ = np.linalg.lstsq(A, res["values"] - 1.0, rcond=None)
     assert res["slope"] == float(coef[0])
+    # the per-step means and the per-path slope, pinned bit for bit
+    digest = hashlib.sha256()
+    for a in (res["values"], [res["slope_paths"].mean, res["slope_paths"].stderr]):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    assert digest.hexdigest() == "0ba44c41c53ab76fae1e2958fc157d942e7918e9eda208a3b571bf0036a08b1c"
     with pytest.raises(ValueError):
         E.generator_check(G.ExplosiveDrift1D(), [1.0], E.coord(0), n_paths=999)
 
