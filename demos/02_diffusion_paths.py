@@ -68,22 +68,18 @@ print()
 print("=" * 70)
 print("4. Exit times decay super-polynomially")
 print("=" * 70)
-print("A reducer that marks every step records who has left the ball;")
-print("marks at the read times then give the exit probabilities.")
+print("A per-step hook records who has left the ball; read at the")
+print("steps that reach the read times, it gives the exit probabilities.")
 M, n, t_read = G.Euclidean(1), 100_000, [0.02, 0.04, 0.06]
 cfg = PathConfig(h=1e-4, T=0.06)
-steps = [k * cfg.h_eff for k in range(1, cfg.n_steps + 1)]
+reads = dict(zip(cfg.mark_steps(t_read), t_read))
 exited = np.zeros(n, dtype=bool)
 
 
-def on_mark(i, pos, alive, l):
-    if i < len(steps):
-        exited[...] |= M.distance([0.0], pos) >= 1.0
-        return None
-    return float(exited.mean())
+def on_step(k, pos, alive, l):
+    exited[...] |= M.distance([0.0], pos) >= 1.0
+    if k in reads:
+        print(f"P(exit unit ball by t = {reads[k]}) ~ {exited.mean():.2e}")
 
 
-res = simulate_ensemble(M, [0.0], cfg.T, cfg.h, n, master_seed=SEED, marks=steps + t_read,
-                        on_mark=on_mark)
-for t, p in zip(t_read, res["marks"][len(steps):]):
-    print(f"P(exit unit ball by t = {t}) ~ {p:.2e}")
+simulate_ensemble(M, [0.0], cfg.T, cfg.h, n, master_seed=SEED, on_step=on_step)

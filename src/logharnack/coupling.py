@@ -24,7 +24,7 @@ D = B(y, domain_radius) with the cosine reference on D.
 (``_coupled_step``) has this pair-geometry budget per step:
 rho(X, Y) and phi(Y) carry over from the previous step's stopping
 checks; the pair's two unit directions, at X away from Y and at Y away
-from X, come once each in closed form and no log is taken (on the
+from X, come once each in closed form (on the
 sphere from y - x and |y - x|, on the hyperbolic plane from one
 complex product each), and on the sphere the transported noise is
 built from them; the noise map at X and its adjoint, which the

@@ -12,13 +12,14 @@ own rows of the state, so every path is the same bit for bit as when
 the blocks ran one after another.  The start point may carry a leading
 axis of starts: they share each block's draws (common random numbers),
 and each start's rows go through their own step call, so each start's
-paths are those of a run from that start alone.  Marks are the one way
-to read paths along the way: at each mark time the state of all paths
-(positions, alive flags, local times) goes to a reducer that the caller
-passes, so one run serves every time on a grid and no (marks x paths)
-array is stored.  Exit times and stopped functionals mark every step
-(``local_time_profile`` stops its local time so).  The clock steps
-h_eff = T / ceil(T / h), so it ends exactly at T.
+paths are those of a run from that start alone.  A per-step hook is the
+one way to read paths along the way: after each step the state of all
+paths (positions, alive flags, local times) goes to a reader that the
+caller passes, so one run serves every time on a grid and no (times x
+paths) array is stored; a reader maps its times to steps with
+``PathConfig.mark_steps``.  Exit times and stopped functionals read
+every step (``local_time_profile`` stops its local time so).  The clock
+steps h_eff = T / ceil(T / h), so it ends exactly at T.
 
 On ``euclidean`` and ``half_space`` one step of any size has the law of
 the diffusion at that time (``ModelSpace.euler_exact``), so a check that
@@ -92,8 +93,7 @@ def simulate_ensemble(
     n_paths: int,
     master_seed: int,
     *,
-    marks: Sequence[float] = (),
-    on_mark: Optional[Callable] = None,
+    on_step: Optional[Callable] = None,
     block_size: int = BLOCK_SIZE,
 ):
     """Simulate n_paths independent copies up to time T from each start.
@@ -106,23 +106,15 @@ def simulate_ensemble(
     set, each path also draws one uniform in (0, 1] per step, from its
     block's stream (master_seed, 1, b).
 
-    At the step that reads each time in ``marks``
-    (``PathConfig.mark_steps``), ``on_mark(i, positions, alive,
-    local_time)`` gets mark i and read-only views of the state of all
-    paths, valid during the call; marks that share a step are read in
-    mark order.
+    After each step k = 1, ..., n_steps, ``on_step(k, positions, alive,
+    local_time)`` gets read-only views of the state of all paths, valid
+    during the call.
 
     Returns a dict with terminal positions / alive flags / local times,
-    the reducer's value per mark (``marks``, in mark order), the number
-    of steps and the effective step size.
+    the number of steps and the effective step size.
     """
-    if len(marks) and on_mark is None:
-        raise ValueError("marks need an on_mark reducer")
     cfg = PathConfig(h=h, T=T)
     n_steps, h_eff = cfg.n_steps, cfg.h_eff
-    readers = {}
-    for mi, ms in enumerate(cfg.mark_steps(marks)):
-        readers.setdefault(ms, []).append(mi)
     x0 = np.asarray(x0, dtype=float)
     lead = x0.shape[:-1]
     starts = x0.reshape(-1, M.chart_dim)
@@ -138,10 +130,9 @@ def simulate_ensemble(
     pos = np.repeat(starts[:, None, :], n_paths, axis=1)
     alive = np.ones((n_starts, n_paths), dtype=bool)
     l = np.zeros((n_starts, n_paths))
-    out_marks = [None] * len(marks)
     views = [_read_only(a.reshape(lead + a.shape[1:])) for a in (pos, alive, l)]
 
-    for kstep in range(n_steps):
+    for k in range(1, n_steps + 1):
         for rng, urng, (_, lo, hi) in zip(rngs, urngs, spans):
             xi = rng.standard_normal((hi - lo, M.noise_width))
             u = None if urng is None else 1.0 - urng.random(hi - lo)  # in (0, 1]
@@ -152,14 +143,13 @@ def simulate_ensemble(
                 # without a boundary dl is zero: l stays untouched zero pages
                 if M.has_boundary:
                     l[s, lo:hi] += dl
-        for mi in readers.get(kstep + 1, ()):
-            out_marks[mi] = on_mark(mi, *views)
+        if on_step is not None:
+            on_step(k, *views)
 
     return {
         "positions": pos.reshape(lead + pos.shape[1:]),
         "alive": alive.reshape(lead + alive.shape[1:]),
         "local_time": l.reshape(lead + l.shape[1:]),
-        "marks": out_marks,
         "h_eff": h_eff,
         "n_steps": n_steps,
     }
@@ -192,10 +182,11 @@ def local_time_profile(
 ):
     """Monte Carlo estimates of E l_{t ^ sigma_r} on a time grid, where
     sigma_r is the first exit from the ball of radius r around the start.
-    Every step is marked as well as the grid, whose marks read the kept
-    local time of the stopped paths and the running one of the others.
-    Returns (estimates, reference), reference the flat-boundary value
-    2 sqrt(t) / sqrt(pi).
+    Each step first stops the paths that left the ball, and a step that
+    reads a grid time then reads the kept local time of the stopped paths
+    and the running one of the others.  Returns (estimates, reference),
+    reference the unstopped flat-boundary value 2 sqrt(t) / sqrt(pi)
+    whatever r is.
 
     On the half-line, where the step's local time is exact in law, the
     clock has n uniform steps, the least n with T / n <= r^2 / 40 that
@@ -203,13 +194,13 @@ def local_time_profile(
     ``PathConfig(h, T).n_steps``.  The exit at the levels c = x + r and
     x - r (only when x - r > 0) is read inside each step from a to y: a
     second uniform reads each crossing with the Brownian-bridge
-    probability exp(-(c - a)(c - y) / h), and a step that touches the
-    wall above x - r > 0 crossed x - r first, so the path exits with its
-    local time from before the step.  Only a step that touches both the
-    wall and a level is treated approximately (its bridge is taken as
-    free), of probability about exp(-r^2 / (4h)) <= e^-10.  Elsewhere
-    the clock is h, and a path stops at the first step that finds it at
-    distance >= r, keeping its local time of that step.
+    probability exp(-(c - a)(c - y) / h), and when x - r >= 0 a step that
+    touches the wall reached distance r on the way, so the path exits
+    with its local time from before the step.  Only a step that touches
+    both the wall and a level is treated approximately (its bridge is
+    taken as free), of probability about exp(-r^2 / (4h)) <= e^-10.
+    Elsewhere the clock is h, and a path stops at the first step that
+    finds it at distance >= r, keeping its local time of that step.
     """
     if not M.has_boundary:
         raise ValueError("local_time_profile needs a boundary variant")
@@ -220,27 +211,27 @@ def local_time_profile(
     n = _grid_steps(t_grid, cfg.T, r, cfg.n_steps) if half_line else None
     if n is not None:
         cfg = PathConfig(h=cfg.T / n, T=cfg.T)
-    steps = [k * cfg.h_eff for k in range(1, cfg.n_steps + 1)]
+    reads = cfg.mark_steps(t_grid)
+    estimates = [None] * len(t_grid)
     stopped = np.zeros(n_paths, dtype=bool)
     l_stop = np.zeros(n_paths)
     # the half-line's in-step exit: each path's position and local time
-    # at the last step, and the uniforms that read the crossings
-    low = half_line and x[0] > r
-    levels = [x[0] + r, x[0] - r] if low else [x[0] + r]
+    # at the last step, and the uniforms that read the crossings; from
+    # x >= r the wall is at distance >= r
+    wall = half_line and x[0] >= r
+    levels = [x[0] + r, x[0] - r] if x[0] > r else [x[0] + r]
     a, l_prev = np.full(n_paths, x[0]), np.zeros(n_paths)
     rng = stream(master_seed, 2)
 
-    def on_mark(i, pos, alive, l):
-        if i >= len(steps):
-            return estimate_from_values(np.where(stopped, l_stop, l))
+    def on_step(k, pos, alive, l):
         if half_line:
             # the bridge crossing probabilities, 1 where y is beyond c
             y = pos[:, 0]
             p = sum(np.exp(-np.maximum((c - a) * (c - y), 0.0) / cfg.h_eff) for c in levels)
             newly = rng.random(n_paths) < p
-            if low:
-                newly |= l > l_prev  # touched the wall, so crossed x - r
-            kept = l_prev if low else l
+            if wall:
+                newly |= l > l_prev  # touched the wall, so reached distance r
+            kept = l_prev if wall else l
         else:
             newly, kept = M.distance(x, pos) >= r, l
         newly &= ~stopped
@@ -248,9 +239,10 @@ def local_time_profile(
         stopped[newly] = True
         if half_line:
             a[...], l_prev[...] = y, l
-        return None
+        for i, ki in enumerate(reads):
+            if ki == k:
+                estimates[i] = estimate_from_values(np.where(stopped, l_stop, l))
 
-    res = simulate_ensemble(M, x, cfg.T, cfg.h, n_paths, master_seed, marks=steps + t_grid,
-                            on_mark=on_mark)
+    simulate_ensemble(M, x, cfg.T, cfg.h, n_paths, master_seed, on_step=on_step)
     reference = [2.0 * math.sqrt(t) / math.sqrt(math.pi) for t in t_grid]
-    return res["marks"][len(steps):], reference
+    return estimates, reference

@@ -13,8 +13,9 @@ caller names; on ``euclidean`` and ``half_space``, where the Euler step
 is exact in law, it takes one step to T.  Gradients use central finite
 differences at 2 dim starts of one such ensemble (common random
 numbers), and the short-time generator identity is checked by a
-least-squares slope of (P_s g - g) against s, from one marked ensemble
-(stepping at h) when there is no oracle.
+least-squares slope of (P_s g - g) against s, from one ensemble read
+at the steps that reach the s grid (stepping at h) when there is no
+oracle.
 """
 
 from __future__ import annotations
@@ -754,20 +755,25 @@ def generator_check(
             raise ValueError("n_paths must be >= 1000") from None
         cfg = PathConfig(h=h, T=float(np.max(s_grid)))
         # when h does not divide the grid, several s share a step: each
-        # reached step is read and fitted once
-        reached = np.unique(cfg.mark_steps(s_grid)) * cfg.h_eff
+        # reached step is read and fitted once, in ascending order
+        steps = np.unique(cfg.mark_steps(s_grid))
+        reached = steps * cfg.h_eff
         w = np.linalg.pinv(np.stack([reached, reached**2], axis=-1))[0]
         vals = np.empty_like(reached)
         per_path = np.zeros(n_paths)
+        index = {k: i for i, k in enumerate(steps.tolist())}
 
-        def on_mark(i, positions, alive, _):
+        def on_step(k, positions, alive, _):
+            if k not in index:
+                return
+            i = index[k]
             gv = _mode_values(g, "f", positions, alive)
             vals[i] = sample_mean(gv)
             gv -= g0
             gv *= w[i]
             np.add(per_path, gv, out=per_path)
 
-        simulate_ensemble(M, x, cfg.T, h, n_paths, master_seed, marks=reached, on_mark=on_mark)
+        simulate_ensemble(M, x, cfg.T, h, n_paths, master_seed, on_step=on_step)
         slope_paths = estimate_from_values(per_path)
         s_grid = reached
     y = vals - g0

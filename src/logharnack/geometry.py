@@ -1,7 +1,8 @@
 """Model-manifold catalogue with exact closed-form geometry.
 
-Every variant supplies distance, exponential / logarithm maps, parallel
-transport along the minimal geodesic, curvature-with-drift Ric_Z (from
+Every variant supplies distance, the exponential map, parallel
+transport along the minimal geodesic, the unit directions of a pair of
+points, a noise frame, curvature-with-drift Ric_Z (from
 which the base class derives the curvature bound K), and boundary data
 (inward normal, second fundamental form).  The catalogue is fixed so
 that all geometric primitives are exact; discretisation error then lives
@@ -165,9 +166,6 @@ class ModelSpace:
     def exp(self, x, v) -> np.ndarray:
         raise NotImplementedError
 
-    def log(self, x, y) -> np.ndarray:
-        raise NotImplementedError
-
     def transport(self, x, y, v) -> np.ndarray:
         """Parallel transport of v from T_x M to T_y M along the minimal
         geodesic."""
@@ -192,7 +190,7 @@ class ModelSpace:
     def _units(self, x, y, rho):
         """(u_x, u_y) = (grad_distance(y, x), grad_distance(x, y)) given
         rho = distance(x, y): the unit at x pointing away from y and the
-        unit at y pointing away from x, in closed form, with no log.
+        unit at y pointing away from x, in closed form.
         Swapping x and y swaps them, up to the sign of zero."""
         raise NotImplementedError
 
@@ -233,16 +231,15 @@ class ModelSpace:
         """The step noise map: tangent components of sum_i xi_i f_i, (f_i)
         the noise frame at x, noise_width vectors whose sum of f_i f_i^T
         is the identity of T_x M (a Parseval frame), so that standard
-        normals xi give a standard Gaussian of T_x M.  By default the
-        noise frame is the orthonormal frame(x)."""
-        return np.einsum("...ik,...i->...k", self.frame(x), _arr(xi))
+        normals xi give a standard Gaussian of T_x M."""
+        raise NotImplementedError
 
     def frame_components(self, x, v) -> np.ndarray:
         """Coefficients <v, f_i> of tangent components v in the noise
         frame: the adjoint of tangent_from_frame, with <c, xi> =
         <v, tangent_from_frame(x, xi)>, and its inverse when the frame
         is orthonormal."""
-        return np.einsum("...ik,...k->...i", self.frame(x), _arr(v))
+        raise NotImplementedError
 
     # -- curvature -----------------------------------------------------
 
@@ -333,9 +330,6 @@ class _FlatChart(ModelSpace):
         # injectivity_radius is infinite on a flat chart: no check
         return _arr(x) + _arr(v)
 
-    def log(self, x, y):
-        return _arr(y) - _arr(x)
-
     def transport(self, x, y, v):
         return np.array(_arr(v), copy=True)
 
@@ -353,7 +347,7 @@ class _FlatChart(ModelSpace):
 
     def frame_components(self, x, v):
         # the identity frame's components; + 0.0 turns -0.0 into +0.0 as
-        # the base einsum's sum does
+        # an einsum's sum over the frame does
         return _arr(v) + 0.0
 
     def ricci_z(self, x, u):
@@ -603,17 +597,6 @@ class Sphere(ModelSpace):
         # renormalise to kill accumulated rounding
         return _scale(self.radius / _norm(out), out)
 
-    def log(self, x, y):
-        x, y = _arr(x), _arr(y)
-        alpha = self._angle(x, y)
-        self._require_inside_injectivity(self.radius * alpha)
-        u = y - _scale(np.cos(alpha), x)
-        nu = _norm(u)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            direction = _divide(u, np.maximum(nu, 1e-300))
-        direction[~(nu > 1e-300)] = 0.0
-        return _scale(self.radius * alpha, direction)
-
     def transport(self, x, y, v):
         x, y, v = _arr(x), _arr(y), _arr(v)
         return self._transport(x, y, v, *self._units(x, y, self.distance(x, y)))
@@ -648,8 +631,6 @@ class Sphere(ModelSpace):
         smooth in x, so starts that share noise move alike.  On the
         circle, xi times frame(x)."""
         if self.dim == 1:
-            # the base method inlined, not called: perfbench's tracer
-            # counts the rows of every tangent_from_frame call as steps
             return np.einsum("...ik,...i->...k", self.frame(x), _arr(xi))
         x, xi = _arr(x), _arr(xi)
         return xi - _scale(_dot(xi, x) / self.radius**2, x)
@@ -723,17 +704,6 @@ class Hyperbolic(ModelSpace):
         u = np.abs(zy - zx) ** 2 / (2.0 * zx.imag * zy.imag)
         # arccosh(1 + u) in a form stable near coincidence
         return np.log1p(u + np.sqrt(u * (2.0 + u)))
-
-    def log(self, x, y):
-        zx, zy = self._c(x), self._c(y)
-        w = (zy - zx.real) / zx.imag          # move x to i
-        zeta = (w - 1j) / (w + 1j)            # Cayley: i -> 0
-        az = np.abs(zeta)
-        rho = 2.0 * np.arctanh(np.clip(az, 0.0, 1.0 - 1e-16))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            d = np.where(az > 0, zeta / np.maximum(az, 1e-300), 0.0)
-        v = rho * (1j * d) * zx.imag          # tangent back at x
-        return self._r(v)
 
     def exp(self, x, v):
         # real arithmetic where numpy's complex division would do: v / Im x

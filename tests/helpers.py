@@ -5,8 +5,10 @@ and parallel transport are integrated from the Christoffel symbols of the
 upper half-plane metric, curvature is recovered from geodesic deviation,
 boundary-exit probabilities and the stopped local time come from the
 classical eigen-series, and domain suprema are maxima over polar grids in every direction.
-First-exit times and stopped local times are read from ensembles through
-mark reducers that mark every step.
+The log map, which no step of the library takes, is here in closed form
+for the tests that compare exp, transport and the distance gradient with
+it.  First-exit times and stopped local times are read from ensembles
+through the per-step hook.
 """
 
 import importlib.util
@@ -17,6 +19,33 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from logharnack.diffusion import PathConfig, simulate_ensemble
+from logharnack.geometry import Hyperbolic, Sphere
+
+
+def log_map(M, x, y):
+    """log_x(y): the tangent at x of the minimal geodesic to y, of length
+    rho(x, y); y - x on the flat charts."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if isinstance(M, Sphere):
+        # 2 arcsin of half the chord length: stable near coincidence
+        chord = np.linalg.norm(y - x, axis=-1) / M.radius
+        alpha = 2.0 * np.arcsin(np.clip(chord / 2.0, 0.0, 1.0))
+        u = y - np.cos(alpha)[..., None] * x
+        nu = np.linalg.norm(u, axis=-1)[..., None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            direction = np.where(nu > 1e-300, u / np.maximum(nu, 1e-300), 0.0)
+        return (M.radius * alpha)[..., None] * direction
+    if isinstance(M, Hyperbolic):
+        zx, zy = x[..., 0] + 1j * x[..., 1], y[..., 0] + 1j * y[..., 1]
+        w = (zy - zx.real) / zx.imag          # move x to i
+        zeta = (w - 1j) / (w + 1j)            # Cayley: i -> 0
+        az = np.abs(zeta)
+        rho = 2.0 * np.arctanh(np.clip(az, 0.0, 1.0 - 1e-16))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            d = np.where(az > 0, zeta / np.maximum(az, 1e-300), 0.0)
+        v = rho * (1j * d) * zx.imag          # tangent back at x
+        return np.stack([v.real, v.imag], axis=-1)
+    return y - x
 
 
 def hyperbolic_geodesic_ivp(x0, v0, length=1.0):
@@ -113,37 +142,39 @@ def reflected_stopped_local_time(t, r):
 
 def simulate_with_exits(M, x0, T, h, n_paths, master_seed, *, domains=(), stop=None,
                         marks=(), on_mark=None, **kwargs):
-    """``simulate_ensemble`` read at every step through its marks.
+    """``simulate_ensemble`` read at every step through its hook.
 
     ``domains`` is a list of (center, radius) whose first-exit step
     times are recorded (inf before the exit); with ``stop`` = (center, r)
     the local time is frozen at the first exit from B(center, r), the
-    exit step's increment included.  Every step is marked ahead of the
-    caller's ``marks``, at which ``on_mark`` sees (positions, alive,
-    frozen local time).  Returns the ensemble's dict with the frozen
-    local time, the caller's marks and ``exit_times`` of shape
-    (domains, starts..., paths).
+    exit step's increment included.  At the step that reads each time in
+    ``marks`` (``PathConfig.mark_steps``), after that step's exits,
+    ``on_mark(i, positions, alive, frozen local time)`` gets mark i;
+    marks that share a step are read in mark order.  Returns the
+    ensemble's dict with the frozen local time, ``marks`` (on_mark's
+    value per mark) and ``exit_times`` of shape (domains, starts...,
+    paths).
     """
     cfg = PathConfig(h=h, T=T)
-    steps = [k * cfg.h_eff for k in range(1, cfg.n_steps + 1)]
+    reads = cfg.mark_steps(marks)
+    out = [None] * len(reads)
     shape = np.shape(x0)[:-1] + (n_paths,)
     exit_times = np.full((len(domains),) + shape, np.inf)
     frozen = np.zeros(shape)
     stopped = np.zeros(shape, dtype=bool)
 
-    def reader(i, pos, alive, l):
-        if i >= len(steps):
-            return on_mark(i - len(steps), pos, alive, frozen)
+    def on_step(k, pos, alive, l):
         np.copyto(frozen, l, where=~stopped)
         if stop is not None:
             stopped[...] |= M.distance(stop[0], pos) >= stop[1]
         for et, (c, r) in zip(exit_times, domains):
-            et[np.isinf(et) & (M.distance(c, pos) >= r)] = (i + 1) * cfg.h_eff
-        return None
+            et[np.isinf(et) & (M.distance(c, pos) >= r)] = k * cfg.h_eff
+        for i, ki in enumerate(reads):
+            if ki == k:
+                out[i] = on_mark(i, pos, alive, frozen)
 
-    res = simulate_ensemble(M, x0, T, h, n_paths, master_seed, marks=steps + list(marks),
-                            on_mark=reader, **kwargs)
-    return dict(res, local_time=frozen, exit_times=exit_times, marks=res["marks"][len(steps):])
+    res = simulate_ensemble(M, x0, T, h, n_paths, master_seed, on_step=on_step, **kwargs)
+    return dict(res, local_time=frozen, exit_times=exit_times, marks=out)
 
 
 def polar_grid_sup(M, ref, coef=5.0, n_rho=401, k=12):

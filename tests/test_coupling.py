@@ -193,23 +193,6 @@ def test_sphere_coupled_step_geometry_budget(monkeypatch):
     assert calls == {"_angle": 3, "frame": 0}
 
 
-def test_hyperbolic_coupled_step_takes_no_log(monkeypatch):
-    # the pair's units and the transport are closed forms of the chart
-    # points
-    M = G.Hyperbolic()
-    x, y = [0.0, math.exp(0.3)], [0.0, 1.0]
-    cfg = C.standard_coupling_config(M, x, y, T=0.5, h=1e-3)
-    n = 50
-    X, Y = np.tile(x, (n, 1)), np.tile(y, (n, 1))  # phi(Y) = phi(y) = 1
-    pairs = C._Pairs(X, Y, M.distance(X, Y), np.ones(n), np.zeros(n), np.zeros(n, dtype=bool))
-    calls = []
-    orig = G.Hyperbolic.log
-    monkeypatch.setattr(G.Hyperbolic, "log", lambda self, *a: calls.append(a) or orig(self, *a))
-    xi = np.random.default_rng(0).standard_normal((n, M.noise_width))
-    C._coupled_step(M, cfg, cfg.h_eff, 0.0, pairs, xi)
-    assert calls == []
-
-
 @pytest.mark.parametrize("M,y", [
     (G.Sphere(2), [0.0, 0.0, 1.0]), (G.Hyperbolic(), [0.0, 1.0]), (G.EuclideanBall(2, 2.0), [0.3, 0.0]),
 ], ids=["sphere-2", "hyperbolic-2", "euclidean_ball-2"])

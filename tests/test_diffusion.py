@@ -295,6 +295,15 @@ def test_local_time_profile_above_the_wall_stops_before_any_local_time():
     assert [e.mean for e in ests] == [0.0, 0.0]
 
 
+def test_local_time_profile_from_distance_r_stops_at_the_wall():
+    # from x = r the wall is at distance r, so a path that touches it
+    # exits with no local time; a rule that read wall touches only from
+    # x > r gave 0.0423 +- 0.0007 at t = 0.04 here, and 0 from 0.3 + 1e-12
+    ests, _ = local_time_profile(G.HalfSpace(1), [0.3], [0.01, 0.04], 20_000, 1e-4, master_seed=5,
+                                 r=0.3)
+    assert [e.mean for e in ests] == [0.0, 0.0]
+
+
 def test_local_time_needs_boundary():
     with pytest.raises(ValueError):
         local_time_profile(G.Euclidean(1), [0.0], [0.1], 5000, 1e-3, 0)
@@ -492,19 +501,21 @@ def test_simulate_ensemble_ends_exactly_at_the_horizon():
     assert np.array_equal(pos, res["positions"])
 
 
-def test_mark_reducer_sees_read_only_state():
+def test_step_hook_sees_read_only_state_after_each_step():
     M = G.ExplosiveDrift1D()
-    seen = []
+    seen, at_two = [], []
 
-    def on_mark(i, pos, alive, l):
+    def on_step(k, pos, alive, l):
         assert not (pos.flags.writeable or alive.flags.writeable or l.flags.writeable)
-        seen.append((i, alive.sum()))
-        return i
+        seen.append((k, alive.sum()))
+        if k == 2:
+            at_two.append(pos.copy())
 
-    res = simulate_ensemble(M, [1.0], 0.05, 1e-2, 300, 3, marks=[0.05, 0.02], on_mark=on_mark,
-                            block_size=100)
-    assert res["marks"] == [0, 1]
-    assert [i for i, _ in seen] == [1, 0]  # called in step order
-    assert seen[0][1] >= seen[1][1] == res["alive"].sum()  # lifetimes only end
-    with pytest.raises(ValueError):
-        simulate_ensemble(M, [1.0], 0.05, 1e-2, 300, 3, marks=[0.05])
+    res = simulate_ensemble(M, [1.0], 0.05, 1e-2, 300, 3, on_step=on_step, block_size=100)
+    assert [k for k, _ in seen] == list(range(1, res["n_steps"] + 1))  # in step order
+    alive = [a for _, a in seen]
+    assert alive == sorted(alive, reverse=True) and alive[-1] == res["alive"].sum()  # lifetimes only end
+    # the state after step 2 is the end of a two-step run on the same streams
+    short = simulate_ensemble(M, [1.0], 0.02, 1e-2, 300, 3, block_size=100)
+    assert np.array_equal(at_two[0], short["positions"])
+    assert "marks" not in res

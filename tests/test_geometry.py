@@ -10,6 +10,7 @@ from helpers import (
     curvature_from_deviation,
     hyperbolic_geodesic_ivp,
     hyperbolic_transport_ivp,
+    log_map,
 )
 
 
@@ -144,7 +145,7 @@ def test_exp_log_round_trip(M):
     ok = np.ones(len(x), dtype=bool)
     if M.has_boundary:
         ok = M.contains(y)
-    lg = M.log(x[ok], y[ok])
+    lg = log_map(M, x[ok], y[ok])
     assert np.max(np.abs(M.exp(x[ok], lg) - y[ok])) < 1e-10
     assert np.max(np.abs(M.norm(x[ok], lg) - M.distance(x[ok], y[ok]))) < 1e-10
     # distance(x, exp(x, v)) = |v|
@@ -154,7 +155,7 @@ def test_exp_log_round_trip(M):
 def test_log_at_same_point_is_zero():
     M = G.Sphere(2, 1.0)
     p = np.array([0.0, 1.0, 0.0])
-    assert np.allclose(M.log(p, p), 0.0)
+    assert np.allclose(log_map(M, p, p), 0.0)
 
 
 def test_sphere_round_trip_wide_angles():
@@ -166,7 +167,7 @@ def test_sphere_round_trip_wide_angles():
     u /= M.norm(x, u)[..., None]
     angles = rng.uniform(0.05, 0.9 * math.pi - 1e-6, size=100)
     y = M.exp(x, angles[:, None] * u)
-    lg = M.log(x, y)
+    lg = log_map(M, x, y)
     assert np.max(np.abs(M.exp(x, lg) - y)) < 1e-10
     assert np.max(np.abs(M.norm(x, lg) - angles)) < 1e-10
 
@@ -185,8 +186,8 @@ def test_parallel_transport_isometry(M):
     # angle with the geodesic direction is preserved
     rho = M.distance(x, y)
     keep = rho > 1e-6
-    a0 = M.inner(x[keep], v[keep], M.log(x[keep], y[keep])) / rho[keep]
-    a1 = M.inner(y[keep], tv[keep], -M.log(y[keep], x[keep])) / rho[keep]
+    a0 = M.inner(x[keep], v[keep], log_map(M, x[keep], y[keep])) / rho[keep]
+    a1 = M.inner(y[keep], tv[keep], -log_map(M, y[keep], x[keep])) / rho[keep]
     assert np.max(np.abs(a0 - a1)) < 1e-9
 
 
@@ -194,9 +195,9 @@ def test_transport_sphere_great_circle_tangent_stays_tangent():
     M = G.Sphere(2, 1.0)
     x = np.array([1.0, 0.0, 0.0])
     y = np.array([math.cos(1.0), math.sin(1.0), 0.0])
-    v = M.log(x, y) / M.distance(x, y)  # unit tangent of the great circle
+    v = log_map(M, x, y) / M.distance(x, y)  # unit tangent of the great circle
     tv = M.transport(x, y, v)
-    expected = -M.log(y, x) / M.distance(x, y)
+    expected = -log_map(M, y, x) / M.distance(x, y)
     assert np.allclose(tv, expected, atol=1e-12)
 
 
